@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .affine import AffineInt, ZERO
 from .data import SchemaError, load_bundled_dataset, load_dataset, validate_dataset
@@ -276,6 +277,15 @@ def _cmd_cc(ds, cfg, sink):
     return 0
 
 
+@contextmanager
+def _computing():
+    """A ComputationError or ValueError inside ends the command with exit 1."""
+    try:
+        yield
+    except (ComputationError, ValueError) as e:
+        raise CLIError(str(e), 1) from None
+
+
 def _packets_bundle(ds, sr):
     micro = all_micro_packets(sr, ds.catalog)
     basic = basic_arthur_packet(sr, ds.catalog)
@@ -286,10 +296,8 @@ def _packets_bundle(ds, sr):
 def _cmd_packets(ds, cfg, sink):
     _require_valid(ds, sink)
     sr = _substituted(_solved(ds), _assignment(cfg))
-    try:
+    with _computing():
         micro, basic, weak = _packets_bundle(ds, sr)
-    except (ComputationError, ValueError) as e:
-        raise CLIError(str(e), 1) from None
     if cfg.format == "machine":
         doc = {"dataset": ds.name,
                "micro": [_packet_doc(p) for p in micro.values()],
@@ -399,13 +407,14 @@ def _cmd_verify(ds, cfg, sink):
 def _cmd_report(ds, cfg, sink):
     _require_valid(ds, sink)
     sr = _substituted(_solved(ds), _assignment(cfg))
-    micro, basic, weak = _packets_bundle(ds, sr)
-    wu = verify_weak_equals_union(ds, sr, ds.catalog)
-    arthur = simplified_arthur_parameters(ds)
+    with _computing():
+        micro, basic, weak = _packets_bundle(ds, sr)
+        wu = verify_weak_equals_union(ds, sr, ds.catalog)
+        arthur = simplified_arthur_parameters(ds)
+        loc_terms = localization_check_terms(ds)
     packets = list(micro.values()) + [basic, weak]
     unit = unitarity_report(ds.catalog, packets)
     checks = _verify_checks(ds, sr)
-    loc_terms = localization_check_terms(ds)
 
     if cfg.format == "machine":
         doc = {

@@ -172,9 +172,22 @@ class Dataset:
 # ---------------------------------------------------------------- loading
 
 def _need(obj, key, where):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object, got {obj!r}")
     if key not in obj:
         raise SchemaError(f"missing key {key!r} in {where}")
     return obj[key]
+
+
+def _is_int(x):
+    # bool is a subclass of int, but true is not a count
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _pair(raw, where):
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+        raise SchemaError(f"{where} must be a pair, got {raw!r}")
+    return raw[0], raw[1]
 
 
 def _ls(raw, where):
@@ -189,23 +202,26 @@ def loads_dataset(doc):
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     version = _need(doc, "schema_version", "document")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
 
     orbits = []
     for raw in _need(doc, "orbits", "document"):
-        gr = _need(raw, "group", f"orbit {raw.get('id')}")
+        oid = _need(raw, "id", "orbit")
+        dim = _need(raw, "dim", f"orbit {oid}")
+        if not _is_int(dim):
+            raise SchemaError(f"orbit {oid}: dim must be an integer, got {dim!r}")
+        gr = _need(raw, "group", f"orbit {oid}")
         irreps = []
         for item in _need(gr, "irreps", "group"):
-            lab, dim = item[0], item[1]
-            if not isinstance(lab, str) or not isinstance(dim, int) or dim < 1:
-                raise SchemaError(f"bad irrep entry {item!r} on orbit {raw.get('id')}")
-            irreps.append((lab, dim))
+            lab, d = _pair(item, f"irrep entry on orbit {oid}")
+            if not isinstance(lab, str) or not _is_int(d) or d < 1:
+                raise SchemaError(f"bad irrep entry {item!r} on orbit {oid}")
+            irreps.append((lab, d))
         if len({lab for lab, _ in irreps}) != len(irreps):
-            raise SchemaError(f"duplicate irrep label on orbit {raw.get('id')}")
+            raise SchemaError(f"duplicate irrep label on orbit {oid}")
         orbits.append(Orbit(
-            id=_need(raw, "id", "orbit"),
-            dim=_need(raw, "dim", "orbit"),
+            id=oid, dim=dim,
             group=ComponentGroup(_need(gr, "name", "group"), tuple(irreps)),
         ))
     orbit_ids = {o.id for o in orbits}
@@ -214,15 +230,18 @@ def loads_dataset(doc):
 
     covers = []
     for raw in _need(doc, "covers", "document"):
-        a, b = raw[0], raw[1]
+        a, b = _pair(raw, "cover")
         for x in (a, b):
             if x not in orbit_ids:
                 raise SchemaError(f"cover references unknown orbit {x!r}")
         covers.append((a, b))
 
+    ambient_dim = _need(doc, "ambient_dim", "document")
+    if not _is_int(ambient_dim):
+        raise SchemaError(f"ambient_dim must be an integer, got {ambient_dim!r}")
     poset = OrbitPoset(
         [o.id for o in orbits], {o.id: o.dim for o in orbits}, covers,
-        ambient_dim=_need(doc, "ambient_dim", "document"))
+        ambient_dim=ambient_dim)
 
     groups = {o.id: o.group for o in orbits}
 
@@ -234,16 +253,17 @@ def loads_dataset(doc):
         return ls
 
     dual = _need(doc, "duality", "document")
-    hat_pairs = [(p[0], p[1]) for p in _need(dual, "hat", "duality")]
+    hat_pairs = [_pair(p, "hat pair") for p in _need(dual, "hat", "duality")]
     for a, b in hat_pairs:
         for x in (a, b):
             if x not in orbit_ids:
                 raise SchemaError(f"hat pair references unknown orbit {x!r}")
     fourier_pairs = []
     for p in _need(dual, "fourier", "duality"):
+        a, b = _pair(p, "fourier pair")
         fourier_pairs.append((
-            check_ls(_ls(p[0], "fourier"), "fourier"),
-            check_ls(_ls(p[1], "fourier"), "fourier")))
+            check_ls(_ls(a, "fourier"), "fourier"),
+            check_ls(_ls(b, "fourier"), "fourier")))
 
     records = []
     for raw in _need(doc, "kl", "document"):
@@ -257,7 +277,7 @@ def loads_dataset(doc):
             raise SchemaError(f"kl target irrep {tirr!r} unknown on {torb}")
         source = check_ls(_ls(_need(raw, "source", "kl record"), "kl source"), "kl source")
         value = _need(raw, "value", "kl record")
-        if not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             raise SchemaError(f"kl value must be a nonnegative integer, got {value!r}")
         prov = _need(raw, "provenance", "kl record")
         if prov not in ("transcribed", "reconstructed"):
@@ -301,7 +321,7 @@ def loads_dataset(doc):
     return Dataset(
         name=_need(doc, "name", "document"),
         schema_version=version,
-        ambient_dim=doc["ambient_dim"],
+        ambient_dim=ambient_dim,
         orbits=orbits,
         poset=poset,
         duality=DualityData(hat_pairs, fourier_pairs),

@@ -69,12 +69,8 @@ def kl_value(ds, target_ls, source):
     return UNKNOWN
 
 
-def local_euler(kl, ds, source, target):
-    """chi_loc of IC(source) along the target orbit, or UNKNOWN.
-
-    kl is passed separately so a candidate table can be evaluated against a
-    dataset it is not installed in; pass ds.kl for the ordinary case.
-    """
+def local_euler(ds, source, target):
+    """chi_loc of IC(source) along the target orbit, or UNKNOWN."""
     ds.orbit(target)
     s_orb, s_irr = source
     group = ds.orbit(s_orb).group
@@ -85,34 +81,15 @@ def local_euler(kl, ds, source, target):
         return sign * ds.ls_dim(source)
     if not ds.poset.leq(target, s_orb):
         return 0
-    if kl is not ds.kl:
-        probe = lambda t_ls: _kl_value_in(ds, kl, t_ls, source)
-    else:
-        probe = lambda t_ls: kl_value(ds, t_ls, source)
     tgroup = ds.orbit(target).group
     # try per-irrep first, fall back to a pinned orbit-level sum
-    per = [probe((target, lab)) for lab in tgroup.labels()]
+    per = [kl_value(ds, (target, lab), source) for lab in tgroup.labels()]
     if not any(v is UNKNOWN for v in per):
         total = sum(tgroup.irrep_dim(lab) * v for lab, v in zip(tgroup.labels(), per))
         return sign * total
-    srec = kl.sum_record(target, source)
+    srec = ds.kl.sum_record(target, source)
     if srec is not None:
         return sign * srec.value
-    return UNKNOWN
-
-
-def _kl_value_in(ds, kl, target_ls, source):
-    t_orb = target_ls[0]
-    if t_orb == source[0]:
-        return 1 if target_ls[1] == source[1] else 0
-    if not ds.poset.leq(t_orb, source[0]):
-        return 0
-    rec = kl.per_irrep_record(target_ls, source)
-    if rec is not None:
-        return rec.value
-    srec = kl.sum_record(t_orb, source)
-    if srec is not None and srec.value == 0:
-        return 0
     return UNKNOWN
 
 
@@ -146,7 +123,7 @@ def euler_matrix(ds):
     entries = {}
     for src in sources:
         for t in targets:
-            entries[(src, t)] = local_euler(ds.kl, ds, src, t)
+            entries[(src, t)] = local_euler(ds, src, t)
     return EulerMatrix(sources, targets, entries)
 
 

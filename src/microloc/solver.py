@@ -19,9 +19,13 @@ The generating rules, tagged on every equation:
 
 solve runs deterministic exact Gaussian elimination over the rationals with a
 fixed variable order (m-variables first, then c-variables by falling row
-dimension), so the same dataset always yields the same pivots, the same free
-parameters, and the same names.  Whatever stays free becomes a named
-parameter; every downstream quantity is an AffineInt over those names.
+dimension).  Each variable's pivot is the unused row holding it with the
+fewest entries, ties to the lowest row index, so the same dataset always
+yields the same pivots, the same free parameters, and the same names.  The
+rows holding a variable are found through a column index that follows
+fill-in and cancellation, not by scanning every row.  Whatever stays free
+becomes a named parameter; every downstream quantity is an AffineInt over
+those names.
 """
 
 from __future__ import annotations
@@ -189,38 +193,55 @@ def build_constraints(ds, em):
 
 # ---------------------------------------------------------------- stage 2
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def _eliminate(equations, var_order):
     """Sparse RREF.  Returns (pivots, rows, rhss, conflict_row_or_None, comb).
 
     pivots maps variable -> row index; each returned row is fully reduced
     (no pivot variable of another row appears in it).  comb[i] is the set of
     input equation indices combined into working row i.
+
+    A column index (variable -> ids of the rows holding a nonzero entry in
+    it) is built from the input and kept current as entries fill in or
+    cancel, so each variable visits only the rows of its own column.  The
+    pivot for v is the unused row of v's column with the fewest entries,
+    ties going to the lowest row index.
     """
     rows = [dict(eq.coeffs) for eq in equations]
     rhss = [eq.rhs for eq in equations]
     comb = [{i} for i in range(len(rows))]
+    column = {}
+    for i, row in enumerate(rows):
+        for k, val in row.items():
+            if val:
+                column.setdefault(k, set()).add(i)
     pivots = {}
     used = set()
     for v in var_order:
-        cand = [i for i in range(len(rows)) if i not in used and rows[i].get(v)]
+        holders = column.get(v, ())
+        cand = [j for j in holders if j not in used]
         if not cand:
             continue
         i = min(cand, key=lambda j: (len(rows[j]), j))
         piv = rows[i][v]
-        rows[i] = {k: val / piv for k, val in rows[i].items()}
+        rows[i] = pivot_row = {k: val / piv for k, val in rows[i].items()}
         rhss[i] /= piv
-        for j in range(len(rows)):
+        for j in sorted(holders):
             if j == i:
                 continue
-            f = rows[j].get(v)
-            if not f:
-                continue
-            for k, val in rows[i].items():
-                nv = rows[j].get(k, Fraction(0)) - f * val
+            row = rows[j]
+            f = row[v]
+            for k, val in pivot_row.items():
+                old = row.get(k, _FRACTION_ZERO)
+                nv = old - f * val
                 if nv:
-                    rows[j][k] = nv
-                else:
-                    rows[j].pop(k, None)
+                    if not old:
+                        column.setdefault(k, set()).add(j)
+                    row[k] = nv
+                elif row.pop(k, None):
+                    column[k].discard(j)
             rhss[j] -= f * rhss[i]
             comb[j] |= comb[i]
         pivots[v] = i
@@ -456,6 +477,15 @@ def reconstruct_local_euler(sr, published_cc):
     return EulerMatrix(sources, all_orbits, entries, failures=failures)
 
 
+def _pinned(fn, *args):
+    """fn(*args), with unpinned evaluation data raised as ComputationError."""
+    try:
+        return fn(*args)
+    except InsufficientKLData as e:
+        raise ComputationError(
+            f"insufficient KL data for the localization check: {e.pairs}") from None
+
+
 def special_cc_localization(ds, sr):
     """Cycle of the open-orbit sign sheaf via the localization recipe.
 
@@ -481,7 +511,7 @@ def special_cc_localization(ds, sr):
             raise ComputationError(
                 f"exception orbit {e} carries {len(labels)} local systems; "
                 "the pinning step needs exactly one")
-        check = composition_multiplicity(mm, (e, labels[0]), col)
+        check = _pinned(composition_multiplicity, mm, (e, labels[0]), col)
         if check != 0:
             raise ComputationError(
                 f"composition check nonzero at ({e},{labels[0]}): {check}")
@@ -497,17 +527,13 @@ def special_cc_localization(ds, sr):
         region |= poset.up_set(e)
     region.add(top)
     remainder = dict(target)
-    try:
-        for orb in sorted(region, key=lambda o: (-ds.orbit(o).dim, o)):
-            for lab in ds.orbit(orb).group.labels():
-                m = mm.mg((orb, lab), col)
-                if m == 0:
-                    continue
-                for o2, v in sr.cc_table[(orb, lab)].mult.items():
-                    remainder[o2] = remainder[o2] - m * v
-    except InsufficientKLData as e:
-        raise ComputationError(
-            f"insufficient KL data for the localization check: {e.pairs}") from None
+    for orb in sorted(region, key=lambda o: (-ds.orbit(o).dim, o)):
+        for lab in ds.orbit(orb).group.labels():
+            m = _pinned(mm.mg, (orb, lab), col)
+            if m == 0:
+                continue
+            for o2, v in sr.cc_table[(orb, lab)].mult.items():
+                remainder[o2] = remainder[o2] - m * v
 
     solved = {}
     for e in exceptions:
@@ -548,7 +574,7 @@ def localization_check_terms(ds):
     out = {}
     for e in ds.conormal_dense_exceptions:
         lab = ds.orbit(e).group.labels()[0]
-        out[(e, lab)] = composition_terms(mm, (e, lab), (top, triv))
+        out[(e, lab)] = _pinned(composition_terms, mm, (e, lab), (top, triv))
     return out
 
 

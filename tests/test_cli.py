@@ -6,6 +6,7 @@ import json
 import pytest
 
 from microloc.cli import main
+from chains import chain_doc
 
 
 @pytest.fixture
@@ -14,6 +15,22 @@ def broken_dataset_path(bundled_doc, tmp_path):
     i = doc["covers"].index(["S10", "S11"])
     doc["covers"][i] = ["S11", "S10"]
     p = tmp_path / "broken.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.fixture
+def mismatched_basic_path(tmp_path):
+    """A valid chain whose az map pairs the top sign representation with R0.
+
+    The dual basic packet then disagrees with the micro-packet at A0, so
+    the basic packet raises ComputationError.
+    """
+    doc = chain_doc(4)
+    az = {"R0": "Rsign", "Rsign": "R0", "R3": "R3"}
+    for rep in doc["catalog"]:
+        rep["az"] = az.get(rep["id"], rep["az"])
+    p = tmp_path / "mismatched.json"
     p.write_text(json.dumps(doc))
     return str(p)
 
@@ -132,3 +149,29 @@ def test_report_text_sections(capsys):
     assert "c(S4,S9) = c+1" in out
     assert "0 = m((S4,(1))) - 1 + 2 - 1" in out
     assert "X16" in out
+
+
+@pytest.mark.parametrize("command", ["packets", "report"])
+def test_packet_failure_is_a_one_line_error(capsys, mismatched_basic_path, command):
+    assert main(["validate", "--dataset", mismatched_basic_path]) == 0
+    capsys.readouterr()
+    assert main([command, "--dataset", mismatched_basic_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dual basic packet ['R0', 'R3'] does not match " \
+                  "the micro-packet ['R0', 'Rsign'] at A0\n"
+
+
+def test_unpinned_localization_data_is_not_a_traceback(capsys, bundled_doc, tmp_path):
+    # without P(S9,(1) <- S10,(1)) the localization pairing cannot be evaluated
+    doc = copy.deepcopy(bundled_doc)
+    doc["kl"] = [r for r in doc["kl"]
+                 if (r["target"], r["source"]) != (["S9", "(1)"], ["S10", "(1)"])]
+    p = tmp_path / "unpinned.json"
+    p.write_text(json.dumps(doc))
+    why = "insufficient KL data for the localization check: " \
+          "[(('S9', '(1)'), ('S10', '(1)'))]"
+    assert main(["verify", "--dataset", str(p)]) == 1
+    assert f"localization               FAIL  {why}\n" in capsys.readouterr().out
+    assert main(["report", "--dataset", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"error: {why}\n")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from microloc.cli import main
 from microloc.data import SchemaError, load_dataset, validate_dataset
 
 
@@ -45,6 +46,31 @@ def test_malformed_json_rejected(tmp_path):
     p.write_text("{not json")
     with pytest.raises(SchemaError):
         load_dataset(str(p))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("orbits", 0, "group", "irreps", 0), ["x"]),
+    (("covers", 0), ["S0"]),
+    (("orbits", 0, "dim"), "zero"),
+    (("kl", 0, "value"), True),
+    (("orbits", 0), "S0"),
+], ids=["irrep-entry-short", "cover-short", "dim-string", "kl-value-bool",
+        "orbit-bare-string"])
+def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, value):
+    doc = copy.deepcopy(bundled_doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_dataset(str(p))
+    assert main(["validate", "--dataset", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot load dataset: ") and err.count("\n") == 1
 
 
 def test_diagonal_rule_switch(bundled_doc, load_doc):

@@ -62,14 +62,14 @@ def test_same_orbit_value_is_signed_ls_dimension(dataset):
     for src in dataset.local_systems():
         orb = dataset.orbit(src[0])
         want = (-1) ** orb.dim * dataset.ls_dim(src)
-        assert local_euler(dataset.kl, dataset, src, src[0]) == want
+        assert local_euler(dataset, src, src[0]) == want
 
 
 def test_bad_arguments_raise(dataset):
     with pytest.raises(KeyError):
-        local_euler(dataset.kl, dataset, ("S9", "(7)"), "S0")
+        local_euler(dataset, ("S9", "(7)"), "S0")
     with pytest.raises(KeyError):
-        local_euler(dataset.kl, dataset, ("S9", "(1)"), "S99")
+        local_euler(dataset, ("S9", "(1)"), "S99")
 
 
 def test_mg_column_on_the_dense_exception_region(dataset):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from microloc.affine import AffineInt, ZERO
+from microloc.data import loads_dataset
 from microloc.euler import UNKNOWN, euler_matrix
 from microloc.solver import (CharacteristicCycle, ComputationError,
                              InconsistentSystem, MultiParameterMultiplicity,
@@ -15,6 +16,7 @@ from microloc.solver import (CharacteristicCycle, ComputationError,
                              check_halfinteger_roots, localization_check_terms,
                              parameter_bounds, reconstruct_local_euler, solve,
                              special_cc_localization, verify_fourier_symmetry)
+from chains import chain_doc, middle_corruption, with_kl_value
 from golden import CC_TABLE, C_ENTRIES, EULER
 
 
@@ -148,6 +150,48 @@ def test_localization_term_breakdown(dataset):
     assert sum(t["product"] for t in terms) == 0
 
 
+# The reported subsets, frozen as they were first computed.  Which row
+# becomes each pivot decides the combination sets and so the greedy
+# reduction's result, so these pin the pivot rule as well.
+F4_CONFLICT = [
+    ("support", ("S2", "(1^2)"), "S7"),
+    ("support", ("S3", "(1)"), "S7"),
+    ("leading", ("S7", "(1)")),
+    ("expansion", ("S7", "(1)"), "S7"),
+    ("expansion", ("S9", "(1)"), "S7"),
+    ("expansion", ("S10", "(1)"), "S7"),
+    ("expansion", ("S10", "(1^2)"), "S7"),
+    ("symmetry", ("S2", "(1^2)"), "S7"),
+    ("symmetry", ("S3", "(1)"), "S7"),
+    ("symmetry", ("S7", "(1)"), "S7"),
+]
+
+CHAIN6_CONFLICT = [
+    ("support", ("A0", "(1)"), "A1"),
+    ("support", ("A0", "(1)"), "A4"),
+    ("leading", ("A1", "(1)")),
+    ("expansion", ("A1", "(1)"), "A1"),
+    ("support", ("A1", "(1)"), "A4"),
+    ("expansion", ("A2", "(1)"), "A1"),
+    ("support", ("A2", "(1)"), "A4"),
+    ("expansion", ("A3", "(1)"), "A1"),
+    ("support", ("A3", "(1)"), "A4"),
+    ("expansion", ("A4", "(1)"), "A1"),
+    ("leading", ("A4", "(1)")),
+    ("expansion", ("A4", "(1)"), "A4"),
+    ("expansion", ("A5", "(1)"), "A1"),
+    ("expansion", ("A5", "(1)"), "A4"),
+    ("expansion", ("A5", "(1^2)"), "A1"),
+    ("expansion", ("A5", "(1^2)"), "A4"),
+    ("symmetry", ("A0", "(1)"), "A1"),
+    ("symmetry", ("A0", "(1)"), "A4"),
+    ("symmetry", ("A1", "(1)"), "A4"),
+    ("symmetry", ("A2", "(1)"), "A1"),
+    ("symmetry", ("A2", "(1)"), "A4"),
+    ("symmetry", ("A5", "(1^2)"), "A1"),
+]
+
+
 def test_corrupted_kl_value_reports_minimal_conflict(mutate):
     def corrupt(doc):
         for r in doc["kl"]:
@@ -156,11 +200,14 @@ def test_corrupted_kl_value_reports_minimal_conflict(mutate):
     ds = mutate(corrupt)
     with pytest.raises(InconsistentSystem) as e:
         solve(build_constraints(ds, euler_matrix(ds)))
-    tags = e.value.tags
-    assert 0 < len(tags) <= 12
-    assert all(t[-1] == "S7" or t == ("leading", ("S7", "(1)")) for t in tags)
-    kinds = {t[0] for t in tags}
-    assert "expansion" in kinds and "symmetry" in kinds
+    assert e.value.tags == F4_CONFLICT
+
+
+def test_corrupted_chain_reports_frozen_conflict():
+    ds = loads_dataset(with_kl_value(chain_doc(6), *middle_corruption(6)))
+    with pytest.raises(InconsistentSystem) as e:
+        solve(build_constraints(ds, euler_matrix(ds)))
+    assert e.value.tags == CHAIN6_CONFLICT
 
 
 def test_multi_parameter_multiplicity_raises(dataset, solved):
