@@ -66,6 +66,7 @@ from .solver import (
     ComputationError,
     ConstraintSystem,
     Equation,
+    InadmissibleAssignment,
     InconsistentSystem,
     MultiParameterMultiplicity,
     SkippedExpansion,

@@ -6,9 +6,9 @@ deterministic JSON document with --format machine, and exits 0 on success,
 1 when violations or verification failures were found, 2 when the input
 could not be read or was invalid (bad file, bad schema, bad --set value).
 
-Parameter substitution is a front-end affair: --set name=value specializes
-the solved report before printing, after checking the value against the
-derived bounds.  Library objects always stay parametric.
+--set name=value specializes the solved report before printing, through
+SolveReport.substitute, which checks the value against the derived bounds;
+an inadmissible value exits 2.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .affine import AffineInt, ZERO
+from .affine import AffineInt
 from .data import SchemaError, load_bundled_dataset, load_dataset, validate_dataset
 from .duality import hat
 from .euler import UNKNOWN, euler_matrix
 from .packets import all_micro_packets, basic_arthur_packet, simplified_arthur_parameters, \
     unitarity_report, verify_az_micro_compatibility, verify_weak_equals_union, \
     weak_arthur_packet
-from .solver import CMatrix, CharacteristicCycle, ComputationError, InconsistentSystem, \
-    MultiParameterMultiplicity, SolveReport, admissible_assignment, build_constraints, \
-    check_halfinteger_roots, localization_check_terms, parameter_bounds, \
+from .solver import ComputationError, InadmissibleAssignment, InconsistentSystem, \
+    build_constraints, check_halfinteger_roots, localization_check_terms, \
     reconstruct_local_euler, solve, special_cc_localization
 
 
@@ -69,35 +68,10 @@ def _solved(ds):
 
 
 def _substituted(sr, assignment):
-    if not assignment:
-        return sr
-    complaints = admissible_assignment(sr, assignment)
-    if complaints:
-        raise CLIError("; ".join(complaints), 2)
-
-    def sub(v):
-        out = v.substitute(assignment)
-        return out if isinstance(out, AffineInt) else ZERO + out
-
-    cm = CMatrix({k: sub(v) for k, v in sr.cmatrix.entries.items()})
-    table = {}
-    for src, cc in sr.cc_table.items():
-        mult = {}
-        for o, v in cc.mult.items():
-            w = sub(v)
-            if w:
-                mult[o] = w
-        table[src] = CharacteristicCycle(src, mult)
-    out = SolveReport(
-        sr.dataset, cm, table,
-        [p for p in sr.free_parameters if p not in assignment],
-        [p for p in sr.residual_unknowns if not cm.entries[p].is_constant()],
-        sr.skipped, None, "", sr.equation_count)
     try:
-        out.bounds = parameter_bounds(out)
-    except MultiParameterMultiplicity as e:
-        out.bound_note = str(e)
-    return out
+        return sr.substitute(assignment)
+    except InadmissibleAssignment as e:
+        raise CLIError(str(e), 2) from None
 
 
 def _require_valid(ds, sink):

@@ -184,6 +184,24 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _list(raw, where):
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError(f"{where} must be a list, got {raw!r}")
+    return raw
+
+
+def _str(raw, where):
+    if not isinstance(raw, str):
+        raise SchemaError(f"{where} must be a string, got {raw!r}")
+    return raw
+
+
+def _bool(raw, where):
+    if not isinstance(raw, bool):
+        raise SchemaError(f"{where} must be true or false, got {raw!r}")
+    return raw
+
+
 def _pair(raw, where):
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise SchemaError(f"{where} must be a pair, got {raw!r}")
@@ -206,14 +224,14 @@ def loads_dataset(doc):
         raise SchemaError(f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
 
     orbits = []
-    for raw in _need(doc, "orbits", "document"):
-        oid = _need(raw, "id", "orbit")
+    for raw in _list(_need(doc, "orbits", "document"), "orbits"):
+        oid = _str(_need(raw, "id", "orbit"), "orbit id")
         dim = _need(raw, "dim", f"orbit {oid}")
         if not _is_int(dim):
             raise SchemaError(f"orbit {oid}: dim must be an integer, got {dim!r}")
         gr = _need(raw, "group", f"orbit {oid}")
         irreps = []
-        for item in _need(gr, "irreps", "group"):
+        for item in _list(_need(gr, "irreps", "group"), f"irreps on orbit {oid}"):
             lab, d = _pair(item, f"irrep entry on orbit {oid}")
             if not isinstance(lab, str) or not _is_int(d) or d < 1:
                 raise SchemaError(f"bad irrep entry {item!r} on orbit {oid}")
@@ -222,19 +240,22 @@ def loads_dataset(doc):
             raise SchemaError(f"duplicate irrep label on orbit {oid}")
         orbits.append(Orbit(
             id=oid, dim=dim,
-            group=ComponentGroup(_need(gr, "name", "group"), tuple(irreps)),
+            group=ComponentGroup(_str(_need(gr, "name", "group"), f"group name on orbit {oid}"),
+                                 tuple(irreps)),
         ))
     orbit_ids = {o.id for o in orbits}
     if len(orbit_ids) != len(orbits):
         raise SchemaError("duplicate orbit ids")
 
+    def check_orbit(x, where):
+        if not (isinstance(x, str) and x in orbit_ids):
+            raise SchemaError(f"{where} references unknown orbit {x!r}")
+        return x
+
     covers = []
-    for raw in _need(doc, "covers", "document"):
+    for raw in _list(_need(doc, "covers", "document"), "covers"):
         a, b = _pair(raw, "cover")
-        for x in (a, b):
-            if x not in orbit_ids:
-                raise SchemaError(f"cover references unknown orbit {x!r}")
-        covers.append((a, b))
+        covers.append((check_orbit(a, "cover"), check_orbit(b, "cover")))
 
     ambient_dim = _need(doc, "ambient_dim", "document")
     if not _is_int(ambient_dim):
@@ -253,26 +274,23 @@ def loads_dataset(doc):
         return ls
 
     dual = _need(doc, "duality", "document")
-    hat_pairs = [_pair(p, "hat pair") for p in _need(dual, "hat", "duality")]
-    for a, b in hat_pairs:
-        for x in (a, b):
-            if x not in orbit_ids:
-                raise SchemaError(f"hat pair references unknown orbit {x!r}")
+    hat_pairs = []
+    for p in _list(_need(dual, "hat", "duality"), "hat"):
+        a, b = _pair(p, "hat pair")
+        hat_pairs.append((check_orbit(a, "hat pair"), check_orbit(b, "hat pair")))
     fourier_pairs = []
-    for p in _need(dual, "fourier", "duality"):
+    for p in _list(_need(dual, "fourier", "duality"), "fourier"):
         a, b = _pair(p, "fourier pair")
         fourier_pairs.append((
             check_ls(_ls(a, "fourier"), "fourier"),
             check_ls(_ls(b, "fourier"), "fourier")))
 
     records = []
-    for raw in _need(doc, "kl", "document"):
+    for raw in _list(_need(doc, "kl", "document"), "kl"):
         tgt = _need(raw, "target", "kl record")
         if not (isinstance(tgt, (list, tuple)) and len(tgt) == 2):
             raise SchemaError(f"kl target must be [orbit, irrep-or-null], got {tgt!r}")
-        torb, tirr = tgt[0], tgt[1]
-        if torb not in orbit_ids:
-            raise SchemaError(f"kl target orbit {torb!r} unknown")
+        torb, tirr = check_orbit(tgt[0], "kl target"), tgt[1]
         if tirr is not None and tirr not in groups[torb].labels():
             raise SchemaError(f"kl target irrep {tirr!r} unknown on {torb}")
         source = check_ls(_ls(_need(raw, "source", "kl record"), "kl source"), "kl source")
@@ -282,44 +300,46 @@ def loads_dataset(doc):
         prov = _need(raw, "provenance", "kl record")
         if prov not in ("transcribed", "reconstructed"):
             raise SchemaError(f"unknown provenance {prov!r}")
-        records.append(KLRecord(torb, tirr, source, value, prov, raw.get("note", "")))
+        note = _str(raw.get("note", ""), "kl record note")
+        records.append(KLRecord(torb, tirr, source, value, prov, note))
 
     catalog = []
-    for raw in _need(doc, "catalog", "document"):
+    for raw in _list(_need(doc, "catalog", "document"), "catalog"):
+        where = "catalog entry"
         catalog.append(Representation(
-            id=_need(raw, "id", "catalog entry"),
-            param=check_ls(_ls(_need(raw, "param", "catalog entry"), "catalog"), "catalog"),
-            az_partner=_need(raw, "az", "catalog entry"),
-            iwahori_spherical=bool(_need(raw, "iwahori_spherical", "catalog entry")),
-            unitary=bool(_need(raw, "unitary", "catalog entry")),
+            id=_str(_need(raw, "id", where), "catalog id"),
+            param=check_ls(_ls(_need(raw, "param", where), "catalog"), "catalog"),
+            az_partner=_str(_need(raw, "az", where), "catalog az"),
+            iwahori_spherical=_bool(_need(raw, "iwahori_spherical", where),
+                                    "catalog iwahori_spherical"),
+            unitary=_bool(_need(raw, "unitary", where), "catalog unitary"),
         ))
 
-    special = list(_need(doc, "special_piece", "document"))
-    for x in special:
-        if x not in orbit_ids:
-            raise SchemaError(f"special_piece references unknown orbit {x!r}")
+    special = [check_orbit(x, "special_piece")
+               for x in _list(_need(doc, "special_piece", "document"), "special_piece")]
 
     arthur = []
-    for raw in _need(doc, "arthur_type", "document"):
-        lang = _need(raw, "langlands", "arthur_type entry")
-        if lang not in orbit_ids:
-            raise SchemaError(f"arthur_type references unknown orbit {lang!r}")
-        arthur.append(ArthurParameter(_need(raw, "label", "arthur_type entry"), lang))
+    for raw in _list(_need(doc, "arthur_type", "document"), "arthur_type"):
+        lang = check_orbit(_need(raw, "langlands", "arthur_type entry"), "arthur_type")
+        label = _str(_need(raw, "label", "arthur_type entry"), "arthur_type label")
+        arthur.append(ArthurParameter(label, lang))
 
-    exceptions = list(doc.get("conormal_dense_exceptions", []))
-    for x in exceptions:
-        if x not in orbit_ids:
-            raise SchemaError(f"conormal_dense_exceptions references unknown orbit {x!r}")
+    exceptions = [check_orbit(x, "conormal_dense_exceptions")
+                  for x in _list(doc.get("conormal_dense_exceptions", []),
+                                 "conormal_dense_exceptions")]
 
     roots = []
-    for raw in _need(doc, "b_function", "document"):
+    for raw in _list(_need(doc, "b_function", "document"), "b_function"):
+        # exact fraction strings or integers; true is not the root 1
+        if not (isinstance(raw, str) or _is_int(raw)):
+            raise SchemaError(f"bad b-function root {raw!r}: not a fraction string")
         try:
             roots.append(Fraction(raw))
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"bad b-function root {raw!r}: {e}") from None
 
     return Dataset(
-        name=_need(doc, "name", "document"),
+        name=_str(_need(doc, "name", "document"), "name"),
         schema_version=version,
         ambient_dim=ambient_dim,
         orbits=orbits,
@@ -331,8 +351,8 @@ def loads_dataset(doc):
         arthur_type=arthur,
         conormal_dense_exceptions=exceptions,
         b_function=roots,
-        notes=list(doc.get("notes", [])),
-        diagonal_rule=bool(doc.get("diagonal_rule", True)),
+        notes=[_str(x, "note") for x in _list(doc.get("notes", []), "notes")],
+        diagonal_rule=_bool(doc.get("diagonal_rule", True), "diagonal_rule"),
     )
 
 

@@ -26,6 +26,12 @@ rows holding a variable are found through a column index that follows
 fill-in and cancellation, not by scanning every row.  Whatever stays free
 becomes a named parameter; every downstream quantity is an AffineInt over
 those names.
+
+An inconsistent system raises InconsistentSystem with a minimal conflicting
+subset of tags: the equations combined into the first conflicting row,
+reduced by a drop-one deletion filter that eliminates them once, each with
+its own unit column, and decides every trial by one elimination step on the
+resulting basis of their left null space (_minimal_conflict).
 """
 
 from __future__ import annotations
@@ -56,6 +62,14 @@ class MultiParameterMultiplicity(Exception):
 
 class ComputationError(Exception):
     pass
+
+
+class InadmissibleAssignment(Exception):
+    """A parameter assignment names an unknown parameter or breaks a bound."""
+
+    def __init__(self, complaints):
+        self.complaints = list(complaints)
+        super().__init__("; ".join(self.complaints))
 
 
 def _tag_text(tag):
@@ -126,6 +140,44 @@ class SolveReport:
     bounds: list | None
     bound_note: str = ""
     equation_count: int = 0
+
+    def substitute(self, assignment):
+        """This report with integers put in for some free parameters.
+
+        The assignment is checked against the derived bounds first and
+        raises InadmissibleAssignment with admissible_assignment's
+        complaints.  The result keeps the parameters not assigned and
+        derives its bounds afresh; an empty assignment returns self.
+        """
+        if not assignment:
+            return self
+        complaints = admissible_assignment(self, assignment)
+        if complaints:
+            raise InadmissibleAssignment(complaints)
+
+        def sub(v):
+            out = v.substitute(assignment)
+            return out if isinstance(out, AffineInt) else ZERO + out
+
+        cm = CMatrix({k: sub(v) for k, v in self.cmatrix.entries.items()})
+        table = {}
+        for src, cc in self.cc_table.items():
+            mult = {}
+            for o, v in cc.mult.items():
+                w = sub(v)
+                if w:
+                    mult[o] = w
+            table[src] = CharacteristicCycle(src, mult)
+        out = SolveReport(
+            self.dataset, cm, table,
+            [p for p in self.free_parameters if p not in assignment],
+            [p for p in self.residual_unknowns if not cm.entries[p].is_constant()],
+            self.skipped, None, "", self.equation_count)
+        try:
+            out.bounds = parameter_bounds(out)
+        except MultiParameterMultiplicity as e:
+            out.bound_note = str(e)
+        return out
 
 
 # ---------------------------------------------------------------- stage 1
@@ -254,15 +306,56 @@ def _eliminate(equations, var_order):
     return pivots, rows, rhss, conflict, comb
 
 
+# marks the unit column of one suspect equation in _minimal_conflict
+_MARKER = object()
+
+
 def _minimal_conflict(equations, suspects, var_order):
-    """Greedy drop-one reduction of a conflicting equation subset."""
+    """Greedy drop-one reduction of a conflicting equation subset.
+
+    The deletion filter of Chinneck and Dravnieks: try the suspects in
+    sorted order and drop each one whose removal leaves the rest
+    inconsistent.  A set S of equations A_S x = b_S is inconsistent exactly
+    when its left null space N = {y : y^T A_S = 0} holds a y with
+    y^T b_S != 0.  One elimination of [A_S | I] gives a basis of N: the
+    rows whose part in the real unknowns (all of them in var_order) reduces
+    to zero, each carrying its unit part y and its value y^T b_S.  Without
+    equation i the null space is {y in N : y_i = 0}, one elimination step
+    on coordinate i away from that basis; the trial is inconsistent iff
+    some vector of the reduced basis has a nonzero value, and on a drop
+    the reduced basis becomes the basis.
+    """
     current = sorted(suspects)
+    # an explicit zero coefficient would stay in its row, beside the markers
+    marked = [Equation(tuple((v, c) for v, c in equations[j].coeffs if c)
+                       + (((_MARKER, j), Fraction(1)),),
+                       equations[j].rhs, equations[j].tag) for j in current]
+    pivots, rows, rhss, _, _ = _eliminate(marked, var_order)
+    used = set(pivots.values())
+    basis = [({k[1]: val for k, val in rows[r].items()}, rhss[r])
+             for r in range(len(rows)) if r not in used]
     for i in list(current):
-        trial = [j for j in current if j != i]
-        _, _, _, conflict, _ = _eliminate([equations[j] for j in trial], var_order)
-        if conflict is not None:
-            current = trial
+        pivot = next((b for b in basis if i in b[0]), None)
+        trial = [b if i not in b[0] else _cancel(b, pivot, i)
+                 for b in basis if b is not pivot]
+        if any(value for _, value in trial):
+            current.remove(i)
+            basis = trial
     return current
+
+
+def _cancel(b, pivot, i):
+    """b minus the multiple of pivot that clears coordinate i."""
+    (y, value), (py, pvalue) = b, pivot
+    f = y[i] / py[i]
+    out = dict(y)
+    for k, x in py.items():
+        nv = out.get(k, _FRACTION_ZERO) - f * x
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    return out, value - f * pvalue
 
 
 def solve(cs):

@@ -4,9 +4,10 @@ import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microloc.cli import main
-from microloc.data import SchemaError, load_dataset, validate_dataset
+from microloc.data import SchemaError, load_dataset, loads_dataset, validate_dataset
 
 
 def test_bundled_shape(dataset):
@@ -54,8 +55,16 @@ def test_malformed_json_rejected(tmp_path):
     (("orbits", 0, "dim"), "zero"),
     (("kl", 0, "value"), True),
     (("orbits", 0), "S0"),
+    (("orbits",), 5),
+    (("kl",), 5),
+    (("special_piece",), 3),
+    (("orbits", 0, "id"), ["S0"]),
+    (("catalog", 0, "id"), ["X1"]),
+    (("b_function",), [True]),
+    (("name",), [1]),
 ], ids=["irrep-entry-short", "cover-short", "dim-string", "kl-value-bool",
-        "orbit-bare-string"])
+        "orbit-bare-string", "orbits-int", "kl-int", "special-piece-int", "orbit-id-list",
+        "catalog-id-list", "b-function-bool", "name-list"])
 def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, value):
     doc = copy.deepcopy(bundled_doc)
     *parents, last = path
@@ -71,6 +80,46 @@ def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot load dataset: ") and err.count("\n") == 1
+
+
+# the top-level fields of a dataset document, optional ones included
+TOP_LEVEL = ["schema_version", "name", "ambient_dim", "orbits", "covers", "duality", "kl",
+             "catalog", "special_piece", "arthur_type", "conormal_dense_exceptions",
+             "b_function", "notes", "diagonal_rule"]
+# words of the bundled document, so that generated values get past the
+# first shape check now and then
+WORDS = ["S0", "S4", "S7", "S11", "(1)", "(1^2)", "(4)", "X1", "X20", "-1", "-3/4",
+         "transcribed", "id", "dim", "group", "name", "irreps", "target", "source", "value",
+         "provenance", "param", "az", "iwahori_spherical", "unitary", "label", "langlands",
+         "hat", "fourier"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(TOP_LEVEL), value=JSON, data=st.data())
+def test_any_top_level_field_loads_or_is_a_schema_error(
+        bundled_doc, tmp_path, capsys, field, value, data):
+    doc = copy.deepcopy(bundled_doc)
+    old = doc.get(field)
+    if isinstance(old, list) and old and data.draw(st.booleans(), label="one element"):
+        # replace one element instead, to reach the checks inside the field
+        old[data.draw(st.integers(0, len(old) - 1), label="index")] = value
+    else:
+        doc[field] = value
+    try:
+        loads_dataset(doc)
+    except SchemaError:
+        pass
+    p = tmp_path / "generated.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", "--dataset", str(p)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_diagonal_rule_switch(bundled_doc, load_doc):

@@ -10,7 +10,8 @@ from microloc.affine import AffineInt, ZERO
 from microloc.data import loads_dataset
 from microloc.euler import UNKNOWN, euler_matrix
 from microloc.solver import (CharacteristicCycle, ComputationError,
-                             InconsistentSystem, MultiParameterMultiplicity,
+                             InadmissibleAssignment, InconsistentSystem,
+                             MultiParameterMultiplicity,
                              SolveReport, admissible_assignment,
                              build_constraints, characteristic_cycle,
                              check_halfinteger_roots, localization_check_terms,
@@ -208,6 +209,21 @@ def test_corrupted_chain_reports_frozen_conflict():
     with pytest.raises(InconsistentSystem) as e:
         solve(build_constraints(ds, euler_matrix(ds)))
     assert e.value.tags == CHAIN6_CONFLICT
+
+
+def test_substitute_specializes_the_report(solved):
+    assert solved.substitute({}) is solved
+    sr = solved.substitute({"c": 2})
+    assert solved.free_parameters[0] == "c"
+    assert sr.free_parameters == solved.free_parameters[1:]
+    assert "S4" not in sr.cc_table[("S8", "(1)")].mult   # c - 2 is 0 at c = 2
+    assert sr.cmatrix.entries == {
+        k: v.substitute({"c": 2}) + ZERO for k, v in solved.cmatrix.entries.items()}
+    assert [b.parameter for b in sr.bounds] == []
+    assert solved.cc_table[("S8", "(1)")].at("S4") == AffineInt(-2, {"c": 1})
+    with pytest.raises(InadmissibleAssignment) as e:
+        solved.substitute({"c": 1, "zz": 3})
+    assert e.value.complaints == ["unknown parameter 'zz'", "c = 1 violates c >= 2"]
 
 
 def test_multi_parameter_multiplicity_raises(dataset, solved):

@@ -8,16 +8,22 @@ inconsistent exactly when the augmented rref has a pivot in the last
 column; _eliminate must then report a conflict, and the tags solve raises
 with must name a subset that sympy also finds inconsistent, and that turns
 consistent when any one of its equations is dropped.
+
+The greedy reduction behind that subset is also checked on small random
+systems, where it does drop equations, against a copy of its first form
+that re-eliminates the remaining suspects once per trial.
 """
 
 import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import InconsistentSystem, _eliminate, build_constraints, solve
+from microloc.solver import Equation, InconsistentSystem, _eliminate, _minimal_conflict, \
+    build_constraints, solve
 from chains import SIGN, chain_doc, middle_corruption, orbit_id, with_kl_value
 
 sympy = pytest.importorskip("sympy")
@@ -127,3 +133,58 @@ def test_chain_corruption_conflicts_iff_inconsistent(n):
         cs = _system(with_kl_value(chain_doc(n), target, source, value))
         assert not _check_against_rref(cs)
         _check_minimal_conflict(cs)
+
+
+# -- the drop branch of the greedy reduction ------------------------------
+
+def _drop_one_reference(equations, suspects, var_order):
+    """The deletion filter as first written: one elimination per trial."""
+    current = sorted(suspects)
+    for i in list(current):
+        trial = [j for j in current if j != i]
+        _, _, _, conflict, _ = _eliminate([equations[j] for j in trial], var_order)
+        if conflict is not None:
+            current = trial
+    return current
+
+
+def _equations(rows):
+    """Equations from (coefficients, rhs) pairs over unknowns ("x", k)."""
+    return [Equation(tuple((("x", k), Fraction(c)) for k, c in enumerate(coeffs) if c),
+                     Fraction(rhs), ("eq", i))
+            for i, (coeffs, rhs) in enumerate(rows)]
+
+
+@st.composite
+def _inconsistent_systems(draw):
+    """Up to 6 unknowns and 9 equations, coefficients in [-2, 2], no solution."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 9))
+    coeff = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(st.lists(coeff, min_size=n, max_size=n), coeff),
+                         min_size=m, max_size=m))
+    equations = _equations(rows)
+    assume(not _consistent(equations))
+    return equations, [("x", k) for k in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inconsistent_systems())
+def test_minimal_conflict_matches_drop_one_reference(system):
+    equations, unknowns = system
+    suspects = set(range(len(equations)))
+    subset = _minimal_conflict(equations, suspects, unknowns)
+    assert subset == _drop_one_reference(equations, suspects, unknowns)
+    chosen = [equations[i] for i in subset]
+    assert not _consistent(chosen)
+    for k in range(len(chosen)):
+        assert _consistent(chosen[:k] + chosen[k + 1:]), subset[k]
+
+
+def test_minimal_conflict_drops_equations():
+    # x = 1, x = 2, y = 0, x + y = 1, 2x = 4: the first two trials leave an
+    # inconsistent rest and drop x = 1 and x = 2; the last three are kept
+    equations = _equations([((1, 0), 1), ((1, 0), 2), ((0, 1), 0), ((1, 1), 1), ((2, 0), 4)])
+    unknowns = [("x", 0), ("x", 1)]
+    assert _minimal_conflict(equations, set(range(5)), unknowns) == [2, 3, 4]
+    assert _drop_one_reference(equations, set(range(5)), unknowns) == [2, 3, 4]
