@@ -4,11 +4,15 @@ The solver leaves some unknowns undetermined; every quantity downstream is
 an affine combination like ``c - 2`` or ``3`` and must stay exact.  AffineInt
 stores a rational constant plus a sparse map of parameter coefficients and
 keeps itself in canonical form, so equality is plain structural equality.
+The constructor normalizes its arguments; the arithmetic builds its results
+already canonical (Fraction values, no zero coefficient) and skips that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_ZERO = Fraction(0)
 
 
 def _coerce(value):
@@ -46,41 +50,74 @@ class AffineInt:
     def parameter(cls, name, coeff=1):
         return cls(0, {name: Fraction(coeff)})
 
+    @classmethod
+    def _make(cls, constant, coeffs):
+        """A form from a Fraction constant and nonzero Fraction coefficients, as is."""
+        out = object.__new__(cls)
+        out.constant = constant
+        out.coeffs = coeffs
+        return out
+
     # ---- arithmetic ----
 
-    def __add__(self, other):
-        other = _coerce(other)
+    def _combine(self, other, sign):
+        """self + sign * other for sign 1 or -1, zero coefficients dropped."""
+        if not isinstance(other, AffineInt):
+            if isinstance(other, (int, Fraction)):
+                constant = self.constant + other if sign == 1 else self.constant - other
+                return AffineInt._make(constant, dict(self.coeffs))
+            other = _coerce(other)
         coeffs = dict(self.coeffs)
         for name, co in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + co
-        return AffineInt(self.constant + other.constant, coeffs)
+            old = coeffs.get(name)
+            if old is None:
+                coeffs[name] = co if sign == 1 else -co
+                continue
+            new = old + co if sign == 1 else old - co
+            if new:
+                coeffs[name] = new
+            else:
+                del coeffs[name]
+        constant = self.constant + other.constant if sign == 1 else self.constant - other.constant
+        return AffineInt._make(constant, coeffs)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AffineInt(-self.constant, {n: -co for n, co in self.coeffs.items()})
+        return AffineInt._make(-self.constant, {n: -co for n, co in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        # products of two genuinely affine forms leave the affine world
-        if self.coeffs and other.coeffs:
-            raise ValueError(f"product of {self} and {other} is not affine")
-        if other.coeffs:
-            self, other = other, self
-        k = other.constant
-        return AffineInt(self.constant * k, {n: co * k for n, co in self.coeffs.items()})
+        if isinstance(other, (int, Fraction)):
+            k = other
+        else:
+            other = _coerce(other)
+            # products of two genuinely affine forms leave the affine world
+            if self.coeffs and other.coeffs:
+                raise ValueError(f"product of {self} and {other} is not affine")
+            if other.coeffs:
+                self, other = other, self
+            k = other.constant
+        if not k:
+            return AffineInt._make(_ZERO, {})
+        if k == 1:
+            return AffineInt._make(self.constant, dict(self.coeffs))
+        if k == -1:
+            return -self
+        return AffineInt._make(self.constant * k, {n: co * k for n, co in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        k = Fraction(k)
-        return AffineInt(self.constant / k, {n: co / k for n, co in self.coeffs.items()})
+        return self * (1 / Fraction(k))
 
     # ---- structure ----
 
@@ -110,15 +147,16 @@ class AffineInt:
 
     def substitute(self, assignment):
         """Replace parameters by exact values; unmentioned ones survive."""
-        out = AffineInt(self.constant)
+        constant = self.constant
+        coeffs = {}
         for name, co in self.coeffs.items():
             if name in assignment:
-                out = out + co * Fraction(assignment[name])
+                constant += co * Fraction(assignment[name])
             else:
-                out = out + AffineInt(0, {name: co})
-        if out.coeffs:
-            return out
-        return out.constant
+                coeffs[name] = co
+        if coeffs:
+            return AffineInt._make(constant, coeffs)
+        return constant
 
     # ---- rendering ----
 

@@ -13,6 +13,7 @@ Local systems are plain (orbit_id, irrep_label) tuples throughout.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -179,6 +180,9 @@ def _need(obj, key, where):
     return obj[key]
 
 
+_ROOT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _is_int(x):
     # bool is a subclass of int, but true is not a count
     return isinstance(x, int) and not isinstance(x, bool)
@@ -330,8 +334,9 @@ def loads_dataset(doc):
 
     roots = []
     for raw in _list(_need(doc, "b_function", "document"), "b_function"):
-        # exact fraction strings or integers; true is not the root 1
-        if not (isinstance(raw, str) or _is_int(raw)):
+        # exact fraction strings or integers; true is not the root 1, and
+        # "1e3000000" would take Fraction seconds to build
+        if not (_is_int(raw) or isinstance(raw, str) and _ROOT.fullmatch(raw)):
             raise SchemaError(f"bad b-function root {raw!r}: not a fraction string")
         try:
             roots.append(Fraction(raw))

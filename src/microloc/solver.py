@@ -23,9 +23,13 @@ dimension).  Each variable's pivot is the unused row holding it with the
 fewest entries, ties to the lowest row index, so the same dataset always
 yields the same pivots, the same free parameters, and the same names.  The
 rows holding a variable are found through a column index that follows
-fill-in and cancellation, not by scanning every row.  Whatever stays free
-becomes a named parameter; every downstream quantity is an AffineInt over
-those names.
+fill-in and cancellation, not by scanning every row.  Row entries and
+right-hand sides are ints where their value is integral and Fractions
+otherwise, which keeps the common case (every value of the bundled case and
+of the chain family is a small integer) off Fraction arithmetic; every
+division goes through one exact helper (_div), since / on two ints would
+give a float.  Whatever stays free becomes a named parameter; every
+downstream quantity is an AffineInt over those names.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags: the equations combined into the first conflicting row,
@@ -245,7 +249,22 @@ def build_constraints(ds, em):
 
 # ---------------------------------------------------------------- stage 2
 
-_FRACTION_ZERO = Fraction(0)
+def _div(a, b):
+    """a / b, exactly: an int when b divides a, a Fraction otherwise.
+
+    Two ints under / would give a float, so every division of row values
+    goes through here.
+    """
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return _exact(Fraction(a, b))
+
+
+def _exact(x):
+    """x as an int when it is integral (x is an int or a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _eliminate(equations, var_order):
@@ -253,7 +272,8 @@ def _eliminate(equations, var_order):
 
     pivots maps variable -> row index; each returned row is fully reduced
     (no pivot variable of another row appears in it).  comb[i] is the set of
-    input equation indices combined into working row i.
+    input equation indices combined into working row i.  Row entries and
+    right-hand sides are ints where integral and Fractions otherwise.
 
     A column index (variable -> ids of the rows holding a nonzero entry in
     it) is built from the input and kept current as entries fill in or
@@ -261,8 +281,9 @@ def _eliminate(equations, var_order):
     pivot for v is the unused row of v's column with the fewest entries,
     ties going to the lowest row index.
     """
-    rows = [dict(eq.coeffs) for eq in equations]
-    rhss = [eq.rhs for eq in equations]
+    rows = [{k: x.numerator if x.denominator == 1 else x for k, x in eq.coeffs}
+            for eq in equations]
+    rhss = [_exact(eq.rhs) for eq in equations]
     comb = [{i} for i in range(len(rows))]
     column = {}
     for i, row in enumerate(rows):
@@ -277,24 +298,29 @@ def _eliminate(equations, var_order):
         if not cand:
             continue
         i = min(cand, key=lambda j: (len(rows[j]), j))
-        piv = rows[i][v]
-        rows[i] = pivot_row = {k: val / piv for k, val in rows[i].items()}
-        rhss[i] /= piv
+        pivot_row = rows[i]
+        piv = pivot_row[v]
+        if piv != 1:
+            rows[i] = pivot_row = {k: _div(val, piv) for k, val in pivot_row.items()}
+            rhss[i] = _div(rhss[i], piv)
         for j in sorted(holders):
             if j == i:
                 continue
             row = rows[j]
             f = row[v]
             for k, val in pivot_row.items():
-                old = row.get(k, _FRACTION_ZERO)
+                old = row.get(k, 0)
                 nv = old - f * val
                 if nv:
+                    if type(nv) is not int:
+                        nv = _exact(nv)
                     if not old:
                         column.setdefault(k, set()).add(j)
                     row[k] = nv
                 elif row.pop(k, None):
                     column[k].discard(j)
-            rhss[j] -= f * rhss[i]
+            nv = rhss[j] - f * rhss[i]
+            rhss[j] = nv if type(nv) is int else _exact(nv)
             comb[j] |= comb[i]
         pivots[v] = i
         used.add(i)
@@ -347,15 +373,15 @@ def _minimal_conflict(equations, suspects, var_order):
 def _cancel(b, pivot, i):
     """b minus the multiple of pivot that clears coordinate i."""
     (y, value), (py, pvalue) = b, pivot
-    f = y[i] / py[i]
+    f = _div(y[i], py[i])
     out = dict(y)
     for k, x in py.items():
-        nv = out.get(k, _FRACTION_ZERO) - f * x
+        nv = out.get(k, 0) - f * x
         if nv:
-            out[k] = nv
+            out[k] = _exact(nv)
         else:
             del out[k]
-    return out, value - f * pvalue
+    return out, _exact(value - f * pvalue)
 
 
 def solve(cs):
@@ -391,13 +417,12 @@ def solve(cs):
         if v not in pivots:
             return AffineInt.parameter(names[v])
         i = pivots[v]
-        out = AffineInt(rhss[i])
+        coeffs = {}
         for k, val in rows[i].items():
-            if k == v:
-                continue
-            # fully reduced rows only mention free variables besides the pivot
-            out = out + AffineInt.parameter(names[k], -val)
-        return out
+            if k != v:
+                # fully reduced rows only mention free variables besides the pivot
+                coeffs[names[k]] = coeffs.get(names[k], 0) - val
+        return AffineInt(rhss[i], coeffs)
 
     dims = {o.id: o.dim for o in ds.orbits}
     centries = {}

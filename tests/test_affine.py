@@ -1,9 +1,12 @@
 """Exact affine expressions in the free parameters."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from microloc import affine
 from microloc.affine import AffineInt, ZERO
 
 parameter = AffineInt.parameter
@@ -66,3 +69,52 @@ def test_truthiness():
     assert not ZERO
     assert AffineInt(2)
     assert parameter("c")
+
+
+def test_module_doctests_hold():
+    failed, tried = doctest.testmod(affine)
+    assert tried and not failed
+
+
+# -- canonical form under every operation -----------------------------------
+
+NAMES = ["c", "p", "q"]
+SCALARS = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.sampled_from([2, 3]))
+FORMS = st.builds(AffineInt, SCALARS, st.dictionaries(st.sampled_from(NAMES), SCALARS))
+POINT = {"c": Fraction(7, 5), "p": Fraction(-2), "q": Fraction(3, 11)}
+
+
+def _value(x):
+    """x at POINT, computed apart from AffineInt's own methods."""
+    if isinstance(x, AffineInt):
+        return x.constant + sum(co * POINT[n] for n, co in x.coeffs.items())
+    return Fraction(x)
+
+
+def _check_canonical(r):
+    assert type(r.constant) is Fraction
+    assert all(type(co) is Fraction and co for co in r.coeffs.values())
+    rebuilt = AffineInt(r.constant, r.coeffs)
+    assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=FORMS, b=FORMS | SCALARS, k=SCALARS,
+       assignment=st.dictionaries(st.sampled_from(NAMES), st.integers(-3, 3)))
+def test_operations_keep_canonical_form(a, b, k, assignment):
+    results = [(a + b, _value(a) + _value(b)), (b + a, _value(a) + _value(b)),
+               (a - b, _value(a) - _value(b)), (b - a, _value(b) - _value(a)),
+               (-a, -_value(a)), (a * k, _value(a) * k), (k * a, _value(a) * k)]
+    if k:
+        results.append((a / k, _value(a) / k))
+    for r, expected in results:
+        _check_canonical(r)
+        assert _value(r) == expected
+    out = a.substitute(assignment)
+    if isinstance(out, AffineInt):
+        _check_canonical(out)
+        assert out.parameters() == a.parameters() - set(assignment)
+    else:
+        assert type(out) is Fraction
+    point = {**POINT, **assignment}
+    assert _value(out) == a.constant + sum(co * point[n] for n, co in a.coeffs.items())

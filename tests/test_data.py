@@ -61,10 +61,13 @@ def test_malformed_json_rejected(tmp_path):
     (("orbits", 0, "id"), ["S0"]),
     (("catalog", 0, "id"), ["X1"]),
     (("b_function",), [True]),
+    (("b_function",), ["1e3000000"]),
+    (("b_function",), ["1.5"]),
     (("name",), [1]),
 ], ids=["irrep-entry-short", "cover-short", "dim-string", "kl-value-bool",
         "orbit-bare-string", "orbits-int", "kl-int", "special-piece-int", "orbit-id-list",
-        "catalog-id-list", "b-function-bool", "name-list"])
+        "catalog-id-list", "b-function-bool", "b-function-exponent", "b-function-decimal",
+        "name-list"])
 def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, value):
     doc = copy.deepcopy(bundled_doc)
     *parents, last = path

@@ -9,6 +9,10 @@ column; _eliminate must then report a conflict, and the tags solve raises
 with must name a subset that sympy also finds inconsistent, and that turns
 consistent when any one of its equations is dropped.
 
+Small random systems over Q, whose pivots are not all 1 or -1, are
+compared the same way.  On every system each value _eliminate returns
+must be an int or a non-integral Fraction, never a float.
+
 The greedy reduction behind that subset is also checked on small random
 systems, where it does drop equations, against a copy of its first form
 that re-eliminates the remaining suspects once per trial.
@@ -22,8 +26,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import Equation, InconsistentSystem, _eliminate, _minimal_conflict, \
-    build_constraints, solve
+from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _eliminate, \
+    _minimal_conflict, build_constraints, solve
 from chains import SIGN, chain_doc, middle_corruption, orbit_id, with_kl_value
 
 sympy = pytest.importorskip("sympy")
@@ -73,10 +77,17 @@ def _consistent(equations):
     return len(unknowns) not in _rref(equations, unknowns)[0]
 
 
+def _exact_value(x):
+    """An int, or a Fraction that is not integral: never a float."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
 def _check_against_rref(cs):
     """Compare _eliminate with sympy; returns whether sympy finds a solution."""
     n = len(cs.unknowns)
     pivots, rows, rhss, conflict, _ = _eliminate(cs.equations, cs.unknowns)
+    assert all(_exact_value(x) for row in rows for x in row.values())
+    assert all(_exact_value(x) for x in rhss)
     ref_pivots, ref_rows = _rref(cs.equations, cs.unknowns)
     consistent = n not in ref_pivots
     assert (conflict is None) == consistent
@@ -133,6 +144,25 @@ def test_chain_corruption_conflicts_iff_inconsistent(n):
         cs = _system(with_kl_value(chain_doc(n), target, source, value))
         assert not _check_against_rref(cs)
         _check_minimal_conflict(cs)
+
+
+# -- pivots other than 1 and -1 ---------------------------------------------
+
+# the bundled and chain systems only ever pivot on 1 or -1; these reach the
+# exact division, with integral and non-integral quotients
+_SMALL = st.integers(-3, 3)
+_RATIONAL = _SMALL | st.builds(Fraction, _SMALL, st.sampled_from([2, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_rational_system_matches_rref(data):
+    n = data.draw(st.integers(1, 6), label="unknowns")
+    m = data.draw(st.integers(1, 9), label="equations")
+    rows = data.draw(st.lists(st.tuples(st.lists(_RATIONAL, min_size=n, max_size=n), _RATIONAL),
+                              min_size=m, max_size=m), label="rows")
+    cs = ConstraintSystem(None, [("x", k) for k in range(n)], _equations(rows), [])
+    _check_against_rref(cs)
 
 
 # -- the drop branch of the greedy reduction ------------------------------
