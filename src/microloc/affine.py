@@ -4,15 +4,40 @@ The solver leaves some unknowns undetermined; every quantity downstream is
 an affine combination like ``c - 2`` or ``3`` and must stay exact.  AffineInt
 stores a rational constant plus a sparse map of parameter coefficients and
 keeps itself in canonical form, so equality is plain structural equality.
-The constructor normalizes its arguments; the arithmetic builds its results
-already canonical (Fraction values, no zero coefficient) and skips that.
+
+Every exact value of the package, here and in the solver, has one canonical
+representation, which exact produces: an int when the value is integral, a
+Fraction otherwise.  Every value of the bundled case and of the chain family
+is an integer, so the arithmetic stays on ints.  Divisions go through div,
+since / on two ints would give a float.  The constructor normalizes its
+arguments; the arithmetic builds its results already canonical (no zero
+coefficient either) and skips that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
+
+def exact(x):
+    """The canonical value of x: an int when integral, a Fraction otherwise.
+
+    x is anything Fraction() accepts; an int comes back as it is.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b):
+    """a / b for exact a and b, as a canonical value."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return exact(Fraction(a, b))
 
 
 def _coerce(value):
@@ -30,29 +55,31 @@ class AffineInt:
     >>> print(c - 2)
     c-2
     >>> (c - 2).substitute({"c": 2})
-    Fraction(0, 1)
+    0
     >>> (2 * c).coeffs
-    {'c': Fraction(2, 1)}
+    {'c': 2}
+    >>> (c / 2).coeffs
+    {'c': Fraction(1, 2)}
     """
 
     __slots__ = ("constant", "coeffs")
 
     def __init__(self, constant=0, coeffs=None):
-        self.constant = Fraction(constant)
+        self.constant = exact(constant)
         clean = {}
         for name, co in (coeffs or {}).items():
-            co = Fraction(co)
+            co = exact(co)
             if co:
                 clean[name] = co
         self.coeffs = clean
 
     @classmethod
     def parameter(cls, name, coeff=1):
-        return cls(0, {name: Fraction(coeff)})
+        return cls(0, {name: coeff})
 
     @classmethod
     def _make(cls, constant, coeffs):
-        """A form from a Fraction constant and nonzero Fraction coefficients, as is."""
+        """A form from a canonical constant and nonzero canonical coefficients, as is."""
         out = object.__new__(cls)
         out.constant = constant
         out.coeffs = coeffs
@@ -65,7 +92,7 @@ class AffineInt:
         if not isinstance(other, AffineInt):
             if isinstance(other, (int, Fraction)):
                 constant = self.constant + other if sign == 1 else self.constant - other
-                return AffineInt._make(constant, dict(self.coeffs))
+                return AffineInt._make(exact(constant), dict(self.coeffs))
             other = _coerce(other)
         coeffs = dict(self.coeffs)
         for name, co in other.coeffs.items():
@@ -75,11 +102,11 @@ class AffineInt:
                 continue
             new = old + co if sign == 1 else old - co
             if new:
-                coeffs[name] = new
+                coeffs[name] = exact(new)
             else:
                 del coeffs[name]
         constant = self.constant + other.constant if sign == 1 else self.constant - other.constant
-        return AffineInt._make(constant, coeffs)
+        return AffineInt._make(exact(constant), coeffs)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -97,7 +124,7 @@ class AffineInt:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = other
+            k = exact(other)
         else:
             other = _coerce(other)
             # products of two genuinely affine forms leave the affine world
@@ -107,17 +134,18 @@ class AffineInt:
                 self, other = other, self
             k = other.constant
         if not k:
-            return AffineInt._make(_ZERO, {})
+            return AffineInt._make(0, {})
         if k == 1:
             return AffineInt._make(self.constant, dict(self.coeffs))
         if k == -1:
             return -self
-        return AffineInt._make(self.constant * k, {n: co * k for n, co in self.coeffs.items()})
+        return AffineInt._make(exact(self.constant * k),
+                               {n: exact(co * k) for n, co in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return self * (1 / Fraction(k))
+        return self * div(1, exact(k))
 
     # ---- structure ----
 
@@ -151,9 +179,10 @@ class AffineInt:
         coeffs = {}
         for name, co in self.coeffs.items():
             if name in assignment:
-                constant += co * Fraction(assignment[name])
+                constant += co * exact(assignment[name])
             else:
                 coeffs[name] = co
+        constant = exact(constant)
         if coeffs:
             return AffineInt._make(constant, coeffs)
         return constant

@@ -54,9 +54,12 @@ def _assignment(cfg):
         if not eq:
             raise CLIError(f"--set expects name=value, got {item!r}", 2)
         try:
-            out[name] = int(value)
+            value = int(value)
         except ValueError:
             raise CLIError(f"--set {name}: value {value!r} is not an integer", 2) from None
+        if out.get(name, value) != value:
+            raise CLIError(f"--set {name}: given both {out[name]} and {value}", 2)
+        out[name] = value
     return out
 
 
@@ -88,7 +91,7 @@ def _jvalue(v):
     if isinstance(v, AffineInt):
         if v.is_constant():
             c = v.constant
-            return int(c) if c.denominator == 1 else str(c)
+            return c if type(c) is int else str(c)
         return str(v)
     return v
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .affine import div
 from .duality import hat
 from .solver import ComputationError
 
@@ -75,10 +76,9 @@ def _classify(sr, value):
     if sr.bounds is None:
         raise ComputationError("no usable bounds; cannot classify membership")
     (name, b), = value.coeffs.items()
-    root = -value.constant / b
-    if root.denominator != 1:
+    root = div(-value.constant, b)
+    if type(root) is not int:
         return "in"
-    root = int(root)
     bound = _bound_for(sr, name)
     lo = bound.lower if bound else None
     hi = bound.upper if bound else None

@@ -23,13 +23,14 @@ dimension).  Each variable's pivot is the unused row holding it with the
 fewest entries, ties to the lowest row index, so the same dataset always
 yields the same pivots, the same free parameters, and the same names.  The
 rows holding a variable are found through a column index that follows
-fill-in and cancellation, not by scanning every row.  Row entries and
-right-hand sides are ints where their value is integral and Fractions
-otherwise, which keeps the common case (every value of the bundled case and
-of the chain family is a small integer) off Fraction arithmetic; every
-division goes through one exact helper (_div), since / on two ints would
-give a float.  Whatever stays free becomes a named parameter; every
-downstream quantity is an AffineInt over those names.
+fill-in and cancellation, not by scanning every row.  Every value, from the
+coefficients build_constraints emits through the row entries and
+right-hand sides to the AffineInt results, is an int where it is integral
+and a Fraction otherwise (affine.exact), which keeps the common case (every
+value of the bundled case and of the chain family is a small integer) off
+Fraction arithmetic; every division goes through affine.div, since / on two
+ints would give a float.  Whatever stays free becomes a named parameter;
+every downstream quantity is an AffineInt over those names.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags: the equations combined into the first conflicting row,
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affine import AffineInt, ZERO
+from .affine import AffineInt, ZERO, div, exact
 from .duality import fourier_partner, hat
 from .euler import UNKNOWN, InsufficientKLData, geometric_multiplicity_matrix, \
     composition_multiplicity, composition_terms
@@ -83,8 +84,8 @@ def _tag_text(tag):
 
 @dataclass(frozen=True)
 class Equation:
-    coeffs: tuple          # of (var, Fraction), deterministic order
-    rhs: Fraction
+    coeffs: tuple          # of (var, value), deterministic order
+    rhs: int | Fraction    # values are ints where integral, else Fractions
     tag: tuple
 
 
@@ -211,22 +212,21 @@ def build_constraints(ds, em):
         for t in anchors:
             mv = ("m", src, t)
             if not poset.leq(t, s_orb):
-                eqs.append(Equation(((mv, Fraction(1)),), Fraction(0), ("support", src, t)))
+                eqs.append(Equation(((mv, 1),), 0, ("support", src, t)))
                 continue
             if t == s_orb:
-                eqs.append(Equation(
-                    ((mv, Fraction(1)),), Fraction(ds.ls_dim(src)), ("leading", src)))
+                eqs.append(Equation(((mv, 1),), ds.ls_dim(src), ("leading", src)))
             interval = poset.interval(t, s_orb)
             evals = {u: em.value(src, u) for u in interval}
             if any(v is UNKNOWN for v in evals.values()):
                 missing = tuple((u, src) for u in interval if evals[u] is UNKNOWN)
                 skipped.append(SkippedExpansion(t, src, missing))
                 continue
-            coeffs = [(mv, Fraction(-1))]
+            coeffs = [(mv, -1)]
             for u in interval:
                 if evals[u]:
-                    coeffs.append((("c", t, u), Fraction(evals[u])))
-            eqs.append(Equation(tuple(coeffs), Fraction(0), ("expansion", src, t)))
+                    coeffs.append((("c", t, u), evals[u]))
+            eqs.append(Equation(tuple(coeffs), 0, ("expansion", src, t)))
 
     for src in sources:
         fsrc = fourier_partner(ds.duality, src)
@@ -235,37 +235,17 @@ def build_constraints(ds, em):
             b = ("m", fsrc, hat(ds.duality, t))
             if a == b:
                 continue
-            eqs.append(Equation(
-                ((a, Fraction(1)), (b, Fraction(-1))), Fraction(0), ("symmetry", src, t)))
+            eqs.append(Equation(((a, 1), (b, -1)), 0, ("symmetry", src, t)))
 
     if getattr(ds, "diagonal_rule", True):
         for o in ds.orbits:
             eqs.append(Equation(
-                ((("c", o.id, o.id), Fraction(1)),), Fraction((-1) ** o.dim),
-                ("diagonal", o.id)))
+                ((("c", o.id, o.id), 1),), -1 if o.dim % 2 else 1, ("diagonal", o.id)))
 
     return ConstraintSystem(ds, mvars + cvars, eqs, skipped)
 
 
 # ---------------------------------------------------------------- stage 2
-
-def _div(a, b):
-    """a / b, exactly: an int when b divides a, a Fraction otherwise.
-
-    Two ints under / would give a float, so every division of row values
-    goes through here.
-    """
-    if b == 1:
-        return a
-    if b == -1:
-        return -a
-    return _exact(Fraction(a, b))
-
-
-def _exact(x):
-    """x as an int when it is integral (x is an int or a Fraction)."""
-    return x.numerator if x.denominator == 1 else x
-
 
 def _eliminate(equations, var_order):
     """Sparse RREF.  Returns (pivots, rows, rhss, conflict_row_or_None, comb).
@@ -281,9 +261,9 @@ def _eliminate(equations, var_order):
     pivot for v is the unused row of v's column with the fewest entries,
     ties going to the lowest row index.
     """
-    rows = [{k: x.numerator if x.denominator == 1 else x for k, x in eq.coeffs}
+    rows = [{k: x if type(x) is int else exact(x) for k, x in eq.coeffs}
             for eq in equations]
-    rhss = [_exact(eq.rhs) for eq in equations]
+    rhss = [exact(eq.rhs) for eq in equations]
     comb = [{i} for i in range(len(rows))]
     column = {}
     for i, row in enumerate(rows):
@@ -301,8 +281,8 @@ def _eliminate(equations, var_order):
         pivot_row = rows[i]
         piv = pivot_row[v]
         if piv != 1:
-            rows[i] = pivot_row = {k: _div(val, piv) for k, val in pivot_row.items()}
-            rhss[i] = _div(rhss[i], piv)
+            rows[i] = pivot_row = {k: div(val, piv) for k, val in pivot_row.items()}
+            rhss[i] = div(rhss[i], piv)
         for j in sorted(holders):
             if j == i:
                 continue
@@ -313,14 +293,14 @@ def _eliminate(equations, var_order):
                 nv = old - f * val
                 if nv:
                     if type(nv) is not int:
-                        nv = _exact(nv)
+                        nv = exact(nv)
                     if not old:
                         column.setdefault(k, set()).add(j)
                     row[k] = nv
                 elif row.pop(k, None):
                     column[k].discard(j)
             nv = rhss[j] - f * rhss[i]
-            rhss[j] = nv if type(nv) is int else _exact(nv)
+            rhss[j] = nv if type(nv) is int else exact(nv)
             comb[j] |= comb[i]
         pivots[v] = i
         used.add(i)
@@ -354,7 +334,7 @@ def _minimal_conflict(equations, suspects, var_order):
     current = sorted(suspects)
     # an explicit zero coefficient would stay in its row, beside the markers
     marked = [Equation(tuple((v, c) for v, c in equations[j].coeffs if c)
-                       + (((_MARKER, j), Fraction(1)),),
+                       + (((_MARKER, j), 1),),
                        equations[j].rhs, equations[j].tag) for j in current]
     pivots, rows, rhss, _, _ = _eliminate(marked, var_order)
     used = set(pivots.values())
@@ -373,15 +353,15 @@ def _minimal_conflict(equations, suspects, var_order):
 def _cancel(b, pivot, i):
     """b minus the multiple of pivot that clears coordinate i."""
     (y, value), (py, pvalue) = b, pivot
-    f = _div(y[i], py[i])
+    f = div(y[i], py[i])
     out = dict(y)
     for k, x in py.items():
         nv = out.get(k, 0) - f * x
         if nv:
-            out[k] = _exact(nv)
+            out[k] = exact(nv)
         else:
             del out[k]
-    return out, _exact(value - f * pvalue)
+    return out, exact(value - f * pvalue)
 
 
 def solve(cs):
@@ -493,14 +473,12 @@ def parameter_bounds(sr):
                 continue
             (name, b), = v.coeffs.items()
             a = v.constant
-            root = -a / b
             box = per_param.setdefault(name, {"lo": [], "hi": []})
+            # floor division is exact on ints and Fractions alike
             if b > 0:
-                lo = -(-root.numerator // root.denominator)  # ceil
-                box["lo"].append((lo, (src, orbit)))
+                box["lo"].append((-(a // b), (src, orbit)))   # ceil(-a/b)
             else:
-                hi = root.numerator // root.denominator      # floor
-                box["hi"].append((hi, (src, orbit)))
+                box["hi"].append((-a // b, (src, orbit)))     # floor(-a/b)
     if multi:
         raise MultiParameterMultiplicity(multi)
     out = []

@@ -85,15 +85,20 @@ POINT = {"c": Fraction(7, 5), "p": Fraction(-2), "q": Fraction(3, 11)}
 
 
 def _value(x):
-    """x at POINT, computed apart from AffineInt's own methods."""
+    """x at POINT as a Fraction, computed apart from AffineInt's own methods."""
     if isinstance(x, AffineInt):
-        return x.constant + sum(co * POINT[n] for n, co in x.coeffs.items())
+        return Fraction(x.constant) + sum(co * POINT[n] for n, co in x.coeffs.items())
     return Fraction(x)
 
 
+def _canonical(x):
+    """One representation per value: an int, or a Fraction that is not integral."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
 def _check_canonical(r):
-    assert type(r.constant) is Fraction
-    assert all(type(co) is Fraction and co for co in r.coeffs.values())
+    assert _canonical(r.constant)
+    assert all(_canonical(co) and co for co in r.coeffs.values())
     rebuilt = AffineInt(r.constant, r.coeffs)
     assert r == rebuilt and hash(r) == hash(rebuilt)
 
@@ -115,6 +120,6 @@ def test_operations_keep_canonical_form(a, b, k, assignment):
         _check_canonical(out)
         assert out.parameters() == a.parameters() - set(assignment)
     else:
-        assert type(out) is Fraction
+        assert _canonical(out)
     point = {**POINT, **assignment}
     assert _value(out) == a.constant + sum(co * point[n] for n, co in a.coeffs.items())

@@ -93,6 +93,14 @@ def test_malformed_set_argument_rejected(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_conflicting_repeated_set_rejected(capsys):
+    assert main(["cc", "--set", "c=2", "--set", "c=3"]) == 2
+    assert capsys.readouterr().err == "error: --set c: given both 2 and 3\n"
+    # the same value twice is no conflict
+    assert main(["cc", "--set", "c=2", "--set", "c=2"]) == 0
+    assert "CC(IC(S9,(1^2))) = [S9] + [S7] + 2[S4] + [S2]" in capsys.readouterr().out
+
+
 def test_packets_text_output(capsys):
     assert main(["packets"]) == 0
     out = capsys.readouterr().out

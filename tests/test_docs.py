@@ -1,0 +1,37 @@
+"""The documented code runs: every demo script and README's Library block."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_every_demo_is_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _run([str(demo)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    proc = _run(["-c", block])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

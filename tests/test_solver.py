@@ -5,11 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microloc.affine import AffineInt, ZERO
 from microloc.data import loads_dataset
 from microloc.euler import UNKNOWN, euler_matrix
-from microloc.solver import (CharacteristicCycle, ComputationError,
+from microloc.packets import _classify
+from microloc.solver import (CMatrix, CharacteristicCycle, ComputationError,
                              InadmissibleAssignment, InconsistentSystem,
                              MultiParameterMultiplicity,
                              SolveReport, admissible_assignment,
@@ -102,6 +104,46 @@ def test_bound_against_integer_scan(solved):
                  for cc in solved.cc_table.values()
                  for v in cc.mult.values())
         assert ok == (t >= 2), t
+
+
+# a and b of a single-parameter multiplicity a + b*p, ints and Fractions
+# (integral ones too), with |b| != 1 often enough that -a/b is not an integer
+_EXACT = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_EXACT, b=_EXACT.filter(bool))
+def test_bound_and_membership_of_one_entry_match_integer_scan(a, b):
+    value = AffineInt(a, {"p": b})
+    src = ("O", "(1)")
+    sr = SolveReport(dataset=None, cmatrix=CMatrix({}),
+                     cc_table={src: CharacteristicCycle(src, {"O": value})},
+                     free_parameters=["p"], residual_unknowns=[], skipped=[], bounds=None)
+    sr.bounds = parameter_bounds(sr)
+    # |-a/b| <= 24, so the scan reaches past the root on both sides
+    admissible = [t for t in range(-60, 61) if a + b * t >= 0]
+    (bound,) = sr.bounds
+    assert bound.parameter == "p"
+    if b > 0:
+        assert (bound.lower, bound.upper) == (min(admissible), None)
+    else:
+        assert (bound.lower, bound.upper) == (None, max(admissible))
+    zeros = sum(1 for t in admissible if a + b * t == 0)
+    want = "out" if zeros == len(admissible) else "in" if not zeros else "indeterminate"
+    assert _classify(sr, value) == want
+
+
+@pytest.mark.parametrize("n", [None, 6, 9, 12], ids=lambda n: f"chain{n}" if n else "f4a3")
+def test_system_and_solution_values_are_ints(dataset, n):
+    ds = dataset if n is None else loads_dataset(chain_doc(n))
+    cs = build_constraints(ds, euler_matrix(ds))
+    assert all(type(x) is int for eq in cs.equations for _, x in eq.coeffs)
+    assert all(type(eq.rhs) is int for eq in cs.equations)
+    sr = solve(cs)
+    values = list(sr.cmatrix.entries.values())
+    values += [v for cc in sr.cc_table.values() for v in cc.mult.values()]
+    assert all(type(v.constant) is int for v in values)
+    assert all(type(x) is int for v in values for x in v.coeffs.values())
 
 
 def test_admissible_assignment_complaints(solved):
