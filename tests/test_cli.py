@@ -7,15 +7,13 @@ import pytest
 
 from microloc.cli import main
 from chains import chain_doc
+from test_cli_snapshots import broken_doc
 
 
 @pytest.fixture
 def broken_dataset_path(bundled_doc, tmp_path):
-    doc = copy.deepcopy(bundled_doc)
-    i = doc["covers"].index(["S10", "S11"])
-    doc["covers"][i] = ["S11", "S10"]
     p = tmp_path / "broken.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(broken_doc(bundled_doc)))
     return str(p)
 
 
