@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: validate, solve, cc, packets, verify, report.  Every one reads
-a dataset (bundled case by default), prints text for reading or a
-deterministic JSON document with --format machine, and exits 0 on success,
-1 when violations or verification failures were found, 2 when the input
-could not be read or was invalid (bad file, bad schema, bad --set value).
+a dataset (bundled case by default) and builds one JSON-ready document.
+--format machine prints that document as deterministic JSON; the text form
+is rendered from the document alone, so the two carry the same facts.  The
+exit code is 0 on success, 1 when violations or verification failures were
+found, 2 when the input could not be read or was invalid (bad file, bad
+schema, bad --set value).
 
 --set name=value specializes the solved report before printing, through
 SolveReport.substitute, which checks the value against the derived bounds;
@@ -20,14 +22,13 @@ from contextlib import contextmanager
 
 from .affine import AffineInt
 from .data import SchemaError, load_bundled_dataset, load_dataset, validate_dataset
-from .duality import hat
 from .euler import UNKNOWN, euler_matrix
 from .packets import all_micro_packets, basic_arthur_packet, simplified_arthur_parameters, \
     unitarity_report, verify_az_micro_compatibility, verify_weak_equals_union, \
     weak_arthur_packet
 from .solver import ComputationError, InadmissibleAssignment, InconsistentSystem, \
     build_constraints, check_halfinteger_roots, localization_check_terms, \
-    reconstruct_local_euler, solve, special_cc_localization
+    reconstruct_local_euler, solve, special_cc_localization, verify_fourier_symmetry
 
 
 class CLIError(Exception):
@@ -63,21 +64,20 @@ def _assignment(cfg):
     return out
 
 
-def _solved(ds):
+def _solution(ds, cfg):
+    """The solved report with the --set values put in."""
     try:
-        return solve(build_constraints(ds, euler_matrix(ds)))
+        sr = solve(build_constraints(ds, euler_matrix(ds)))
     except InconsistentSystem as e:
         raise CLIError(str(e), 1) from None
-
-
-def _substituted(sr, assignment):
+    assignment = _assignment(cfg)
     try:
         return sr.substitute(assignment)
     except InadmissibleAssignment as e:
         raise CLIError(str(e), 2) from None
 
 
-def _require_valid(ds, sink):
+def _require_valid(ds):
     violations = validate_dataset(ds)
     if violations:
         for v in violations:
@@ -85,7 +85,16 @@ def _require_valid(ds, sink):
         raise CLIError(f"dataset has {len(violations)} violations", 1)
 
 
-# ---------------------------------------------------------------- rendering
+@contextmanager
+def _computing():
+    """A ComputationError or ValueError inside ends the command with exit 1."""
+    try:
+        yield
+    except (ComputationError, ValueError) as e:
+        raise CLIError(str(e), 1) from None
+
+
+# ---------------------------------------------------------------- documents
 
 def _jvalue(v):
     if isinstance(v, AffineInt):
@@ -94,27 +103,6 @@ def _jvalue(v):
             return c if type(c) is int else str(c)
         return str(v)
     return v
-
-
-def _term(coeff, orbit):
-    if coeff == 1:
-        return f"[{orbit}]"
-    s = str(coeff)
-    if any(ch in s[1:] for ch in "+-"):
-        s = f"({s})"
-    return f"{s}[{orbit}]"
-
-
-def _cycle_line(ds, cc):
-    desc = [o.id for o in reversed(ds.orbits)]
-    terms = [_term(cc.mult[o], o) for o in desc if o in cc.mult]
-    body = " + ".join(terms) if terms else "0"
-    src = f"({cc.source[0]},{cc.source[1]})"
-    return f"CC(IC{src}) = {body}"
-
-
-def _cc_lines(ds, sr):
-    return [_cycle_line(ds, sr.cc_table[src]) for src in ds.local_systems()]
 
 
 def _cc_doc(ds, sr):
@@ -127,28 +115,6 @@ def _cc_doc(ds, sr):
     return {"dataset": ds.name, "cycles": rows}
 
 
-def _bound_lines(sr):
-    out = []
-    for b in sr.bounds or []:
-        pieces = []
-        if b.lower is not None:
-            pieces.append(f"{b.parameter} >= {b.lower}")
-        if b.upper is not None:
-            pieces.append(f"{b.parameter} <= {b.upper}")
-        if not pieces:
-            pieces.append(f"{b.parameter} unconstrained")
-        wit = ""
-        if b.tight_lower_witnesses:
-            src, orb = b.tight_lower_witnesses[0]
-            wit = f"   [tight at CC(IC({src[0]},{src[1]})) over {orb}]"
-        out.append("  " + " and ".join(pieces) + (" (infeasible)" if not b.feasible else "") + wit)
-    if sr.bound_note:
-        out.append(f"  note: {sr.bound_note}")
-    if not out:
-        out.append("  none")
-    return out
-
-
 def _bounds_doc(sr):
     return [{
         "parameter": b.parameter, "lower": b.lower, "upper": b.upper,
@@ -158,27 +124,18 @@ def _bounds_doc(sr):
     } for b in sr.bounds or []]
 
 
-def _solve_lines(ds, sr):
-    lines = [
-        f"dataset {ds.name}: {len(ds.orbits)} orbits, {len(ds.local_systems())} local systems",
-        f"equations: {sr.equation_count} (expansion rows skipped for unknown cells: {len(sr.skipped)})",
-        f"free parameters ({len(sr.free_parameters)}): {', '.join(sr.free_parameters) or 'none'}",
-        "bounds:",
-        *_bound_lines(sr),
-        f"index entries left parametric: {len(sr.residual_unknowns)}",
-    ]
-    return lines
-
-
 def _solve_doc(ds, sr):
     return {
         "dataset": ds.name,
+        "orbit_count": len(ds.orbits),
+        "local_system_count": len(ds.local_systems()),
         "equations": sr.equation_count,
         "skipped": [{"anchor": s.anchor, "source": list(s.source),
                      "missing": [[o, list(src)] for o, src in s.missing]}
                     for s in sr.skipped],
         "free_parameters": list(sr.free_parameters),
         "bounds": _bounds_doc(sr),
+        "bound_note": sr.bound_note,
         "residual": [list(p) for p in sr.residual_unknowns],
         "cmatrix": [{"row": a, "col": b, "value": _jvalue(v)}
                     for (a, b), v in sorted(sr.cmatrix.entries.items())],
@@ -186,19 +143,11 @@ def _solve_doc(ds, sr):
     }
 
 
-def _packet_label(p):
-    if p.kind == "micro":
-        return f"micro {p.anchor}"
-    if p.anchor:
-        return f"{p.kind} (anchor {p.anchor})"
-    return p.kind
-
-
-def _packet_line(p):
-    body = " ".join(p.members) or "(empty)"
-    if p.indeterminate:
-        body += f"   indeterminate: {' '.join(p.indeterminate)}"
-    return f"{_packet_label(p)}: {body}"
+def _packets(ds, sr):
+    """The micro-packets in anchor order, then the basic and the weak packet."""
+    micro = all_micro_packets(sr, ds.catalog)
+    return [*micro.values(), basic_arthur_packet(sr, ds.catalog),
+            weak_arthur_packet(ds, ds.catalog)]
 
 
 def _packet_doc(p):
@@ -206,7 +155,13 @@ def _packet_doc(p):
             "members": list(p.members), "indeterminate": list(p.indeterminate)}
 
 
-def _banner_lines(ds):
+def _packets_doc(packets):
+    *micro, basic, weak = packets
+    return {"micro": [_packet_doc(p) for p in micro],
+            "basic": _packet_doc(basic), "weak": _packet_doc(weak)}
+
+
+def _assumption_notes(ds):
     flagged = [r.id for r in ds.catalog if not r.iwahori_spherical]
     if not flagged:
         return []
@@ -217,82 +172,40 @@ def _banner_lines(ds):
     ]
 
 
+def _checks_doc(checks):
+    return [{"name": n, "ok": o, "detail": d} for n, o, d in checks]
+
+
 # ---------------------------------------------------------------- commands
 
-def _cmd_validate(ds, cfg, sink):
+def _cmd_validate(ds, cfg):
     violations = validate_dataset(ds)
-    if cfg.format == "machine":
-        sink.append(json.dumps(
-            {"dataset": ds.name, "ok": not violations,
-             "violations": [{"code": v.code, "detail": v.detail} for v in violations]},
-            sort_keys=True, indent=2))
-    else:
-        if violations:
-            sink.extend(str(v) for v in violations)
-        else:
-            sink.append(f"dataset {ds.name}: ok")
-    return 1 if violations else 0
+    return (1 if violations else 0), {
+        "dataset": ds.name, "ok": not violations,
+        "violations": [{"code": v.code, "detail": v.detail} for v in violations]}
 
 
-def _cmd_solve(ds, cfg, sink):
-    _require_valid(ds, sink)
-    sr = _substituted(_solved(ds), _assignment(cfg))
-    if cfg.format == "machine":
-        sink.append(json.dumps(_solve_doc(ds, sr), sort_keys=True, indent=2))
-    else:
-        sink.extend(_solve_lines(ds, sr))
-    return 0
+def _cmd_solve(ds, cfg):
+    _require_valid(ds)
+    return 0, _solve_doc(ds, _solution(ds, cfg))
 
 
-def _cmd_cc(ds, cfg, sink):
-    _require_valid(ds, sink)
-    sr = _substituted(_solved(ds), _assignment(cfg))
-    if cfg.format == "machine":
-        sink.append(json.dumps(_cc_doc(ds, sr), sort_keys=True, indent=2))
-    else:
-        sink.extend(_cc_lines(ds, sr))
-    return 0
+def _cmd_cc(ds, cfg):
+    _require_valid(ds)
+    return 0, _cc_doc(ds, _solution(ds, cfg))
 
 
-@contextmanager
-def _computing():
-    """A ComputationError or ValueError inside ends the command with exit 1."""
-    try:
-        yield
-    except (ComputationError, ValueError) as e:
-        raise CLIError(str(e), 1) from None
-
-
-def _packets_bundle(ds, sr):
-    micro = all_micro_packets(sr, ds.catalog)
-    basic = basic_arthur_packet(sr, ds.catalog)
-    weak = weak_arthur_packet(ds, ds.catalog)
-    return micro, basic, weak
-
-
-def _cmd_packets(ds, cfg, sink):
-    _require_valid(ds, sink)
-    sr = _substituted(_solved(ds), _assignment(cfg))
+def _cmd_packets(ds, cfg):
+    _require_valid(ds)
+    sr = _solution(ds, cfg)
     with _computing():
-        micro, basic, weak = _packets_bundle(ds, sr)
-    if cfg.format == "machine":
-        doc = {"dataset": ds.name,
-               "micro": [_packet_doc(p) for p in micro.values()],
-               "basic": _packet_doc(basic),
-               "weak": _packet_doc(weak)}
-        sink.append(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        sink.extend(_banner_lines(ds))
-        sink.extend(_packet_line(p) for p in micro.values())
-        sink.append(_packet_line(basic))
-        sink.append(_packet_line(weak))
-    return 0
+        packets = _packets(ds, sr)
+    return 0, {"dataset": ds.name, **_packets_doc(packets),
+               "assumption_notes": _assumption_notes(ds)}
 
 
 def _verify_checks(ds, sr):
     """(name, ok, detail) triples for the whole battery."""
-    from .solver import verify_fourier_symmetry
-
     checks = []
 
     bad = verify_fourier_symmetry(sr)
@@ -360,131 +273,204 @@ def _verify_checks(ds, sr):
     return checks
 
 
-def _cmd_verify(ds, cfg, sink):
+def _cmd_verify(ds, cfg):
     violations = validate_dataset(ds)
     checks = [("dataset-valid", not violations,
                "no violations" if not violations
                else "; ".join(str(v) for v in violations))]
     if not violations:
-        sr = _substituted(_solved(ds), _assignment(cfg))
-        checks.extend(_verify_checks(ds, sr))
+        checks.extend(_verify_checks(ds, _solution(ds, cfg)))
     ok = all(c[1] for c in checks)
-    if cfg.format == "machine":
-        sink.append(json.dumps(
-            {"dataset": ds.name, "ok": ok,
-             "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks]},
-            sort_keys=True, indent=2))
-    else:
-        width = max(len(n) for n, _, _ in checks)
-        for n, o, d in checks:
-            sink.append(f"{n.ljust(width)}  {'ok' if o else 'FAIL'}  {d}")
-    return 0 if ok else 1
+    return (0 if ok else 1), {"dataset": ds.name, "ok": ok, "checks": _checks_doc(checks)}
 
 
-def _cmd_report(ds, cfg, sink):
-    _require_valid(ds, sink)
-    sr = _substituted(_solved(ds), _assignment(cfg))
+def _cmd_report(ds, cfg):
+    _require_valid(ds)
+    sr = _solution(ds, cfg)
     with _computing():
-        micro, basic, weak = _packets_bundle(ds, sr)
+        packets = _packets(ds, sr)
         wu = verify_weak_equals_union(ds, sr, ds.catalog)
         arthur = simplified_arthur_parameters(ds)
         loc_terms = localization_check_terms(ds)
-    packets = list(micro.values()) + [basic, weak]
     unit = unitarity_report(ds.catalog, packets)
     checks = _verify_checks(ds, sr)
+    doc = {
+        "dataset": ds.name,
+        "ambient_dim": ds.ambient_dim,
+        "orbits": [{"id": o.id, "dim": o.dim, "group": o.group.name,
+                    "irreps": [[lab, d] for lab, d in o.group.irreps]} for o in ds.orbits],
+        "solve": _solve_doc(ds, sr),
+        "localization": [{"probe": list(probe), "composition_terms": terms}
+                         for probe, terms in loc_terms.items()],
+        "packets": _packets_doc(packets),
+        "weak_equals_union": wu.equal,
+        "arthur_parameters": arthur,
+        "unitarity": unit,
+        "b_function": [str(r) for r in ds.b_function],
+        "checks": _checks_doc(checks),
+        "assumption_notes": _assumption_notes(ds),
+    }
+    return (0 if all(c[1] for c in checks) else 1), doc
 
-    if cfg.format == "machine":
-        doc = {
-            "dataset": ds.name,
-            "ambient_dim": ds.ambient_dim,
-            "solve": _solve_doc(ds, sr),
-            "packets": {"micro": [_packet_doc(p) for p in micro.values()],
-                        "basic": _packet_doc(basic), "weak": _packet_doc(weak)},
-            "weak_equals_union": wu.equal,
-            "arthur_parameters": arthur,
-            "unitarity": unit,
-            "b_function": [str(r) for r in ds.b_function],
-            "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks],
-            "assumption_notes": _banner_lines(ds),
-        }
-        sink.append(json.dumps(doc, sort_keys=True, indent=2))
-        return 0 if all(c[1] for c in checks) else 1
 
-    sink.append(f"=== {ds.name} ===")
-    sink.append("")
-    for o in ds.orbits:
-        irr = ", ".join(f"{lab} (dim {d})" for lab, d in o.group.irreps)
-        sink.append(f"  {o.id}: dim {o.dim}, group {o.group.name}, irreps {irr}")
-    sink.append("")
-    sink.extend(_banner_lines(ds))
-    sink.append("")
-    sink.append("-- solve --")
-    sink.extend(_solve_lines(ds, sr))
-    sink.append("")
-    sink.append("-- characteristic cycles --")
-    sink.extend(_cc_lines(ds, sr))
-    sink.append("")
-    sink.append("-- index matrix --")
-    for o in reversed(ds.orbits):
-        cols = [b.id for b in ds.orbits if ds.poset.leq(o.id, b.id)]
-        cells = [f"c({o.id},{b}) = {sr.cmatrix.entry(o.id, b)}" for b in cols]
-        sink.append("  " + "; ".join(cells))
-    sink.append("")
-    sink.append("-- localization pinning --")
-    for probe, terms in loc_terms.items():
+# ---------------------------------------------------------------- text
+# Each renderer reads only its command's document and returns the lines.
+
+def _term(coeff, orbit):
+    if coeff == 1:
+        return f"[{orbit}]"
+    s = str(coeff)
+    if any(ch in s[1:] for ch in "+-"):
+        s = f"({s})"
+    return f"{s}[{orbit}]"
+
+
+def _cc_text(doc):
+    out = []
+    for row in doc["cycles"]:
+        body = " + ".join(_term(m["value"], m["orbit"]) for m in row["mult"]) or "0"
+        src = row["source"]
+        out.append(f"CC(IC({src[0]},{src[1]})) = {body}")
+    return out
+
+
+def _bound_lines(solve_doc):
+    out = []
+    for b in solve_doc["bounds"]:
+        pieces = []
+        if b["lower"] is not None:
+            pieces.append(f"{b['parameter']} >= {b['lower']}")
+        if b["upper"] is not None:
+            pieces.append(f"{b['parameter']} <= {b['upper']}")
+        if not pieces:
+            pieces.append(f"{b['parameter']} unconstrained")
+        wit = ""
+        if b["tight_lower_witnesses"]:
+            src, orb = b["tight_lower_witnesses"][0]
+            wit = f"   [tight at CC(IC({src[0]},{src[1]})) over {orb}]"
+        infeasible = "" if b["feasible"] else " (infeasible)"
+        out.append("  " + " and ".join(pieces) + infeasible + wit)
+    if solve_doc["bound_note"]:
+        out.append(f"  note: {solve_doc['bound_note']}")
+    return out or ["  none"]
+
+
+def _index_lines(orbits, cmatrix):
+    """One line per orbit, top down: its entries c(a,b), b in orbit order."""
+    rank = {o["id"]: i for i, o in enumerate(orbits)}
+    rows = {o["id"]: [] for o in orbits}
+    for e in sorted(cmatrix, key=lambda e: rank[e["col"]]):
+        rows[e["row"]].append(f"c({e['row']},{e['col']}) = {e['value']}")
+    return ["  " + "; ".join(rows[o["id"]]) for o in reversed(orbits)]
+
+
+def _packet_line(p):
+    if p["kind"] == "micro":
+        label = f"micro {p['anchor']}"
+    elif p["anchor"]:
+        label = f"{p['kind']} (anchor {p['anchor']})"
+    else:
+        label = p["kind"]
+    body = " ".join(p["members"]) or "(empty)"
+    if p["indeterminate"]:
+        body += f"   indeterminate: {' '.join(p['indeterminate'])}"
+    return f"{label}: {body}"
+
+
+def _packet_lines(packets_doc):
+    return [_packet_line(p) for p in
+            [*packets_doc["micro"], packets_doc["basic"], packets_doc["weak"]]]
+
+
+def _validate_text(doc):
+    if doc["violations"]:
+        return [f"[{v['code']}] {v['detail']}" for v in doc["violations"]]
+    return [f"dataset {doc['dataset']}: ok"]
+
+
+def _solve_text(doc):
+    fp = doc["free_parameters"]
+    return [
+        f"dataset {doc['dataset']}: {doc['orbit_count']} orbits, "
+        f"{doc['local_system_count']} local systems",
+        f"equations: {doc['equations']} "
+        f"(expansion rows skipped for unknown cells: {len(doc['skipped'])})",
+        f"free parameters ({len(fp)}): {', '.join(fp) or 'none'}",
+        "bounds:",
+        *_bound_lines(doc),
+        f"index entries left parametric: {len(doc['residual'])}",
+    ]
+
+
+def _packets_text(doc):
+    return doc["assumption_notes"] + _packet_lines(doc)
+
+
+def _verify_text(doc):
+    width = max(len(c["name"]) for c in doc["checks"])
+    return [f"{c['name'].ljust(width)}  {'ok' if c['ok'] else 'FAIL'}  {c['detail']}"
+            for c in doc["checks"]]
+
+
+def _report_text(doc):
+    solve_doc = doc["solve"]
+    out = [f"=== {doc['dataset']} ===", ""]
+    for o in doc["orbits"]:
+        irr = ", ".join(f"{lab} (dim {d})" for lab, d in o["irreps"])
+        out.append(f"  {o['id']}: dim {o['dim']}, group {o['group']}, irreps {irr}")
+    out += ["", *doc["assumption_notes"],
+            "", "-- solve --", *_solve_text(solve_doc),
+            "", "-- characteristic cycles --", *_cc_text(solve_doc),
+            "", "-- index matrix --", *_index_lines(doc["orbits"], solve_doc["cmatrix"]),
+            "", "-- localization pinning --"]
+    for loc in doc["localization"]:
+        probe = loc["probe"]
         prods = " ".join(f"{'+' if t['product'] >= 0 else '-'} {abs(t['product'])}"
-                         for t in terms[1:] if t["product"])
-        sink.append(f"  0 = m(({probe[0]},{probe[1]})) {prods}".rstrip())
-    sink.append("")
-    sink.append("-- packets --")
-    sink.extend(_packet_line(p) for p in micro.values())
-    sink.append(_packet_line(basic))
-    sink.append(_packet_line(weak))
-    sink.append(f"weak packet equals union over dual anchors: "
-                f"{'yes' if wu.equal else 'NO'}")
-    sink.append("")
-    sink.append("-- parameter family --")
-    for row in arthur:
-        sink.append(f"  {row['label']}: support {row['support']}, dual {row['dual']}")
-    sink.append("")
-    sink.append("-- unitarity --")
-    for row in unit:
+                         for t in loc["composition_terms"][1:] if t["product"])
+        out.append(f"  0 = m(({probe[0]},{probe[1]})) {prods}".rstrip())
+    out += ["", "-- packets --", *_packet_lines(doc["packets"]),
+            "weak packet equals union over dual anchors: "
+            f"{'yes' if doc['weak_equals_union'] else 'NO'}",
+            "", "-- parameter family --"]
+    out += [f"  {r['label']}: support {r['support']}, dual {r['dual']}"
+            for r in doc["arthur_parameters"]]
+    out += ["", "-- unitarity --"]
+    for row in doc["unitarity"]:
         if row["nonunitary"] or row["nonunitary_indeterminate"]:
             bad = ", ".join(row["nonunitary"] + row["nonunitary_indeterminate"])
             label = row["kind"] + (f" {row['anchor']}" if row["anchor"] else "")
-            sink.append(f"  {label}: not unitary: {bad}")
-    if all(r["all_unitary"] for r in unit):
-        sink.append("  every packet member unitary")
-    sink.append("")
-    sink.append(f"b-function roots: {', '.join(str(r) for r in ds.b_function)}")
-    sink.append("")
-    sink.append("-- checks --")
-    width = max(len(n) for n, _, _ in checks)
-    for n, o, d in checks:
-        sink.append(f"{n.ljust(width)}  {'ok' if o else 'FAIL'}  {d}")
-    return 0 if all(c[1] for c in checks) else 1
+            out.append(f"  {label}: not unitary: {bad}")
+    if all(r["all_unitary"] for r in doc["unitarity"]):
+        out.append("  every packet member unitary")
+    out += ["", f"b-function roots: {', '.join(doc['b_function'])}",
+            "", "-- checks --", *_verify_text(doc)]
+    return out
 
 
+# name -> (command: (ds, cfg) -> (exit code, document), text renderer)
 COMMANDS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "cc": _cmd_cc,
-    "packets": _cmd_packets,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
+    "validate": (_cmd_validate, _validate_text),
+    "solve": (_cmd_solve, _solve_text),
+    "cc": (_cmd_cc, _cc_text),
+    "packets": (_cmd_packets, _packets_text),
+    "verify": (_cmd_verify, _verify_text),
+    "report": (_cmd_report, _report_text),
 }
 
 
 def run(cfg):
     """Execute one parsed invocation; returns the process exit code."""
-    sink = []
     try:
         ds = _load(cfg)
-        code = COMMANDS[cfg.command](ds, cfg, sink)
+        command, render = COMMANDS[cfg.command]
+        code, doc = command(ds, cfg)
     except CLIError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    text = "\n".join(sink) + "\n"
+    if cfg.format == "machine":
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "\n".join(render(doc)) + "\n"
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:

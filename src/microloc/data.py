@@ -138,7 +138,6 @@ class Dataset:
     def __post_init__(self):
         self._orbit = {o.id: o for o in self.orbits}
         self._rep = {r.id: r for r in self.catalog}
-        self._rep_by_param = {r.param: r for r in self.catalog}
 
     def orbit(self, oid):
         try:
@@ -162,12 +161,6 @@ class Dataset:
             return self._rep[rid]
         except KeyError:
             raise KeyError(f"unknown representation id {rid!r}") from None
-
-    def representation_of(self, ls):
-        try:
-            return self._rep_by_param[tuple(ls)]
-        except KeyError:
-            raise KeyError(f"no representation with parameter {ls}") from None
 
 
 # ---------------------------------------------------------------- loading

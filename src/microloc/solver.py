@@ -524,7 +524,9 @@ def reconstruct_local_euler(sr, published_cc):
     strictly higher targets, divided by the diagonal entry.  Entries where a
     free parameter survives come back UNKNOWN and are listed in the result's
     failures mapping; this is the oracle that pins evaluation values no
-    quoted source covers.
+    quoted source covers.  A constant value is kept exact (an int where
+    integral, else a Fraction), so a diagonal entry other than +-1 can give
+    a non-integral value that disagrees with any evaluation table.
     """
     from .euler import EulerMatrix
 
@@ -565,7 +567,7 @@ def reconstruct_local_euler(sr, published_cc):
                 continue
             internal[t] = val
             if val.is_constant():
-                entries[(src, t)] = int(val.constant)
+                entries[(src, t)] = val.constant
             else:
                 entries[(src, t)] = UNKNOWN
                 failures[(src, t)] = \

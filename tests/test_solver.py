@@ -177,6 +177,22 @@ def test_reconstruction_roundtrip(dataset, solved):
         assert rec.entries[cell] == const
 
 
+def test_reconstruction_keeps_a_non_integral_value():
+    # two-orbit chain with c(A0,A0) = 2: the value at A0 is 1/2, not 0
+    ds = loads_dataset(chain_doc(2))
+    src = ("A0", "(1)")
+    sr = SolveReport(
+        dataset=ds,
+        cmatrix=CMatrix({("A0", "A0"): AffineInt(2), ("A0", "A1"): AffineInt(1),
+                         ("A1", "A1"): AffineInt(-1)}),
+        cc_table={src: CharacteristicCycle(src, {"A0": AffineInt(1)})},
+        free_parameters=[], residual_unknowns=[], skipped=[], bounds=None)
+    rec = reconstruct_local_euler(sr, list(sr.cc_table.values()))
+    assert rec.entries[(src, "A0")] == Fraction(1, 2)
+    assert rec.entries[(src, "A1")] == 0
+    assert not rec.failures
+
+
 def test_localization_pins_the_exception(dataset, solved):
     loc = special_cc_localization(dataset, solved)
     assert loc.source == ("S11", "(1^4)")
