@@ -1,10 +1,14 @@
 """Local evaluations, the transition matrices, and the composition pairing."""
 
+import copy
+
 import pytest
 
+from microloc.data import loads_dataset
 from microloc.euler import (InsufficientKLData, MultiplicityMatrices, UNKNOWN,
                             composition_multiplicity, composition_terms,
                             euler_matrix, kl_value, local_euler)
+from chains import chain_doc
 from golden import EULER
 
 LOW = {"S0", "S1", "S2", "S3", "S6"}
@@ -122,3 +126,39 @@ def test_remaining_columns_name_their_missing_pairs(dataset):
     with pytest.raises(InsufficientKLData) as e:
         composition_multiplicity(mm, ("S4", "(1)"), ("S11", "(31)"))
     assert (("S10", "(1)"), ("S11", "(31)")) in e.value.pairs
+
+
+def _sparse_bundled(doc):
+    """The bundled document less two kinds of KL record: the per-irrep
+    record at (S9,(1)) under (S10,(1)), whose partner at (S9,(1^2)) stays,
+    and every orbit-sum record under (S11,(22))."""
+    doc = copy.deepcopy(doc)
+    doc["kl"] = [r for r in doc["kl"]
+                 if not (r["target"] == ["S9", "(1)"] and r["source"] == ["S10", "(1)"])
+                 and not (r["target"][1] is None and r["source"] == ["S11", "(22)"])]
+    return doc
+
+
+@pytest.mark.parametrize("case", ["f4a3", "f4a3-sparse", 6, 9, 12], ids=str)
+def test_matrix_agrees_with_local_euler_cell_by_cell(case, bundled_doc):
+    if case == "f4a3":
+        ds = loads_dataset(bundled_doc)
+    elif case == "f4a3-sparse":
+        ds = loads_dataset(_sparse_bundled(bundled_doc))
+    else:
+        ds = loads_dataset(chain_doc(case))
+    em = euler_matrix(ds)
+    targets = [o.id for o in ds.orbits]
+    assert list(em.entries) == [(src, t) for src in ds.local_systems() for t in targets]
+    for (src, t), v in em.entries.items():
+        want = local_euler(ds, src, t)
+        assert v is want if want is UNKNOWN else (type(v), v) == (type(want), want), (src, t)
+    if case == "f4a3-sparse":
+        # both fallbacks are reached: cells left UNKNOWN, and known cells
+        # below a multi-irrep target whose value comes from an orbit sum
+        assert len(em.unknown_cells()) > 75
+        assert em.value(("S10", "(1)"), "S9") is UNKNOWN
+        summed = [(src, t) for (src, t), v in em.known_items()
+                  if t != src[0] and ds.kl.sum_record(t, src) is not None
+                  and len(ds.orbit(t).group.irreps) > 1]
+        assert summed
