@@ -15,6 +15,13 @@ simple objects in terms of standard ones; its inverse mg gives composition
 multiplicities of standards.  mg columns are computed by back-substitution,
 fetching cg entries only where the running column is nonzero, so partially
 pinned tables still resolve the columns whose support avoids the gaps.
+
+Every known value here is a plain int.  Signs (-1)^k are taken from the
+parity of k, never as a power, so they stay ints for any integer dim,
+negative ones included.  euler_matrix works out what a source's cells share
+(its sign, its same-orbit value, its closure) once per source and reads
+each target's irreps off its group directly; local_euler is the one-cell
+view of the same code.
 """
 
 from __future__ import annotations
@@ -54,43 +61,68 @@ def kl_value(ds, target_ls, source):
         return 1 if target_ls[1] == source[1] else 0
     if not ds.poset.leq(t_orb, s_orb):
         return 0
+    return _pinned_value(ds, target_ls, source)
+
+
+def _pinned_value(ds, target_ls, source):
+    """kl_value for a target orbit strictly below the source's: the records only."""
     rec = ds.kl.per_irrep_record(target_ls, source)
     if rec is not None:
         return rec.value
-    srec = ds.kl.sum_record(t_orb, source)
+    srec = ds.kl.sum_record(target_ls[0], source)
     if srec is not None:
         if srec.value == 0:
             return 0
-        group = ds.orbit(t_orb).group
-        if len(group.irreps) == 1:
-            d = group.irreps[0][1]
+        irreps = ds.orbit(target_ls[0]).group.irreps
+        if len(irreps) == 1:
+            d = irreps[0][1]
             if srec.value % d == 0:
                 return srec.value // d
     return UNKNOWN
 
 
+def _sign(dim):
+    """(-1)^dim as an int, for any integer dim, negative ones included."""
+    return -1 if dim % 2 else 1
+
+
+def _source_facts(ds, source):
+    """What every cell of one source shares: its sign, its same-orbit value
+    sign * dim(L), and the orbits in its closure."""
+    s_orb, s_irr = source
+    orbit = ds.orbit(s_orb)
+    for lab, d in orbit.group.irreps:
+        if lab == s_irr:
+            break
+    else:
+        raise KeyError(f"unknown irrep {s_irr!r} on orbit {s_orb}")
+    sign = _sign(orbit.dim)
+    return sign, sign * d, ds.poset.down_set(s_orb)
+
+
+def _cell(ds, source, facts, target):
+    """chi_loc of IC(source) along the Orbit target, given _source_facts."""
+    sign, same_orbit, closure = facts
+    t = target.id
+    if t == source[0]:
+        return same_orbit
+    if t not in closure:
+        return 0
+    # try per-irrep first, fall back to a pinned orbit-level sum
+    total = 0
+    for lab, d in target.group.irreps:
+        v = _pinned_value(ds, (t, lab), source)
+        if v is UNKNOWN:
+            srec = ds.kl.sum_record(t, source)
+            return UNKNOWN if srec is None else sign * srec.value
+        total += d * v
+    return sign * total
+
+
 def local_euler(ds, source, target):
     """chi_loc of IC(source) along the target orbit, or UNKNOWN."""
-    ds.orbit(target)
-    s_orb, s_irr = source
-    group = ds.orbit(s_orb).group
-    if s_irr not in group.labels():
-        raise KeyError(f"unknown irrep {s_irr!r} on orbit {s_orb}")
-    sign = (-1) ** ds.orbit(s_orb).dim
-    if target == s_orb:
-        return sign * ds.ls_dim(source)
-    if not ds.poset.leq(target, s_orb):
-        return 0
-    tgroup = ds.orbit(target).group
-    # try per-irrep first, fall back to a pinned orbit-level sum
-    per = [kl_value(ds, (target, lab), source) for lab in tgroup.labels()]
-    if not any(v is UNKNOWN for v in per):
-        total = sum(tgroup.irrep_dim(lab) * v for lab, v in zip(tgroup.labels(), per))
-        return sign * total
-    srec = ds.kl.sum_record(target, source)
-    if srec is not None:
-        return sign * srec.value
-    return UNKNOWN
+    target = ds.orbit(target)
+    return _cell(ds, source, _source_facts(ds, source), target)
 
 
 class EulerMatrix:
@@ -122,8 +154,9 @@ def euler_matrix(ds):
     targets = [o.id for o in ds.orbits]
     entries = {}
     for src in sources:
-        for t in targets:
-            entries[(src, t)] = local_euler(ds, src, t)
+        facts = _source_facts(ds, src)
+        for o in ds.orbits:
+            entries[(src, o.id)] = _cell(ds, src, facts, o)
     return EulerMatrix(sources, targets, entries)
 
 
@@ -148,9 +181,7 @@ class MultiplicityMatrices:
         v = kl_value(self.ds, d, g)
         if v is UNKNOWN:
             raise InsufficientKLData([(d, g)])
-        sd = self.ds.orbit(d[0]).dim
-        sg = self.ds.orbit(g[0]).dim
-        return (-1) ** (sd + sg) * v
+        return _sign(self.ds.orbit(d[0]).dim + self.ds.orbit(g[0]).dim) * v
 
     def mg(self, d, col):
         d, col = tuple(d), tuple(col)

@@ -516,6 +516,11 @@ def admissible_assignment(sr, assignment):
     return out
 
 
+def _plain(v):
+    """An AffineInt that carries no parameter as its exact constant; v otherwise."""
+    return v.constant if isinstance(v, AffineInt) and not v.coeffs else v
+
+
 def reconstruct_local_euler(sr, published_cc):
     """Invert the index matrix against a cycle table, column by column.
 
@@ -527,12 +532,20 @@ def reconstruct_local_euler(sr, published_cc):
     quoted source covers.  A constant value is kept exact (an int where
     integral, else a Fraction), so a diagonal entry other than +-1 can give
     a non-integral value that disagrees with any evaluation table.
+
+    Index entries, multiplicities and intermediate values are plain ints and
+    Fractions wherever they are constant; only a value that really carries a
+    parameter stays an AffineInt, so the chain family, where every entry is
+    constant, never builds one.
     """
     from .euler import EulerMatrix
 
     ds = sr.dataset
+    poset = ds.poset
     dims = {o.id: o.dim for o in ds.orbits}
     all_orbits = [o.id for o in ds.orbits]
+    cm = {k: _plain(v) for k, v in sr.cmatrix.entries.items()}
+    ups = {o: poset.up_set(o) for o in all_orbits}
     entries = {}
     failures = {}
     sources = []
@@ -540,38 +553,44 @@ def reconstruct_local_euler(sr, published_cc):
         src = tuple(cc.source)
         sources.append(src)
         s_orb = src[0]
-        below = sorted(ds.poset.down_set(s_orb), key=lambda o: (-dims[o], o))
+        closure = poset.down_set(s_orb)
+        # the closure in stored order, which every interval below follows
+        stored = [x for x in poset.ids if x in closure]
         internal = {}
         for t in all_orbits:
-            if not ds.poset.leq(t, s_orb):
+            if t not in closure:
                 entries[(src, t)] = 0
-        for t in below:
-            diag = sr.cmatrix.entry(t, t)
+        for t in sorted(closure, key=lambda o: (-dims[o], o)):
+            diag = cm.get((t, t), 0)
             try:
-                if not diag.is_constant() or diag.constant == 0:
+                if isinstance(diag, AffineInt) or diag == 0:
                     raise ComputationError(
                         f"diagonal entry at {t} is {diag}, cannot invert")
-                acc = ZERO + cc.at(t)
-                for u in ds.poset.interval(t, s_orb):
-                    if u == t:
+                acc = _plain(cc.at(t))
+                up = ups[t]
+                for u in stored:
+                    if u == t or u not in up:
                         continue
                     ev = internal.get(u)
                     if ev is None:
                         raise ComputationError(f"upstream failure at {u}")
-                    acc = acc - sr.cmatrix.entry(t, u) * ev
-                val = acc / diag.constant
+                    c = cm.get((t, u), 0)
+                    if c:
+                        acc = acc - c * ev
+                acc = _plain(acc)
+                val = acc / diag if isinstance(acc, AffineInt) else div(exact(acc), diag)
             except (ComputationError, ValueError) as e:
                 entries[(src, t)] = UNKNOWN
                 failures[(src, t)] = str(e)
                 internal[t] = None
                 continue
             internal[t] = val
-            if val.is_constant():
-                entries[(src, t)] = val.constant
-            else:
+            if isinstance(val, AffineInt):
                 entries[(src, t)] = UNKNOWN
                 failures[(src, t)] = \
                     f"parameter does not cancel: {', '.join(sorted(val.coeffs))}"
+            else:
+                entries[(src, t)] = val
     return EulerMatrix(sources, all_orbits, entries, failures=failures)
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microloc.affine import AffineInt, ZERO
-from microloc.data import loads_dataset
-from microloc.euler import UNKNOWN, euler_matrix
+from microloc.data import loads_dataset, validate_dataset
+from microloc.euler import UNKNOWN, MultiplicityMatrices, euler_matrix
 from microloc.packets import _classify
 from microloc.solver import (CMatrix, CharacteristicCycle, ComputationError,
                              InadmissibleAssignment, InconsistentSystem,
@@ -144,6 +144,30 @@ def test_system_and_solution_values_are_ints(dataset, n):
     values += [v for cc in sr.cc_table.values() for v in cc.mult.values()]
     assert all(type(v.constant) is int for v in values)
     assert all(type(x) is int for v in values for x in v.coeffs.values())
+
+
+def test_negative_dims_keep_every_value_an_int():
+    # chain6 with every dim and ambient_dim lowered by 100 (an even shift)
+    doc = chain_doc(6)
+    doc["ambient_dim"] -= 100
+    for o in doc["orbits"]:
+        o["dim"] -= 100
+    ds = loads_dataset(doc)
+    assert validate_dataset(ds) == []
+    em = euler_matrix(ds)
+    assert all(type(v) is int for v in em.entries.values())
+    cs = build_constraints(ds, em)
+    assert all(type(x) is int for eq in cs.equations for _, x in eq.coeffs)
+    assert all(type(eq.rhs) is int for eq in cs.equations)
+    mm = MultiplicityMatrices(ds)
+    pairs = [(d, g) for d in ds.local_systems() for g in ds.local_systems()]
+    assert all(type(mm.cg(d, g)) is int for d, g in pairs)
+    sr = solve(cs)
+    base = loads_dataset(chain_doc(6))
+    want = solve(build_constraints(base, euler_matrix(base)))
+    assert sr.cmatrix.entries == want.cmatrix.entries
+    assert {k: cc.mult for k, cc in sr.cc_table.items()} == \
+        {k: cc.mult for k, cc in want.cc_table.items()}
 
 
 def test_admissible_assignment_complaints(solved):
