@@ -102,15 +102,16 @@ def test_f4_failures_are_frozen(solved):
 
 def _report(ds, cmatrix, rows):
     """A SolveReport carrying the given index entries and cycle rows."""
-    table = {src: CharacteristicCycle(src, {o: AffineInt(0) + v for o, v in mult.items()})
+    table = {src: CharacteristicCycle(src, {o: ZERO + v for o, v in mult.items()})
              for src, mult in rows.items()}
     return SolveReport(
-        dataset=ds, cmatrix=CMatrix({k: AffineInt(0) + v for k, v in cmatrix.items()}),
+        dataset=ds, cmatrix=CMatrix({k: ZERO + v for k, v in cmatrix.items()}),
         cc_table=table, free_parameters=[], residual_unknowns=[], skipped=[], bounds=None)
 
 
 def _chain3_report(cmatrix, mult):
-    """chain3 with unit index entries, overridden by cmatrix, and one (A2,(1)) row."""
+    """chain3 with diagonal entries (-1)^dim and zeros above, overridden by
+    cmatrix, and one cycle row, for (A2,(1))."""
     entries = {("A0", "A0"): 1, ("A0", "A1"): 0, ("A0", "A2"): 0,
                ("A1", "A1"): -1, ("A1", "A2"): 0, ("A2", "A2"): 1}
     entries.update(cmatrix)
