@@ -5,7 +5,9 @@ only; they are not independent expected values like tests/golden.py.  A
 text snapshot must match byte for byte: stdout, stderr and exit code.  A
 machine snapshot is the JSON document on stdout; the current document
 must hold every key and value of the snapshot, and may add only the keys
-in NEW_KEYS, which carry facts that the text shows.
+in NEW_KEYS, which carry facts that the text shows.  The machine bytes
+themselves must be exactly json.dumps(doc, sort_keys=True, indent=2) and a
+newline, so a change in indentation, key order or escaping shows too.
 
 To rewrite the snapshots after a deliberate output change, run
 `PYTHONPATH=src python tests/test_cli_snapshots.py --write` from the
@@ -118,9 +120,11 @@ def check_machine_case(name, paths):
     code, out, err = run_case(MACHINE_CASES[name], paths)
     want = _exits()[name]
     assert (code, err) == (want["exit"], want["stderr"])
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     old = json.loads((SNAPSHOTS / f"{name}.json").read_text(encoding="utf-8"))
     command = MACHINE_CASES[name][1][0]
-    assert added_keys(old, json.loads(out)) <= NEW_KEYS[command]
+    assert added_keys(old, doc) <= NEW_KEYS[command]
 
 
 @pytest.fixture(scope="module")
