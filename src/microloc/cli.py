@@ -2,8 +2,9 @@
 
 Subcommands: validate, solve, cc, packets, verify, report.  Every one reads
 a dataset (bundled case by default) and builds one JSON-ready document.
---format machine prints that document as deterministic JSON; the text form
-is rendered from the document alone, so the two carry the same facts.  The
+--format machine prints that document as deterministic JSON, exactly
+json.dumps(doc, sort_keys=True, indent=2) and a newline; the text form is
+rendered from the document alone, so the two carry the same facts.  The
 exit code is 0 on success, 1 when violations or verification failures were
 found, 2 when the input could not be read or was invalid (bad file, bad
 schema, bad --set value).
@@ -16,9 +17,10 @@ an inadmissible value exits 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .affine import AffineInt
 from .data import SchemaError, load_bundled_dataset, load_dataset, validate_dataset
@@ -313,6 +315,63 @@ def _cmd_report(ds, cfg):
     return (0 if all(c[1] for c in checks) else 1), doc
 
 
+# ---------------------------------------------------------------- machine
+
+def _machine_json(doc):
+    """doc as the text json.dumps(doc, sort_keys=True, indent=2) gives.
+
+    With indent set, json.dumps runs CPython's pure-Python encoder; this
+    writer makes the same bytes in one recursive pass that appends to a
+    list and escapes strings with the C function json itself uses.  It
+    takes what the documents hold: dicts with str keys, lists and tuples,
+    str, int, True, False and None.  Anything else, a float included,
+    raises TypeError.
+    """
+    parts = []
+    put = parts.append
+
+    def emit(v, nl):
+        if isinstance(v, str):
+            put(encode_basestring_ascii(v))
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for x in v:
+                put(sep)
+                emit(x, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k in sorted(v):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(sep + encode_basestring_ascii(k) + ": ")
+                emit(v[k], inner)
+                sep = "," + inner
+            put(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    emit(doc, "\n")
+    return "".join(parts)
+
+
 # ---------------------------------------------------------------- text
 # Each renderer reads only its command's document and returns the lines.
 
@@ -468,7 +527,7 @@ def run(cfg):
         print(f"error: {e}", file=sys.stderr)
         return e.code
     if cfg.format == "machine":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _machine_json(doc) + "\n"
     else:
         text = "\n".join(render(doc)) + "\n"
     if cfg.out:
@@ -512,9 +571,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser, built once per process: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    cfg = build_parser().parse_args(argv)
-    return run(cfg)
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -31,18 +31,27 @@ class OrbitPoset:
         for a, b in self.covers:
             if a not in self.dim or b not in self.dim:
                 raise KeyError(f"cover ({a},{b}) references an unknown orbit")
-        # up[x] = all y with x <= y
-        up = {x: {x} for x in self.ids}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in self.covers:
-                for x in self.ids:
-                    if a in up[x] and b not in up[x]:
-                        up[x].add(b)
-                        changed = True
+        # up[x] = all y with x <= y: one search from each id along the covers
+        succ = {}
+        for a, b in self.covers:
+            succ.setdefault(a, []).append(b)
+        up = {}
+        for x in self.ids:
+            seen = {x}
+            stack = [x]
+            while stack:
+                for y in succ.get(stack.pop(), ()):
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            up[x] = seen
+        down = {x: set() for x in self.ids}
+        for y, above in up.items():
+            for x in above:
+                if x in down:
+                    down[x].add(y)
         self._up = up
-        self._down = {x: {y for y in self.ids if x in up[y]} for x in self.ids}
+        self._down = down
 
     def __contains__(self, x):
         return x in self.dim

@@ -199,9 +199,11 @@ def build_constraints(ds, em):
     anchors = [o.id for o in ds.orbits]
     dims = {o.id: o.dim for o in ds.orbits}
 
+    ups = {t: poset.up_set(t) for t in anchors}
+
     mvars = [("m", src, t) for src in sources for t in anchors]
     cpairs = sorted(
-        ((a, b) for a in anchors for b in anchors if poset.leq(a, b)),
+        ((a, b) for a in anchors for b in anchors if b in ups[a]),
         key=lambda p: _cvar_key(p, dims))
     cvars = [("c",) + p for p in cpairs]
 
@@ -209,23 +211,29 @@ def build_constraints(ds, em):
     skipped = []
     for src in sources:
         s_orb = src[0]
+        closure = poset.down_set(s_orb)
+        # the source's chi_loc row over its closure, in stored order; the
+        # interval [t, s_orb] is this list cut down to the up-set of t
+        row = [(u, em.value(src, u)) for u in poset.ids if u in closure]
         for t in anchors:
             mv = ("m", src, t)
-            if not poset.leq(t, s_orb):
+            if t not in closure:
                 eqs.append(Equation(((mv, 1),), 0, ("support", src, t)))
                 continue
             if t == s_orb:
                 eqs.append(Equation(((mv, 1),), ds.ls_dim(src), ("leading", src)))
-            interval = poset.interval(t, s_orb)
-            evals = {u: em.value(src, u) for u in interval}
-            if any(v is UNKNOWN for v in evals.values()):
-                missing = tuple((u, src) for u in interval if evals[u] is UNKNOWN)
-                skipped.append(SkippedExpansion(t, src, missing))
-                continue
+            up = ups[t]
             coeffs = [(mv, -1)]
-            for u in interval:
-                if evals[u]:
-                    coeffs.append((("c", t, u), evals[u]))
+            missing = []
+            for u, v in row:
+                if u in up:
+                    if v is UNKNOWN:
+                        missing.append((u, src))
+                    elif v:
+                        coeffs.append((("c", t, u), v))
+            if missing:
+                skipped.append(SkippedExpansion(t, src, tuple(missing)))
+                continue
             eqs.append(Equation(tuple(coeffs), 0, ("expansion", src, t)))
 
     for src in sources:

@@ -24,7 +24,9 @@ def brute_reachable(ids, covers, a, b):
     return False
 
 
-def random_dag(rng, n):
+def random_dag(rng, n, messy=False):
+    """Covers of a random DAG on n ids; with messy, also back edges (so
+    cycles), self-covers and repeated covers, in shuffled order."""
     ids = [f"o{i}" for i in range(n)]
     dims = {x: i for i, x in enumerate(ids)}
     covers = []
@@ -32,23 +34,38 @@ def random_dag(rng, n):
         for j in range(i + 1, n):
             if rng.random() < 0.3:
                 covers.append((ids[i], ids[j]))
+    if messy:
+        i, j = sorted(rng.sample(range(n), 2))
+        covers += [(ids[i], ids[j]), (ids[j], ids[i])]
+        for _ in range(rng.randint(0, 2)):
+            i, j = sorted(rng.sample(range(n), 2))
+            covers.append((ids[j], ids[i]))
+        covers.append((x := rng.choice(ids), x))
+        covers += rng.sample(covers, min(2, len(covers)))
+        rng.shuffle(covers)
     return ids, dims, covers
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_leq_matches_reachability_oracle(seed):
+def _seeds(seeds):
+    """(seed, messy) cases: each seed plain, id "<seed>", and messy, id "messy-<seed>"."""
+    return [pytest.param(s, False, id=str(s)) for s in seeds] + \
+        [pytest.param(s, True, id=f"messy-{s}") for s in seeds]
+
+
+@pytest.mark.parametrize("seed, messy", _seeds(range(8)))
+def test_leq_matches_reachability_oracle(seed, messy):
     rng = random.Random(seed)
-    ids, dims, covers = random_dag(rng, rng.randint(3, 9))
+    ids, dims, covers = random_dag(rng, rng.randint(3, 9), messy)
     p = OrbitPoset(ids, dims, covers)
     for a in ids:
         for b in ids:
             assert p.leq(a, b) == brute_reachable(ids, covers, a, b), (a, b, covers)
 
 
-@pytest.mark.parametrize("seed", range(8, 12))
-def test_up_down_interval_against_oracle(seed):
+@pytest.mark.parametrize("seed, messy", _seeds(range(8, 12)))
+def test_up_down_interval_against_oracle(seed, messy):
     rng = random.Random(seed)
-    ids, dims, covers = random_dag(rng, rng.randint(3, 9))
+    ids, dims, covers = random_dag(rng, rng.randint(3, 9), messy)
     p = OrbitPoset(ids, dims, covers)
     for a in ids:
         up = {b for b in ids if brute_reachable(ids, covers, a, b)}
@@ -60,6 +77,20 @@ def test_up_down_interval_against_oracle(seed):
                     if brute_reachable(ids, covers, a, x)
                     and brute_reachable(ids, covers, x, b)]
             assert p.interval(a, b) == want
+
+
+@pytest.mark.parametrize("seed", range(12, 20))
+def test_cycles_reported_against_oracle(seed):
+    """validate_poset names a cover as cyclic exactly when its two distinct
+    ends reach each other; self-covers and repeats are not cycles."""
+    rng = random.Random(seed)
+    ids, dims, covers = random_dag(rng, rng.randint(3, 9), messy=True)
+    got = [v.subject for v in validate_poset(OrbitPoset(ids, dims, covers))
+           if v.code == "cover-cycle"]
+    want = [(a, b) for a, b in covers if a != b
+            and brute_reachable(ids, covers, a, b) and brute_reachable(ids, covers, b, a)]
+    assert got == want
+    assert want
 
 
 def test_bundled_poset_shape(dataset):
