@@ -18,6 +18,7 @@ from microloc.duality import fourier_partner, hat
 from microloc.euler import UNKNOWN, euler_matrix
 from microloc.solver import ConstraintSystem, Equation, SkippedExpansion, build_constraints
 from chains import chain_doc
+from test_reconstruct import DIAMOND_DOC
 
 
 def per_cell_constraints(ds, em):
@@ -84,27 +85,18 @@ def typed(cs):
     )
 
 
-# a diamond B < X, Y < T stored out of dimension order, with a hat and a
+# test_reconstruct's diamond, stored out of dimension order, with a hat, a
 # fourier map and one KL record, so that some expansions are written and
 # some are skipped
-DIAMOND_DOC = {
-    "schema_version": 1, "name": "diamond", "ambient_dim": 2,
-    "orbits": [
-        {"id": "T", "dim": 2, "group": {"name": "Z/2", "irreps": [["(1)", 1], ["(1^2)", 1]]}},
-        {"id": "Y", "dim": 1, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
-        {"id": "B", "dim": 0, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
-        {"id": "X", "dim": 1, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
-    ],
-    "covers": [["B", "X"], ["B", "Y"], ["X", "T"], ["Y", "T"]],
-    "duality": {
+DIAMOND = dict(
+    DIAMOND_DOC,
+    duality={
         "hat": [["T", "B"], ["X", "Y"]],
         "fourier": [[["T", "(1)"], ["B", "(1)"]], [["T", "(1^2)"], ["T", "(1^2)"]],
                     [["X", "(1)"], ["Y", "(1)"]]],
     },
-    "kl": [{"target": ["X", "(1)"], "source": ["T", "(1)"], "value": 1,
-            "provenance": "reconstructed"}],
-    "catalog": [], "special_piece": [], "arthur_type": [], "b_function": ["-1"],
-}
+    kl=[{"target": ["X", "(1)"], "source": ["T", "(1)"], "value": 1,
+         "provenance": "reconstructed"}])
 
 
 def _without_kl(doc):
@@ -114,23 +106,19 @@ def _without_kl(doc):
     return out
 
 
-def _datasets(bundled):
-    return {
-        "f4a3": load_bundled_dataset(),
-        "f4a3-fewer-kl": loads_dataset(_without_kl(bundled)),
-        "chain6": loads_dataset(chain_doc(6)),
-        "chain9": loads_dataset(chain_doc(9)),
-        "chain12": loads_dataset(chain_doc(12)),
-        "diamond": loads_dataset(DIAMOND_DOC),
-    }
-
-
 CASES = ("f4a3", "f4a3-fewer-kl", "chain6", "chain9", "chain12", "diamond")
 
 
 @pytest.fixture(scope="module")
 def datasets(bundled_doc):
-    return _datasets(bundled_doc)
+    return {
+        "f4a3": load_bundled_dataset(),
+        "f4a3-fewer-kl": loads_dataset(_without_kl(bundled_doc)),
+        "chain6": loads_dataset(chain_doc(6)),
+        "chain9": loads_dataset(chain_doc(9)),
+        "chain12": loads_dataset(chain_doc(12)),
+        "diamond": loads_dataset(DIAMOND),
+    }
 
 
 @pytest.mark.parametrize("name", CASES)

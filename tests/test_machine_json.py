@@ -1,7 +1,7 @@
 """The CLI's machine JSON writer against json.dumps(v, sort_keys=True, indent=2)."""
 
-from fractions import Fraction
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
