@@ -16,6 +16,11 @@ must be an int or a non-integral Fraction, never a float.
 The greedy reduction behind that subset is also checked on small random
 systems, where it does drop equations, against a copy of its first form
 that re-eliminates the remaining suspects once per trial.
+
+The suspects that reduction starts from are the input equations combined
+into the conflicting row.  A copy of the eliminator that keeps one set of
+them per row, as _eliminate first did, is the reference for the suspects
+solve starts from.
 """
 
 import copy
@@ -24,6 +29,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from microloc.affine import div, exact
 from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
 from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _eliminate, \
@@ -209,6 +215,7 @@ def test_minimal_conflict_matches_drop_one_reference(system):
     assert not _consistent(chosen)
     for k in range(len(chosen)):
         assert _consistent(chosen[:k] + chosen[k + 1:]), subset[k]
+    _check_conflict_against_comb_reference(ConstraintSystem(None, unknowns, equations, []))
 
 
 def test_minimal_conflict_drops_equations():
@@ -218,3 +225,83 @@ def test_minimal_conflict_drops_equations():
     unknowns = [("x", 0), ("x", 1)]
     assert _minimal_conflict(equations, set(range(5)), unknowns) == [2, 3, 4]
     assert _drop_one_reference(equations, set(range(5)), unknowns) == [2, 3, 4]
+
+
+# -- the suspects: equations combined into the conflicting row --------------
+
+def _comb_eliminate(equations, var_order):
+    """_eliminate with one set per working row of the input equations
+    combined into it, as first written: (pivots, rows, rhss, conflict, comb)."""
+    rows = [{k: x if type(x) is int else exact(x) for k, x in eq.coeffs}
+            for eq in equations]
+    rhss = [exact(eq.rhs) for eq in equations]
+    comb = [{i} for i in range(len(rows))]
+    column = {}
+    for i, row in enumerate(rows):
+        for k, val in row.items():
+            if val:
+                column.setdefault(k, set()).add(i)
+    pivots = {}
+    used = set()
+    for v in var_order:
+        holders = column.get(v, ())
+        cand = [j for j in holders if j not in used]
+        if not cand:
+            continue
+        i = min(cand, key=lambda j: (len(rows[j]), j))
+        pivot_row = rows[i]
+        piv = pivot_row[v]
+        if piv != 1:
+            rows[i] = pivot_row = {k: div(val, piv) for k, val in pivot_row.items()}
+            rhss[i] = div(rhss[i], piv)
+        for j in sorted(holders):
+            if j == i:
+                continue
+            row = rows[j]
+            f = row[v]
+            for k, val in pivot_row.items():
+                old = row.get(k, 0)
+                nv = old - f * val
+                if nv:
+                    if type(nv) is not int:
+                        nv = exact(nv)
+                    if not old:
+                        column.setdefault(k, set()).add(j)
+                    row[k] = nv
+                elif row.pop(k, None):
+                    column[k].discard(j)
+            nv = rhss[j] - f * rhss[i]
+            rhss[j] = nv if type(nv) is int else exact(nv)
+            comb[j] |= comb[i]
+        pivots[v] = i
+        used.add(i)
+    conflict = None
+    for i in range(len(rows)):
+        if i not in used and not rows[i] and rhss[i] != 0:
+            conflict = i
+            break
+    return pivots, rows, rhss, conflict, comb
+
+
+def _check_conflict_against_comb_reference(cs):
+    """solve raises the tags the reduction gives from the reference's suspects."""
+    *_, conflict, comb = _comb_eliminate(cs.equations, cs.unknowns)
+    assert conflict is not None
+    subset = _minimal_conflict(cs.equations, comb[conflict], cs.unknowns)
+    with pytest.raises(InconsistentSystem) as e:
+        solve(cs)
+    assert e.value.tags == [cs.equations[i].tag for i in subset]
+
+
+def test_bundled_conflict_suspects_match_comb_reference(bundled_doc):
+    doc = copy.deepcopy(bundled_doc)
+    (rec,) = [r for r in doc["kl"]
+              if r["target"] == ["S9", "(1)"] and r["source"] == ["S10", "(1)"]]
+    rec["value"] = 5
+    _check_conflict_against_comb_reference(_system(doc))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 18, 24])
+def test_chain_conflict_suspects_match_comb_reference(n):
+    _check_conflict_against_comb_reference(
+        _system(with_kl_value(chain_doc(n), *middle_corruption(n))))
