@@ -261,12 +261,12 @@ def loads_dataset(doc):
         [o.id for o in orbits], {o.id: o.dim for o in orbits}, covers,
         ambient_dim=ambient_dim)
 
-    groups = {o.id: o.group for o in orbits}
+    labels = {o.id: set(o.group.labels()) for o in orbits}
 
     def check_ls(ls, where):
         if ls[0] not in orbit_ids:
             raise SchemaError(f"{where}: unknown orbit {ls[0]!r}")
-        if ls[1] not in groups[ls[0]].labels():
+        if ls[1] not in labels[ls[0]]:
             raise SchemaError(f"{where}: unknown irrep {ls[1]!r} on orbit {ls[0]}")
         return ls
 
@@ -288,7 +288,8 @@ def loads_dataset(doc):
         if not (isinstance(tgt, (list, tuple)) and len(tgt) == 2):
             raise SchemaError(f"kl target must be [orbit, irrep-or-null], got {tgt!r}")
         torb, tirr = check_orbit(tgt[0], "kl target"), tgt[1]
-        if tirr is not None and tirr not in groups[torb].labels():
+        # a label is a string; anything else, hashable or not, is unknown
+        if tirr is not None and not (isinstance(tirr, str) and tirr in labels[torb]):
             raise SchemaError(f"kl target irrep {tirr!r} unknown on {torb}")
         source = check_ls(_ls(_need(raw, "source", "kl record"), "kl source"), "kl source")
         value = _need(raw, "value", "kl record")

@@ -75,6 +75,7 @@ def validate_duality(ds):
             f"order-reversal broken at ({a},{b}){more}", (a, b)))
 
     all_ls = ds.local_systems()
+    known_ls = set(all_ls)
     unmatched_ls = [ls for ls in all_ls if ls not in d.fourier_map]
     if unmatched_ls:
         out.append(Violation(
@@ -83,7 +84,7 @@ def validate_duality(ds):
     for ls in all_ls:
         p = d.fourier_map.get(ls)
         if p is not None:
-            if p not in set(all_ls):
+            if p not in known_ls:
                 out.append(Violation(
                     "fourier-unknown", f"fourier({ls}) = {p} is not a local system", ls))
             elif d.fourier_map.get(p) != ls:

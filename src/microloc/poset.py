@@ -62,6 +62,10 @@ class OrbitPoset:
                 raise KeyError(f"unknown orbit id {x!r}")
 
     def leq(self, a, b):
+        up = self._up.get(a)
+        if up is not None and a in self.dim and b in self.dim:
+            return b in up
+        # on any miss, the checked path raises the unknown-id error
         self.check_ids(a, b)
         return b in self._up[a]
 

@@ -36,13 +36,18 @@ An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags: the equations combined into the first conflicting row,
 reduced by a drop-one deletion filter that eliminates them once, each with
 its own unit column, and decides every trial by one elimination step on the
-resulting basis of their left null space (_minimal_conflict).
+resulting basis of their left null space (_minimal_conflict).  The
+elimination keeps no per-row record of the equations combined into it; it
+logs each row update as a (target row, pivot row) pair, and only on a
+conflict is that log replayed backwards for the conflicting row
+(_combined).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine import AffineInt, ZERO, div, exact
 from .duality import fourier_partner, hat
@@ -82,8 +87,9 @@ def _tag_text(tag):
     return f"{kind}({', '.join(str(x) for x in rest)})"
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
+    # a tuple, not a frozen dataclass: that sets each field through
+    # object.__setattr__, and build_constraints makes thousands of these
     coeffs: tuple          # of (var, value), deterministic order
     rhs: int | Fraction    # values are ints where integral, else Fractions
     tag: tuple
@@ -256,12 +262,14 @@ def build_constraints(ds, em):
 # ---------------------------------------------------------------- stage 2
 
 def _eliminate(equations, var_order):
-    """Sparse RREF.  Returns (pivots, rows, rhss, conflict_row_or_None, comb).
+    """Sparse RREF.  Returns (pivots, rows, rhss, conflict_row_or_None, merges).
 
     pivots maps variable -> row index; each returned row is fully reduced
-    (no pivot variable of another row appears in it).  comb[i] is the set of
-    input equation indices combined into working row i.  Row entries and
+    (no pivot variable of another row appears in it).  Row entries and
     right-hand sides are ints where integral and Fractions otherwise.
+    merges is the log of row updates, in order: (j, i) when pivot row i was
+    subtracted from row j.  Only a conflict needs the input equations
+    combined into a row, and _combined replays the log for that one row.
 
     A column index (variable -> ids of the rows holding a nonzero entry in
     it) is built from the input and kept current as entries fill in or
@@ -269,29 +277,33 @@ def _eliminate(equations, var_order):
     pivot for v is the unused row of v's column with the fewest entries,
     ties going to the lowest row index.
     """
-    rows = [{k: x if type(x) is int else exact(x) for k, x in eq.coeffs}
-            for eq in equations]
-    rhss = [exact(eq.rhs) for eq in equations]
-    comb = [{i} for i in range(len(rows))]
+    rows = []
+    rhss = []
     column = {}
-    for i, row in enumerate(rows):
-        for k, val in row.items():
-            if val:
+    for i, eq in enumerate(equations):
+        row = {k: x if type(x) is int else exact(x) for k, x in eq.coeffs}
+        rows.append(row)
+        rhss.append(exact(eq.rhs))
+        for k, x in row.items():
+            if x:
                 column.setdefault(k, set()).add(i)
+    merges = []
     pivots = {}
     used = set()
     for v in var_order:
-        holders = column.get(v, ())
-        cand = [j for j in holders if j not in used]
-        if not cand:
+        holders = sorted(column.get(v, ()))
+        i = None
+        for j in holders:
+            if j not in used and (i is None or len(rows[j]) < size):
+                i, size = j, len(rows[j])
+        if i is None:
             continue
-        i = min(cand, key=lambda j: (len(rows[j]), j))
         pivot_row = rows[i]
         piv = pivot_row[v]
         if piv != 1:
             rows[i] = pivot_row = {k: div(val, piv) for k, val in pivot_row.items()}
             rhss[i] = div(rhss[i], piv)
-        for j in sorted(holders):
+        for j in holders:
             if j == i:
                 continue
             row = rows[j]
@@ -309,7 +321,7 @@ def _eliminate(equations, var_order):
                     column[k].discard(j)
             nv = rhss[j] - f * rhss[i]
             rhss[j] = nv if type(nv) is int else exact(nv)
-            comb[j] |= comb[i]
+            merges.append((j, i))
         pivots[v] = i
         used.add(i)
     conflict = None
@@ -317,7 +329,22 @@ def _eliminate(equations, var_order):
         if i not in used and not rows[i] and rhss[i] != 0:
             conflict = i
             break
-    return pivots, rows, rhss, conflict, comb
+    return pivots, rows, rhss, conflict, merges
+
+
+def _combined(merges, r):
+    """The input equations combined into row r, replayed from the merge log.
+
+    Row j holds equation j combined with everything pivot row i held when
+    i was subtracted from it, so walking the log backwards from {r} and
+    taking i in whenever j is already in gives every equation that reached
+    r, and no other.
+    """
+    out = {r}
+    for j, i in reversed(merges):
+        if j in out:
+            out.add(i)
+    return out
 
 
 # marks the unit column of one suspect equation in _minimal_conflict
@@ -382,9 +409,9 @@ def solve(cs):
     named q_<anchor>_<orbit>_<irrep>.
     """
     ds = cs.dataset
-    pivots, rows, rhss, conflict, comb = _eliminate(cs.equations, cs.unknowns)
+    pivots, rows, rhss, conflict, merges = _eliminate(cs.equations, cs.unknowns)
     if conflict is not None:
-        subset = _minimal_conflict(cs.equations, comb[conflict], cs.unknowns)
+        subset = _minimal_conflict(cs.equations, _combined(merges, conflict), cs.unknowns)
         raise InconsistentSystem([cs.equations[i].tag for i in subset])
 
     top = ds.poset.top()

@@ -151,3 +151,17 @@ def test_diamond_is_stored_out_of_dimension_order(datasets):
     ids = ds.poset.ids
     assert ids != sorted(ids, key=lambda o: ds.orbit(o).dim)
     assert ds.poset.interval("B", "T") == ["T", "Y", "B", "X"]
+
+
+def test_equation_is_an_immutable_value():
+    coeffs = ((("m", ("A", "(1)"), "B"), 1), (("c", "B", "B"), -2))
+    tag = ("expansion", ("A", "(1)"), "B")
+    eq = Equation(coeffs, 0, tag)
+    assert eq == Equation(coeffs=coeffs, rhs=0, tag=tag)
+    assert hash(eq) == hash(Equation(coeffs=coeffs, rhs=0, tag=tag))
+    assert eq != Equation(coeffs, 1, tag)
+    assert (eq.coeffs, eq.rhs, eq.tag) == (coeffs, 0, tag)
+    assert repr(eq) == ("Equation(coeffs=((('m', ('A', '(1)'), 'B'), 1), (('c', 'B', 'B'), -2)), "
+                        "rhs=0, tag=('expansion', ('A', '(1)'), 'B'))")
+    with pytest.raises(AttributeError):
+        eq.rhs = 1

@@ -85,6 +85,26 @@ def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, 
     assert err.startswith("error: cannot load dataset: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("kl", 0, "target", 1), "(9)", "kl target irrep '(9)' unknown on S9"),
+    (("kl", 0, "target", 1), ["(1)"], "kl target irrep ['(1)'] unknown on S9"),
+    (("kl", 0, "target", 1), 3, "kl target irrep 3 unknown on S9"),
+    (("kl", 0, "source", 1), "(9)", "kl source: unknown irrep '(9)' on orbit S10"),
+    (("catalog", 0, "param", 1), "(9)", "catalog: unknown irrep '(9)' on orbit S11"),
+    (("duality", "fourier", 0, 1, 1), "(9)", "fourier: unknown irrep '(9)' on orbit S0"),
+], ids=["kl-target", "kl-target-list", "kl-target-int", "kl-source", "catalog", "fourier"])
+def test_unknown_irrep_messages(bundled_doc, path, value, message):
+    doc = copy.deepcopy(bundled_doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(SchemaError) as e:
+        loads_dataset(doc)
+    assert str(e.value) == message
+
+
 # the top-level fields of a dataset document, optional ones included
 TOP_LEVEL = ["schema_version", "name", "ambient_dim", "orbits", "covers", "duality", "kl",
              "catalog", "special_piece", "arthur_type", "conormal_dense_exceptions",

@@ -112,6 +112,28 @@ def test_unknown_ids_raise(dataset):
         dataset.poset.up_set("nope")
 
 
+def _checked_leq(p, a, b):
+    """leq with both ids checked first, on every call."""
+    p.check_ids(a, b)
+    return b in p._up[a]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_leq_errors_match_checked_path():
+    # "x" is listed but has no dim, "y" has a dim but is not listed
+    p = OrbitPoset(["a", "b", "x"], {"a": 0, "b": 1, "y": 2}, [("a", "b")])
+    probes = ["a", "b", "x", "y", "z", ["a"]]
+    for a in probes:
+        for b in probes:
+            assert _outcome(p.leq, a, b) == _outcome(_checked_leq, p, a, b), (a, b)
+
+
 def test_validators_flag_bad_structure():
     p = OrbitPoset(["a", "b"], {"a": 2, "b": 1}, [("a", "b")])
     codes = {v.code for v in validate_poset(p)}

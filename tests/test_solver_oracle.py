@@ -20,7 +20,8 @@ that re-eliminates the remaining suspects once per trial.
 The suspects that reduction starts from are the input equations combined
 into the conflicting row.  A copy of the eliminator that keeps one set of
 them per row, as _eliminate first did, is the reference for the suspects
-solve starts from.
+solve starts from, and for every row's set that _combined replays from
+_eliminate's merge log.
 """
 
 import copy
@@ -32,8 +33,8 @@ from hypothesis import assume, given, settings, strategies as st
 from microloc.affine import div, exact
 from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _eliminate, \
-    _minimal_conflict, build_constraints, solve
+from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _combined, \
+    _eliminate, _minimal_conflict, build_constraints, solve
 from chains import SIGN, chain_doc, middle_corruption, orbit_id, with_kl_value
 
 sympy = pytest.importorskip("sympy")
@@ -305,3 +306,35 @@ def test_bundled_conflict_suspects_match_comb_reference(bundled_doc):
 def test_chain_conflict_suspects_match_comb_reference(n):
     _check_conflict_against_comb_reference(
         _system(with_kl_value(chain_doc(n), *middle_corruption(n))))
+
+
+def _check_merge_log(cs):
+    """_eliminate equals the comb-set copy, and its log replays every set."""
+    pivots, rows, rhss, conflict, merges = _eliminate(cs.equations, cs.unknowns)
+    ref_pivots, ref_rows, ref_rhss, ref_conflict, comb = \
+        _comb_eliminate(cs.equations, cs.unknowns)
+    assert list(pivots.items()) == list(ref_pivots.items())
+    assert [[(k, type(x), x) for k, x in row.items()] for row in rows] == \
+        [[(k, type(x), x) for k, x in row.items()] for row in ref_rows]
+    assert [(type(x), x) for x in rhss] == [(type(x), x) for x in ref_rhss]
+    assert conflict == ref_conflict
+    assert [_combined(merges, r) for r in range(len(rows))] == comb
+
+
+def test_merge_log_replays_comb_sets_on_bundled_system(dataset):
+    _check_merge_log(build_constraints(dataset, euler_matrix(dataset)))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_merge_log_replays_comb_sets_on_chain(n):
+    _check_merge_log(_system(chain_doc(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_log_replays_comb_sets_on_random_systems(data):
+    n = data.draw(st.integers(1, 6), label="unknowns")
+    m = data.draw(st.integers(1, 9), label="equations")
+    rows = data.draw(st.lists(st.tuples(st.lists(_RATIONAL, min_size=n, max_size=n), _RATIONAL),
+                              min_size=m, max_size=m), label="rows")
+    _check_merge_log(ConstraintSystem(None, [("x", k) for k in range(n)], _equations(rows), []))
