@@ -161,14 +161,19 @@ _SMALL = st.integers(-3, 3)
 _RATIONAL = _SMALL | st.builds(Fraction, _SMALL, st.sampled_from([2, 3]))
 
 
+@st.composite
+def _rational_systems(draw):
+    """Up to 6 unknowns and 9 equations over _RATIONAL, consistent or not."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.tuples(st.lists(_RATIONAL, min_size=n, max_size=n), _RATIONAL),
+                         min_size=m, max_size=m))
+    return ConstraintSystem(None, [("x", k) for k in range(n)], _equations(rows), [])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_random_rational_system_matches_rref(data):
-    n = data.draw(st.integers(1, 6), label="unknowns")
-    m = data.draw(st.integers(1, 9), label="equations")
-    rows = data.draw(st.lists(st.tuples(st.lists(_RATIONAL, min_size=n, max_size=n), _RATIONAL),
-                              min_size=m, max_size=m), label="rows")
-    cs = ConstraintSystem(None, [("x", k) for k in range(n)], _equations(rows), [])
+@given(_rational_systems())
+def test_random_rational_system_matches_rref(cs):
     _check_against_rref(cs)
 
 
@@ -331,10 +336,6 @@ def test_merge_log_replays_comb_sets_on_chain(n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_merge_log_replays_comb_sets_on_random_systems(data):
-    n = data.draw(st.integers(1, 6), label="unknowns")
-    m = data.draw(st.integers(1, 9), label="equations")
-    rows = data.draw(st.lists(st.tuples(st.lists(_RATIONAL, min_size=n, max_size=n), _RATIONAL),
-                              min_size=m, max_size=m), label="rows")
-    _check_merge_log(ConstraintSystem(None, [("x", k) for k in range(n)], _equations(rows), []))
+@given(_rational_systems())
+def test_merge_log_replays_comb_sets_on_random_systems(cs):
+    _check_merge_log(cs)
