@@ -35,3 +35,14 @@ def test_readme_library_block_runs():
     proc = _run(["-c", block])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run(["-m", "microloc", "validate"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "dataset F4(a3): ok\n"
+    proc = _run(["-m", "microloc", "verify"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(None, 2) for line in proc.stdout.splitlines()]
+    assert len(rows) == 9
+    assert all(row[1] == "ok" for row in rows), proc.stdout

@@ -162,3 +162,95 @@ def test_matrix_agrees_with_local_euler_cell_by_cell(case, bundled_doc):
                   if t != src[0] and ds.kl.sum_record(t, src) is not None
                   and len(ds.orbit(t).group.irreps) > 1]
         assert summed
+
+
+class _CopiedMultiplicities:
+    """Test-only copy of the two interval walks MultiplicityMatrices.mg and
+    composition_terms each made before they shared one: the same order,
+    the same skip of a zero mg entry before the cg fetch, and cg through
+    kl_value."""
+
+    def __init__(self, ds):
+        self.ds = ds
+        self._mg = {}
+
+    def cg(self, d, g):
+        if d == g:
+            return 1
+        if d[0] == g[0] or not self.ds.poset.leq(d[0], g[0]):
+            return 0
+        v = kl_value(self.ds, d, g)
+        if v is UNKNOWN:
+            raise InsufficientKLData([(d, g)])
+        sign = (self.ds.orbit(d[0]).dim + self.ds.orbit(g[0]).dim) % 2
+        return -v if sign else v
+
+    def mg(self, d, col):
+        if d[0] == col[0]:
+            return 1 if d == col else 0
+        if not self.ds.poset.leq(d[0], col[0]):
+            return 0
+        key = (d, col)
+        if key not in self._mg:
+            total = 0
+            for orb in self.ds.poset.interval(d[0], col[0]):
+                if orb == d[0]:
+                    continue
+                for lab in self.ds.orbit(orb).group.labels():
+                    g = (orb, lab)
+                    m = self.mg(g, col)
+                    if m == 0:
+                        continue
+                    total -= self.cg(d, g) * m
+            self._mg[key] = total
+        return self._mg[key]
+
+    def composition_terms(self, probe, column):
+        ds = self.ds
+        terms = [{"gamma": probe, "cg": 1, "mg": self.mg(probe, column),
+                  "product": self.mg(probe, column)}]
+        if probe[0] == column[0] or not ds.poset.leq(probe[0], column[0]):
+            return terms
+        for orb in ds.poset.interval(probe[0], column[0]):
+            if orb == probe[0]:
+                continue
+            for lab in ds.orbit(orb).group.labels():
+                g = (orb, lab)
+                m = self.mg(g, column)
+                if m == 0:
+                    continue
+                cgv = self.cg(probe, g)
+                terms.append({"gamma": g, "cg": cgv, "mg": m, "product": cgv * m})
+        return terms
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("value", result) or ("missing", the pairs it names)."""
+    try:
+        return "value", fn(*args)
+    except InsufficientKLData as e:
+        return "missing", e.pairs
+
+
+@pytest.mark.parametrize("case", ["f4a3", "f4a3-sparse", 6, 9, 12], ids=str)
+def test_multiplicities_match_the_copied_walks(case, bundled_doc):
+    if case == "f4a3":
+        ds = loads_dataset(bundled_doc)
+    elif case == "f4a3-sparse":
+        ds = loads_dataset(_sparse_bundled(bundled_doc))
+    else:
+        ds = loads_dataset(chain_doc(case))
+    orbits = REGION if isinstance(case, str) else [o.id for o in ds.orbits]
+    cells = [(o, lab) for o in orbits for lab in ds.orbit(o).group.labels()]
+    mm, ref = MultiplicityMatrices(ds), _CopiedMultiplicities(ds)
+    kinds = set()
+    for col in cells:
+        for d in cells:
+            got = _outcome(mm.mg, d, col)
+            assert got == _outcome(ref.mg, d, col), (d, col)
+            terms = _outcome(composition_terms, mm, d, col)
+            assert terms == _outcome(ref.composition_terms, d, col), (d, col)
+            kinds.add(got[0])
+            kinds.add(terms[0])
+    # the bundled cases reach unpinned pairs; the chains pin every pair
+    assert kinds == ({"value", "missing"} if isinstance(case, str) else {"value"})
