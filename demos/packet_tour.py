@@ -13,7 +13,7 @@ ds = load_bundled_dataset()
 sr = solve(build_constraints(ds, euler_matrix(ds)))
 
 print("micro-packets (members whose cycle touches the anchor's conormal):")
-packets = all_micro_packets(sr, ds.catalog)
+packets = all_micro_packets(sr)
 for anchor, p in packets.items():
     line = f"   {anchor}: " + " ".join(p.members)
     if p.indeterminate:
@@ -21,21 +21,21 @@ for anchor, p in packets.items():
     print(line)
 print()
 
-basic = basic_arthur_packet(sr, ds.catalog)
+basic = basic_arthur_packet(sr)
 print(f"basic packet (duals of open-orbit parameters), anchored at "
       f"{basic.anchor}: {' '.join(basic.members)}")
 
-weak = weak_arthur_packet(ds, ds.catalog)
+weak = weak_arthur_packet(ds)
 print(f"weak packet over the special piece {list(ds.special_piece)}: "
       f"{len(weak.members)} members")
 
-wu = verify_weak_equals_union(ds, sr, ds.catalog)
+wu = verify_weak_equals_union(sr)
 print(f"weak packet equals the union of micro-packets at "
       f"{wu.anchors}: {wu.equal}")
 print()
 
 print("duality compatibility, anchor by anchor:")
-for r in verify_az_micro_compatibility(sr, ds.catalog, ds.duality):
+for r in verify_az_micro_compatibility(sr):
     print(f"   dual image of packet {r.anchor} vs packet {r.dual_anchor}: "
           f"{'match' if r.ok else 'MISMATCH'}")
 print()

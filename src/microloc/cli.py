@@ -147,9 +147,8 @@ def _solve_doc(ds, sr):
 
 def _packets(ds, sr):
     """The micro-packets in anchor order, then the basic and the weak packet."""
-    micro = all_micro_packets(sr, ds.catalog)
-    return [*micro.values(), basic_arthur_packet(sr, ds.catalog),
-            weak_arthur_packet(ds, ds.catalog)]
+    return [*all_micro_packets(sr).values(), basic_arthur_packet(sr),
+            weak_arthur_packet(ds)]
 
 
 def _packet_doc(p):
@@ -226,7 +225,7 @@ def _verify_checks(ds, sr):
                    else f"negative at {negative[:3]}" if negative else "bounds infeasible"))
 
     try:
-        wu = verify_weak_equals_union(ds, sr, ds.catalog)
+        wu = verify_weak_equals_union(sr)
         checks.append(("weak-equals-union", wu.equal,
                        f"{len(wu.weak.members)} members over anchors {', '.join(wu.anchors)}"
                        if wu.equal else
@@ -234,14 +233,14 @@ def _verify_checks(ds, sr):
     except (ComputationError, KeyError, ValueError) as e:
         checks.append(("weak-equals-union", False, str(e)))
 
-    compat = verify_az_micro_compatibility(sr, ds.catalog, ds.duality)
+    compat = verify_az_micro_compatibility(sr)
     bad = [r for r in compat if not r.ok]
     checks.append(("az-compatibility", not bad,
                    f"{len(compat)} anchors" if not bad
                    else "mismatch at " + ", ".join(r.anchor for r in bad)))
 
     try:
-        basic = basic_arthur_packet(sr, ds.catalog)
+        basic = basic_arthur_packet(sr)
         checks.append(("basic-packet", True,
                        f"{len(basic.members)} members at anchor {basic.anchor}"))
     except ComputationError as e:
@@ -291,7 +290,7 @@ def _cmd_report(ds, cfg):
     sr = _solution(ds, cfg)
     with _computing():
         packets = _packets(ds, sr)
-        wu = verify_weak_equals_union(ds, sr, ds.catalog)
+        wu = verify_weak_equals_union(sr)
         arthur = simplified_arthur_parameters(ds)
         loc_terms = localization_check_terms(ds)
     unit = unitarity_report(ds.catalog, packets)

@@ -393,6 +393,11 @@ def validate_dataset(ds):
 
     out = list(validate_poset(ds.poset))
 
+    seen = set()
+    for r in ds.catalog:
+        if r.id in seen:
+            out.append(Violation("catalog-duplicate-id", f"catalog id {r.id} repeated", (r.id,)))
+        seen.add(r.id)
     all_ls = ds.local_systems()
     params = [r.param for r in ds.catalog]
     if len(set(params)) != len(params):

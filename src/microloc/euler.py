@@ -14,7 +14,8 @@ The signed transition matrix cg(d,g) = (-1)^(dim d + dim g) * P(d,g) writes
 simple objects in terms of standard ones; its inverse mg gives composition
 multiplicities of standards.  mg columns are computed by back-substitution,
 fetching cg entries only where the running column is nonzero, so partially
-pinned tables still resolve the columns whose support avoids the gaps.
+pinned tables still resolve the columns whose support avoids the gaps.  mg
+and composition_terms take these terms from one walk of the interval.
 
 Every known value here is a plain int.  Signs (-1)^k are taken from the
 parity of k, never as a power, so they stay ints for any integer dim,
@@ -178,7 +179,7 @@ class MultiplicityMatrices:
             return 1
         if d[0] == g[0] or not self.ds.poset.leq(d[0], g[0]):
             return 0
-        v = kl_value(self.ds, d, g)
+        v = _pinned_value(self.ds, d, g)
         if v is UNKNOWN:
             raise InsufficientKLData([(d, g)])
         return _sign(self.ds.orbit(d[0]).dim + self.ds.orbit(g[0]).dim) * v
@@ -191,18 +192,22 @@ class MultiplicityMatrices:
             return 0
         key = (d, col)
         if key not in self._mg:
-            total = 0
-            for orb in self.ds.poset.interval(d[0], col[0]):
-                if orb == d[0]:
-                    continue
-                for lab in self.ds.orbit(orb).group.labels():
-                    g = (orb, lab)
-                    m = self.mg(g, col)
-                    if m == 0:
-                        continue       # zero entries never demand a cg fetch
-                    total -= self.cg(d, g) * m
-            self._mg[key] = total
+            self._mg[key] = -sum(c * m for _, c, m in self._terms(d, col))
         return self._mg[key]
+
+    def _terms(self, d, col):
+        """(g, cg(d, g), mg(g, col)) for each g strictly above d's orbit in
+        the interval up to col's orbit, in interval order, where mg(g, col)
+        is nonzero; a zero entry never demands a cg fetch.  d's orbit lies
+        strictly below col's."""
+        for orb in self.ds.poset.interval(d[0], col[0]):
+            if orb == d[0]:
+                continue
+            for lab in self.ds.orbit(orb).group.labels():
+                g = (orb, lab)
+                m = self.mg(g, col)
+                if m != 0:
+                    yield g, self.cg(d, g), m
 
 
 def geometric_multiplicity_matrix(ds):
@@ -222,21 +227,9 @@ def composition_multiplicity(mm, probe, column):
 def composition_terms(mm, probe, column):
     """Term breakdown of composition_multiplicity, diagonal term first."""
     probe, column = tuple(probe), tuple(column)
-    ds = mm.ds
-    terms = [{
-        "gamma": probe, "cg": 1, "mg": mm.mg(probe, column),
-        "product": mm.mg(probe, column),
-    }]
-    if probe[0] == column[0] or not ds.poset.leq(probe[0], column[0]):
+    own = mm.mg(probe, column)
+    terms = [{"gamma": probe, "cg": 1, "mg": own, "product": own}]
+    if probe[0] == column[0] or not mm.ds.poset.leq(probe[0], column[0]):
         return terms
-    for orb in ds.poset.interval(probe[0], column[0]):
-        if orb == probe[0]:
-            continue
-        for lab in ds.orbit(orb).group.labels():
-            g = (orb, lab)
-            m = mm.mg(g, column)
-            if m == 0:
-                continue
-            cgv = mm.cg(probe, g)
-            terms.append({"gamma": g, "cg": cgv, "mg": m, "product": cgv * m})
-    return terms
+    return terms + [{"gamma": g, "cg": c, "mg": m, "product": c * m}
+                    for g, c, m in mm._terms(probe, column)]

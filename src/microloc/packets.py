@@ -6,11 +6,14 @@ in play, membership is decided over the admissible integer points of the
 derived bounds: identically zero means out, never zero means in, zero at
 some admissible points but not all means indeterminate, and the three cases
 are kept apart rather than collapsed.
+
+A function that needs the cycles takes the solved report alone and reads
+the catalog and the duality from sr.dataset; members come in catalog order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .affine import div
 from .duality import hat
@@ -89,27 +92,27 @@ def _classify(sr, value):
     return "indeterminate"
 
 
-def micro_packet(sr, catalog, anchor):
+def _dual_anchors(ds, orbits):
+    """The hat images of orbits, each once, in order of first appearance."""
+    return list(dict.fromkeys(hat(ds.duality, s) for s in orbits))
+
+
+def micro_packet(sr, anchor):
     """All representations whose parameter's cycle meets the anchor conormal."""
-    if anchor not in sr.dataset.poset:
+    ds = sr.dataset
+    if anchor not in ds.poset:
         raise KeyError(f"unknown orbit {anchor}")
-    order = _catalog_order(catalog)
     members, maybe = [], []
-    for rep in catalog:
-        cc = sr.cc_table.get(tuple(rep.param))
-        if cc is None:
-            raise KeyError(f"catalog parameter {rep.param} is not a known local system")
-        kind = _classify(sr, cc.at(anchor))
+    for rep in ds.catalog:
+        kind = _classify(sr, sr.cc_table[rep.param].at(anchor))
         if kind == "in":
             members.append(rep.id)
         elif kind == "indeterminate":
             maybe.append(rep.id)
-    members.sort(key=order.get)
-    maybe.sort(key=order.get)
     return Packet("micro", anchor, tuple(members), tuple(maybe))
 
 
-def basic_arthur_packet(sr, catalog):
+def basic_arthur_packet(sr):
     """Duals of the representations whose parameter sits on the open orbit.
 
     Cross-checked against the micro-packet anchored at the dual of the open
@@ -117,11 +120,11 @@ def basic_arthur_packet(sr, catalog):
     """
     ds = sr.dataset
     top = ds.poset.top()
-    order = _catalog_order(catalog)
+    order = _catalog_order(ds.catalog)
     members = sorted(
-        (rep.az_partner for rep in catalog if rep.param[0] == top), key=order.get)
+        (rep.az_partner for rep in ds.catalog if rep.param[0] == top), key=order.get)
     anchor = hat(ds.duality, top)
-    mic = micro_packet(sr, catalog, anchor)
+    mic = micro_packet(sr, anchor)
     if set(members) != set(mic.members) or mic.indeterminate:
         raise ComputationError(
             f"dual basic packet {members} does not match the micro-packet "
@@ -129,15 +132,15 @@ def basic_arthur_packet(sr, catalog):
     return Packet("basic-arthur", anchor, tuple(members))
 
 
-def weak_arthur_packet(ds, catalog):
+def weak_arthur_packet(ds):
     """Duals of the representations whose parameter orbit lies in the special piece."""
     if not ds.special_piece:
         raise ValueError("dataset declares no special piece")
     special = set(ds.special_piece)
-    order = _catalog_order(catalog)
+    order = _catalog_order(ds.catalog)
     ids = set(order)
     members = set()
-    for rep in catalog:
+    for rep in ds.catalog:
         if rep.param[0] in special:
             if rep.az_partner not in ids:
                 raise KeyError(f"{rep.id} names unknown dual {rep.az_partner}")
@@ -145,33 +148,30 @@ def weak_arthur_packet(ds, catalog):
     return Packet("weak-arthur", None, tuple(sorted(members, key=order.get)))
 
 
-def all_micro_packets(sr, catalog):
+def all_micro_packets(sr):
     """Micro-packet at every orbit, in dataset orbit order."""
-    return {o.id: micro_packet(sr, catalog, o.id) for o in sr.dataset.orbits}
+    return {o.id: micro_packet(sr, o.id) for o in sr.dataset.orbits}
 
 
-def verify_weak_equals_union(ds, sr, catalog):
+def verify_weak_equals_union(sr):
     """The weak packet against the union of micro-packets over dual anchors.
 
     Anchors are the duals of the special-piece orbits.  Equality is set
     equality of definite members with no indeterminate membership anywhere
     in the union.
     """
-    anchors = []
-    for s in ds.special_piece:
-        a = hat(ds.duality, s)
-        if a not in anchors:
-            anchors.append(a)
-    per = {a: micro_packet(sr, catalog, a) for a in anchors}
-    order = _catalog_order(catalog)
+    ds = sr.dataset
+    anchors = _dual_anchors(ds, ds.special_piece)
+    per = {a: micro_packet(sr, a) for a in anchors}
+    order = _catalog_order(ds.catalog)
     union = sorted({m for p in per.values() for m in p.members}, key=order.get)
     maybe = sorted({m for p in per.values() for m in p.indeterminate}, key=order.get)
-    weak = weak_arthur_packet(ds, catalog)
+    weak = weak_arthur_packet(ds)
     equal = not maybe and set(union) == set(weak.members)
     return WeakUnionReport(equal, weak, anchors, per, tuple(union), tuple(maybe))
 
 
-def verify_az_micro_compatibility(sr, catalog, d, anchors=None):
+def verify_az_micro_compatibility(sr, anchors=None):
     """Per anchor S: the dual image of the packet at S equals the packet at hat(S).
 
     Definite members and indeterminate members are compared separately,
@@ -180,22 +180,19 @@ def verify_az_micro_compatibility(sr, catalog, d, anchors=None):
     orbits, or every orbit when no special piece is declared.
     """
     ds = sr.dataset
+    d = ds.duality
     if anchors is None:
-        anchors = []
-        for s in (ds.special_piece or [o.id for o in ds.orbits]):
-            a = hat(d, s)
-            if a not in anchors:
-                anchors.append(a)
-    by_id = _by_id(catalog)
-    order = _catalog_order(catalog)
+        anchors = _dual_anchors(ds, ds.special_piece or [o.id for o in ds.orbits])
+    by_id = _by_id(ds.catalog)
+    order = _catalog_order(ds.catalog)
 
     def image(ids):
         return tuple(sorted((by_id[r].az_partner for r in ids), key=order.get))
 
     reports = []
     for a in anchors:
-        here = micro_packet(sr, catalog, a)
-        there = micro_packet(sr, catalog, hat(d, a))
+        here = micro_packet(sr, a)
+        there = micro_packet(sr, hat(d, a))
         got, want = image(here.members), there.members
         got_ind, want_ind = image(here.indeterminate), there.indeterminate
         ok = set(got) == set(want) and set(got_ind) == set(want_ind)

@@ -184,11 +184,16 @@ class SolveReport:
             [p for p in self.free_parameters if p not in assignment],
             [p for p in self.residual_unknowns if not cm.entries[p].is_constant()],
             self.skipped, None, "", self.equation_count)
-        try:
-            out.bounds = parameter_bounds(out)
-        except MultiParameterMultiplicity as e:
-            out.bound_note = str(e)
-        return out
+        return _with_bounds(out)
+
+
+def _with_bounds(report):
+    """report with its bounds derived, or with bound_note saying why not."""
+    try:
+        report.bounds = parameter_bounds(report)
+    except MultiParameterMultiplicity as e:
+        report.bound_note = str(e)
+    return report
 
 
 # ---------------------------------------------------------------- stage 1
@@ -472,12 +477,7 @@ def solve(cs):
         bounds=None,
         equation_count=len(cs.equations),
     )
-    try:
-        report.bounds = parameter_bounds(report)
-    except MultiParameterMultiplicity as e:
-        report.bounds = None
-        report.bound_note = str(e)
-    return report
+    return _with_bounds(report)
 
 
 # ---------------------------------------------------------------- stage 3

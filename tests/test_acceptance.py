@@ -74,23 +74,22 @@ def test_criterion_04_parameter_bound(solved):
 
 def test_criterion_05_micro_and_basic_packets(dataset, solved):
     """The five definite micro-packets and the basic packet, member for member."""
-    packets = all_micro_packets(solved, dataset.catalog)
+    packets = all_micro_packets(solved)
     for anchor in ["S0", "S1", "S2", "S3", "S7"]:
         want_members, want_ind = PACKETS[anchor]
         assert tuple(sorted(packets[anchor].members)) == want_members, anchor
         assert want_ind == () and packets[anchor].indeterminate == ()
-    basic = basic_arthur_packet(solved, dataset.catalog)
+    basic = basic_arthur_packet(solved)
     assert basic.members == ("X5", "X13", "X17", "X19", "X20")
     assert set(basic.members) == set(packets["S0"].members)
 
 
 def test_criterion_06_weak_union_and_az_compatibility(dataset, solved):
     """Weak packet = union of dual micro-packets; az image matches per anchor."""
-    r = verify_weak_equals_union(dataset, solved, dataset.catalog)
+    r = verify_weak_equals_union(solved)
     assert r.equal
     assert len(r.weak.members) == 11
-    reports = verify_az_micro_compatibility(solved, dataset.catalog,
-                                            dataset.duality)
+    reports = verify_az_micro_compatibility(solved)
     assert [x.anchor for x in reports] == ["S0", "S1", "S2", "S3", "S7"]
     assert all(x.ok for x in reports)
     assert reports[-1].dual_anchor == "S7"  # the fixed point checks itself

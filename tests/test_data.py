@@ -196,6 +196,17 @@ def test_duplicate_param_flagged(mutate):
     assert "param-not-onto" in codes  # the orphaned local system
 
 
+def test_duplicate_catalog_id_flagged(mutate):
+    # X8 is its own az partner, so renaming it X5 (az X5) keeps az
+    # involutive and every parameter taken once: only the id repeats
+    def dup(doc):
+        by_id = {r["id"]: r for r in doc["catalog"]}
+        by_id["X8"]["id"] = by_id["X8"]["az"] = "X5"
+    vs = validate_dataset(mutate(dup))
+    assert [(v.code, v.detail, v.subject) for v in vs] == \
+        [("catalog-duplicate-id", "catalog id X5 repeated", ("X5",))]
+
+
 def test_kl_record_outside_support_flagged(mutate):
     def off(doc):
         # S6 is not below S9, so an (S6,*) <- (S9,*) record has empty support

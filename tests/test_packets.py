@@ -17,7 +17,7 @@ WEAK_MEMBERS = ("X5", "X7", "X8", "X9", "X11", "X13", "X15",
 
 
 def test_all_micro_packets_match_frozen(dataset, solved):
-    packets = all_micro_packets(solved, dataset.catalog)
+    packets = all_micro_packets(solved)
     assert list(packets) == [o.id for o in dataset.orbits]
     for anchor, p in packets.items():
         want_members, want_ind = PACKETS[anchor]
@@ -26,7 +26,7 @@ def test_all_micro_packets_match_frozen(dataset, solved):
 
 
 def test_only_s4_has_an_indeterminate_member(dataset, solved):
-    packets = all_micro_packets(solved, dataset.catalog)
+    packets = all_micro_packets(solved)
     assert {a: p.indeterminate for a, p in packets.items() if p.indeterminate} \
         == {"S4": ("X8",)}
     assert "X8" in packets["S4"]  # __contains__ covers indeterminates
@@ -34,11 +34,11 @@ def test_only_s4_has_an_indeterminate_member(dataset, solved):
 
 def test_micro_packet_unknown_anchor_raises(dataset, solved):
     with pytest.raises(KeyError):
-        micro_packet(solved, dataset.catalog, "S99")
+        micro_packet(solved, "S99")
 
 
 def test_basic_packet(dataset, solved):
-    p = basic_arthur_packet(solved, dataset.catalog)
+    p = basic_arthur_packet(solved)
     assert p.kind == "basic-arthur"
     assert p.anchor == "S0"
     assert p.members == ("X5", "X13", "X17", "X19", "X20")
@@ -46,7 +46,7 @@ def test_basic_packet(dataset, solved):
 
 
 def test_weak_packet(dataset):
-    p = weak_arthur_packet(dataset, dataset.catalog)
+    p = weak_arthur_packet(dataset)
     assert p.members == WEAK_MEMBERS
     assert len(p.members) == 11
 
@@ -54,25 +54,25 @@ def test_weak_packet(dataset):
 def test_weak_requires_a_special_piece(dataset):
     bare = dataclasses.replace(dataset, special_piece=())
     with pytest.raises(ValueError):
-        weak_arthur_packet(bare, bare.catalog)
+        weak_arthur_packet(bare)
 
 
 def test_weak_on_top_only_equals_basic(dataset, solved):
     only_top = dataclasses.replace(dataset, special_piece=("S11",))
-    w = weak_arthur_packet(only_top, only_top.catalog)
-    b = basic_arthur_packet(solved, dataset.catalog)
+    w = weak_arthur_packet(only_top)
+    b = basic_arthur_packet(solved)
     assert set(w.members) == set(b.members)
 
 
 def test_weak_on_all_orbits_is_everything(dataset):
     every = dataclasses.replace(
         dataset, special_piece=tuple(o.id for o in dataset.orbits))
-    w = weak_arthur_packet(every, every.catalog)
+    w = weak_arthur_packet(every)
     assert len(w.members) == len(dataset.catalog)
 
 
 def test_weak_equals_union_of_dual_micro_packets(dataset, solved):
-    r = verify_weak_equals_union(dataset, solved, dataset.catalog)
+    r = verify_weak_equals_union(solved)
     assert r.equal
     assert r.anchors == ["S0", "S1", "S2", "S3", "S7"]
     assert set(r.union_members) == set(WEAK_MEMBERS)
@@ -80,8 +80,7 @@ def test_weak_equals_union_of_dual_micro_packets(dataset, solved):
 
 
 def test_az_compatibility_at_all_anchors(dataset, solved):
-    reports = verify_az_micro_compatibility(solved, dataset.catalog,
-                                            dataset.duality)
+    reports = verify_az_micro_compatibility(solved)
     assert [r.anchor for r in reports] == ["S0", "S1", "S2", "S3", "S7"]
     assert all(r.ok for r in reports)
     for r in reports:
@@ -92,8 +91,7 @@ def test_az_compatibility_is_symmetric(dataset, solved):
     # running the check from the dual side must succeed as well,
     # indeterminates included (S4 is self-dual with one indeterminate)
     anchors = list(dataset.special_piece) + ["S4"]
-    reports = verify_az_micro_compatibility(solved, dataset.catalog,
-                                            dataset.duality, anchors=anchors)
+    reports = verify_az_micro_compatibility(solved, anchors=anchors)
     assert all(r.ok for r in reports)
     s4 = reports[-1]
     assert s4.az_indeterminate == ("X8",) and s4.expected_indeterminate == ("X8",)
@@ -106,7 +104,7 @@ def test_swapping_az_inside_the_weak_packet_keeps_the_set(mutate):
         by_id = {r["id"]: r for r in doc["catalog"]}
         by_id["X8"]["az"], by_id["X9"]["az"] = by_id["X9"]["az"], by_id["X8"]["az"]
     ds = mutate(swap)
-    w = weak_arthur_packet(ds, ds.catalog)
+    w = weak_arthur_packet(ds)
     assert set(w.members) == set(WEAK_MEMBERS)
 
 
@@ -116,14 +114,14 @@ def test_swapping_az_across_the_special_boundary_breaks_equality(mutate):
         by_id["X8"]["az"], by_id["X12"]["az"] = by_id["X12"]["az"], by_id["X8"]["az"]
     ds = mutate(swap)
     sr = solve(build_constraints(ds, euler_matrix(ds)))
-    r = verify_weak_equals_union(ds, sr, ds.catalog)
+    r = verify_weak_equals_union(sr)
     assert not r.equal
     diff = set(r.union_members) ^ set(r.weak.members)
     assert diff == {"X8", "X14"}
 
 
 def test_unitarity_flags_the_lone_nonunitary_member(dataset, solved):
-    packets = all_micro_packets(solved, dataset.catalog)
+    packets = all_micro_packets(solved)
     rows = unitarity_report(dataset.catalog, list(packets.values()))
     flagged = {r["anchor"]: r["nonunitary"] for r in rows if not r["all_unitary"]}
     assert flagged == {"S4": ["X16"]}
@@ -164,7 +162,7 @@ def test_chain_cross_check_catches_incompatible_duality(chain):
     # micro-packet at hat(top); the cross-check must notice
     sr = solve(build_constraints(chain, euler_matrix(chain)))
     with pytest.raises(ComputationError):
-        basic_arthur_packet(sr, chain.catalog)
+        basic_arthur_packet(sr)
 
 
 def test_point_dataset_trivial_packets(load_doc):
@@ -182,11 +180,11 @@ def test_point_dataset_trivial_packets(load_doc):
     }
     ds = load_doc(doc)
     sr = solve(build_constraints(ds, euler_matrix(ds)))
-    b = basic_arthur_packet(sr, ds.catalog)
+    b = basic_arthur_packet(sr)
     assert b.members == ("Z1",) and b.anchor == "P"
-    w = weak_arthur_packet(ds, ds.catalog)
+    w = weak_arthur_packet(ds)
     assert w.members == ("Z1",)
-    r = verify_weak_equals_union(ds, sr, ds.catalog)
+    r = verify_weak_equals_union(sr)
     assert r.equal and r.anchors == ["P"]
-    (compat,) = verify_az_micro_compatibility(sr, ds.catalog, ds.duality)
+    (compat,) = verify_az_micro_compatibility(sr)
     assert compat.ok and compat.az_image == ("Z1",)
