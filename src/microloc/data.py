@@ -454,6 +454,8 @@ def validate_dataset(ds):
                     f"stored sum {sum_rec.value} at ({torb} <- {source}) "
                     f"disagrees with per-irrep total {total}", (torb,) + source))
 
+    if not ds.b_function:
+        out.append(Violation("b-function-empty", "b_function lists no roots"))
     for x in ds.special_piece:
         if x not in ds.poset:
             out.append(Violation("special-unknown", f"unknown orbit {x} in special_piece"))

@@ -7,6 +7,11 @@ linear system over two families of unknowns:
                           cycle of the source's sheaf,
   ("c", a, b)             index-matrix entries, one per comparable orbit pair.
 
+Each equation is emitted once, as a (coeffs, rhs, tag) row whose
+coefficients are keyed by integer column id, the variable's index in the
+system's unknowns; the variable-keyed Equations are a view of these rows,
+built only when something reads them.
+
 The generating rules, tagged on every equation:
 
   expansion   m[src, anchor] = sum over U in [anchor, src-orbit] of
@@ -17,30 +22,37 @@ The generating rules, tagged on every equation:
   symmetry    m[src, anchor] = m[fourier(src), hat(anchor)].
   diagonal    c(S, S) = (-1)^dim(S)  (dataset can switch this rule off).
 
-solve runs deterministic exact Gaussian elimination over the rationals with a
-fixed variable order (m-variables first, then c-variables by falling row
-dimension).  Each variable's pivot is the unused row holding it with the
-fewest entries, ties to the lowest row index, so the same dataset always
-yields the same pivots, the same free parameters, and the same names.  The
-rows holding a variable are found through a column index that follows
-fill-in and cancellation, not by scanning every row.  Every value, from the
-coefficients build_constraints emits through the row entries and
-right-hand sides to the AffineInt results, is an int where it is integral
-and a Fraction otherwise (affine.exact), which keeps the common case (every
-value of the bundled case and of the chain family is a small integer) off
-Fraction arithmetic; every division goes through affine.div, since / on two
-ints would give a float.  Whatever stays free becomes a named parameter;
-every downstream quantity is an AffineInt over those names.
+The system is block diagonal by anchor pair: an m[., t] or c(t, .) unknown
+occurs only in rows of anchor t, and symmetry joins t to hat(t) alone.
+build_constraints records the row ids and column ids of each pair
+{t, hat(t)}, and solve runs deterministic exact Gaussian elimination over
+the rationals once per block, with the block's columns in the fixed
+variable order (m-variables first, then c-variables by falling row
+dimension) and its rows in input order.  Each variable's pivot is the
+unused row holding it with the fewest entries, ties to the lowest row
+index; every row holding a variable lies in that variable's block, so this
+gives the pivots, rows and right-hand sides of one elimination of the whole
+system, and the same dataset always yields the same pivots, the same free
+parameters, and the same names.  The rows holding a variable are found
+through a column index that follows fill-in and cancellation, not by
+scanning every row.  Every value, from the coefficients build_constraints
+emits through the row entries and right-hand sides to the AffineInt
+results, is an int where it is integral and a Fraction otherwise
+(affine.exact), which keeps the common case (every value of the bundled
+case and of the chain family is a small integer) off Fraction arithmetic;
+every division goes through affine.div, since / on two ints would give a
+float.  Whatever stays free becomes a named parameter; every downstream
+quantity is an AffineInt over those names.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
-subset of tags: the equations combined into the first conflicting row,
-reduced by a drop-one deletion filter that eliminates them once, each with
-its own unit column, and decides every trial by one elimination step on the
-resulting basis of their left null space (_minimal_conflict).  The
-elimination keeps no per-row record of the equations combined into it; it
-logs each row update as a (target row, pivot row) pair, and only on a
-conflict is that log replayed backwards for the conflicting row
-(_combined).
+subset of tags, found in the block whose conflicting row comes first in the
+system: the equations combined into that row, reduced by a drop-one deletion
+filter that eliminates them once, each with its own unit column, and decides
+every trial by one elimination step on the resulting basis of their left
+null space (_minimal_conflict).  The elimination keeps no per-row record of
+the equations combined into it; it logs each row update as a (target row,
+pivot row) pair, and only on a conflict is that log replayed backwards for
+the conflicting row (_combined).
 """
 
 from __future__ import annotations
@@ -88,8 +100,8 @@ def _tag_text(tag):
 
 
 class Equation(NamedTuple):
-    # a tuple, not a frozen dataclass: that sets each field through
-    # object.__setattr__, and build_constraints makes thousands of these
+    # the variable-keyed form of one row of a ConstraintSystem, which builds
+    # these only when its equations are read
     coeffs: tuple          # of (var, value), deterministic order
     rhs: int | Fraction    # values are ints where integral, else Fractions
     tag: tuple
@@ -102,12 +114,41 @@ class SkippedExpansion:
     missing: tuple         # of (target_orbit, source) chi_loc cells
 
 
-@dataclass
 class ConstraintSystem:
-    dataset: object
-    unknowns: list
-    equations: list
-    skipped: list
+    """The tagged system over unknowns, split into blocks that share no column.
+
+    rows holds each equation once as a (coeffs, rhs, tag) tuple whose
+    coefficients are keyed by column id, the variable's index in unknowns.
+    blocks lists each block as (row ids, column ids), both ascending, and
+    every row's columns lie in its own block.  equations is the same system
+    keyed by variable, as Equations, built on first read.  A system built
+    by hand from Equations, as here, is one block.
+    """
+
+    def __init__(self, dataset, unknowns, equations, skipped):
+        col = {v: j for j, v in enumerate(unknowns)}
+        self.dataset = dataset
+        self.unknowns = unknowns
+        self.skipped = skipped
+        self.rows = [(tuple((col[v], x) for v, x in eq.coeffs), eq.rhs, eq.tag)
+                     for eq in equations]
+        self.blocks = [(list(range(len(self.rows))), list(range(len(unknowns))))]
+        self._equations = equations
+
+    @classmethod
+    def _from_rows(cls, dataset, unknowns, rows, blocks, skipped):
+        cs = cls.__new__(cls)
+        cs.dataset, cs.unknowns, cs.skipped = dataset, unknowns, skipped
+        cs.rows, cs.blocks, cs._equations = rows, blocks, None
+        return cs
+
+    @property
+    def equations(self):
+        if self._equations is None:
+            u = self.unknowns
+            self._equations = [Equation(tuple((u[k], x) for k, x in coeffs), rhs, tag)
+                               for coeffs, rhs, tag in self.rows]
+        return self._equations
 
 
 @dataclass
@@ -204,11 +245,19 @@ def _cvar_key(pair, dims):
 
 
 def build_constraints(ds, em):
-    """Assemble the full rule system against a (possibly partial) chi_loc matrix."""
+    """Assemble the full rule system against a (possibly partial) chi_loc matrix.
+
+    An m[., t] or c(t, .) unknown occurs only in rows of anchor t, and the
+    symmetry rows join t to hat(t) alone, so each anchor pair {t, hat(t)}
+    is one block; the blocks follow the first anchor of each in stored order.
+    """
     poset = ds.poset
+    d = ds.duality
     sources = ds.local_systems()
     anchors = [o.id for o in ds.orbits]
     dims = {o.id: o.dim for o in ds.orbits}
+    n = len(anchors)
+    at = {t: k for k, t in enumerate(anchors)}
 
     ups = {t: poset.up_set(t) for t in anchors}
 
@@ -216,24 +265,45 @@ def build_constraints(ds, em):
     cpairs = sorted(
         ((a, b) for a in anchors for b in anchors if b in ups[a]),
         key=lambda p: _cvar_key(p, dims))
-    cvars = [("c",) + p for p in cpairs]
+    unknowns = mvars + [("c",) + p for p in cpairs]
+    # column ids: m[src, t] is s * n + k for the s-th source and the k-th
+    # anchor, and c(t, u) is ccol[t][u], after every m
+    ccol = {t: {} for t in anchors}
+    for j, (a, b) in enumerate(cpairs, len(mvars)):
+        ccol[a][b] = j
 
-    eqs = []
+    # the anchors each symmetry row joins, merged by union-find: the pairs
+    # {t, hat(t)} when hat is an involution
+    root = list(range(n))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for k, t in enumerate(anchors):
+        x, y = find(k), find(at[hat(d, t)])
+        root[max(x, y)] = min(x, y)
+    roots = {}
+    block = [roots.setdefault(find(k), len(roots)) for k in range(n)]
+
+    rows = []
     skipped = []
-    for src in sources:
+    for s, src in enumerate(sources):
         s_orb = src[0]
         closure = poset.down_set(s_orb)
         # the source's chi_loc row over its closure, in stored order; the
         # interval [t, s_orb] is this list cut down to the up-set of t
         row = [(u, em.value(src, u)) for u in poset.ids if u in closure]
-        for t in anchors:
-            mv = ("m", src, t)
+        for k, t in enumerate(anchors):
+            mv = s * n + k
             if t not in closure:
-                eqs.append(Equation(((mv, 1),), 0, ("support", src, t)))
+                rows.append((((mv, 1),), 0, ("support", src, t)))
                 continue
             if t == s_orb:
-                eqs.append(Equation(((mv, 1),), ds.ls_dim(src), ("leading", src)))
+                rows.append((((mv, 1),), ds.ls_dim(src), ("leading", src)))
             up = ups[t]
+            cols = ccol[t]
             coeffs = [(mv, -1)]
             missing = []
             for u, v in row:
@@ -241,33 +311,44 @@ def build_constraints(ds, em):
                     if v is UNKNOWN:
                         missing.append((u, src))
                     elif v:
-                        coeffs.append((("c", t, u), v))
+                        coeffs.append((cols[u], v))
             if missing:
                 skipped.append(SkippedExpansion(t, src, tuple(missing)))
                 continue
-            eqs.append(Equation(tuple(coeffs), 0, ("expansion", src, t)))
+            rows.append((tuple(coeffs), 0, ("expansion", src, t)))
 
-    for src in sources:
-        fsrc = fourier_partner(ds.duality, src)
-        for t in anchors:
-            a = ("m", src, t)
-            b = ("m", fsrc, hat(ds.duality, t))
+    source_index = {src: s for s, src in enumerate(sources)}
+    for s, src in enumerate(sources):
+        f = source_index[fourier_partner(d, src)] * n
+        for k, t in enumerate(anchors):
+            a = s * n + k
+            b = f + at[hat(d, t)]
             if a == b:
                 continue
-            eqs.append(Equation(((a, 1), (b, -1)), 0, ("symmetry", src, t)))
+            rows.append((((a, 1), (b, -1)), 0, ("symmetry", src, t)))
 
     if getattr(ds, "diagonal_rule", True):
         for o in ds.orbits:
-            eqs.append(Equation(
-                ((("c", o.id, o.id), 1),), -1 if o.dim % 2 else 1, ("diagonal", o.id)))
+            rows.append((((ccol[o.id][o.id], 1),), -1 if o.dim % 2 else 1, ("diagonal", o.id)))
 
-    return ConstraintSystem(ds, mvars + cvars, eqs, skipped)
+    # each column lies in the block of its anchor, and each row in the block
+    # of its first column
+    col_block = [block[k] for _ in sources for k in range(n)] + \
+        [block[at[a]] for a, _ in cpairs]
+    blocks = [([], []) for _ in roots]
+    for j, b in enumerate(col_block):
+        blocks[b][1].append(j)
+    for i, (coeffs, _, _) in enumerate(rows):
+        blocks[col_block[coeffs[0][0]]][0].append(i)
+    return ConstraintSystem._from_rows(ds, unknowns, rows, blocks, skipped)
 
 
 # ---------------------------------------------------------------- stage 2
 
 def _eliminate(equations, var_order):
-    """Sparse RREF.  Returns (pivots, rows, rhss, conflict_row_or_None, merges).
+    """Sparse RREF of (coeffs, rhs, tag) triples, as Equations and the rows
+    of a ConstraintSystem are.  Returns (pivots, rows, rhss,
+    conflict_row_or_None, merges).
 
     pivots maps variable -> row index; each returned row is fully reduced
     (no pivot variable of another row appears in it).  Row entries and
@@ -285,10 +366,10 @@ def _eliminate(equations, var_order):
     rows = []
     rhss = []
     column = {}
-    for i, eq in enumerate(equations):
-        row = {k: x if type(x) is int else exact(x) for k, x in eq.coeffs}
+    for i, (coeffs, rhs, _) in enumerate(equations):
+        row = {k: x if type(x) is int else exact(x) for k, x in coeffs}
         rows.append(row)
-        rhss.append(exact(eq.rhs))
+        rhss.append(exact(rhs))
         for k, x in row.items():
             if x:
                 column.setdefault(k, set()).add(i)
@@ -373,9 +454,8 @@ def _minimal_conflict(equations, suspects, var_order):
     """
     current = sorted(suspects)
     # an explicit zero coefficient would stay in its row, beside the markers
-    marked = [Equation(tuple((v, c) for v, c in equations[j].coeffs if c)
-                       + (((_MARKER, j), 1),),
-                       equations[j].rhs, equations[j].tag) for j in current]
+    marked = [(tuple((v, c) for v, c in equations[j][0] if c) + (((_MARKER, j), 1),),
+               equations[j][1], None) for j in current]
     pivots, rows, rhss, _, _ = _eliminate(marked, var_order)
     used = set(pivots.values())
     basis = [({k[1]: val for k, val in rows[r].items()}, rhss[r])
@@ -405,7 +485,14 @@ def _cancel(b, pivot, i):
 
 
 def solve(cs):
-    """Eliminate, name whatever stays free, and assemble the report.
+    """Eliminate block by block, name whatever stays free, and assemble the report.
+
+    Each block is eliminated on its own, its columns in the order of
+    cs.unknowns and its rows in input order; a pivot is only ever chosen
+    among the rows holding its column, all in that column's block, so this
+    gives the pivots, rows and right-hand sides of one elimination of the
+    whole system.  On a conflict, the block whose conflicting row comes
+    first in the system is reduced to the tags raised.
 
     Free c-variables are named p_<row>_<col>.  One of them gets the short
     name "c": the pair (E, top) where E is the dataset's single orbit whose
@@ -414,56 +501,63 @@ def solve(cs):
     named q_<anchor>_<orbit>_<irrep>.
     """
     ds = cs.dataset
-    pivots, rows, rhss, conflict, merges = _eliminate(cs.equations, cs.unknowns)
+    solved = {}            # column id -> (fully reduced row, rhs)
+    conflict = None        # (global row id, block rows, block columns, local row id, merges)
+    for row_ids, cols in cs.blocks:
+        block = [cs.rows[i] for i in row_ids]
+        pivots, rows, rhss, c, merges = _eliminate(block, cols)
+        if c is not None:
+            if conflict is None or row_ids[c] < conflict[0]:
+                conflict = (row_ids[c], block, cols, c, merges)
+            continue
+        for v, i in pivots.items():
+            solved[v] = (rows[i], rhss[i])
     if conflict is not None:
-        subset = _minimal_conflict(cs.equations, _combined(merges, conflict), cs.unknowns)
-        raise InconsistentSystem([cs.equations[i].tag for i in subset])
+        _, block, cols, c, merges = conflict
+        subset = _minimal_conflict(block, _combined(merges, c), cols)
+        raise InconsistentSystem([block[i][2] for i in subset])
 
     top = ds.poset.top()
     short_pair = None
     if len(ds.conormal_dense_exceptions) == 1:
         short_pair = ("c", ds.conormal_dense_exceptions[0], top)
 
+    unknowns = cs.unknowns
     names = {}
-    for v in cs.unknowns:
-        if v in pivots:
+    for j, v in enumerate(unknowns):
+        if j in solved:
             continue
         if v[0] == "c":
-            names[v] = "c" if v == short_pair else f"p_{v[1]}_{v[2]}"
+            names[j] = "c" if v == short_pair else f"p_{v[1]}_{v[2]}"
         else:
-            names[v] = f"q_{v[2]}_{v[1][0]}_{v[1][1]}"
+            names[j] = f"q_{v[2]}_{v[1][0]}_{v[1][1]}"
 
-    def expression(v):
-        if v not in pivots:
-            return AffineInt.parameter(names[v])
-        i = pivots[v]
+    def expression(j):
+        if j not in solved:
+            return AffineInt.parameter(names[j])
+        row, rhs = solved[j]
         coeffs = {}
-        for k, val in rows[i].items():
-            if k != v:
+        for k, val in row.items():
+            if k != j:
                 # fully reduced rows only mention free variables besides the pivot
                 coeffs[names[k]] = coeffs.get(names[k], 0) - val
-        return AffineInt(rhss[i], coeffs)
+        return AffineInt(rhs, coeffs)
 
     dims = {o.id: o.dim for o in ds.orbits}
     centries = {}
     residual = []
-    for v in cs.unknowns:
+    mults = {src: {} for src in ds.local_systems()}
+    for j, v in enumerate(unknowns):
+        e = expression(j)
         if v[0] == "c":
             pair = (v[1], v[2])
-            e = expression(v)
             centries[pair] = e
             if not e.is_constant():
                 residual.append(pair)
+        elif e:
+            mults[v[1]][v[2]] = e
     residual.sort(key=lambda p: _cvar_key(p, dims))
-
-    cc_table = {}
-    for src in ds.local_systems():
-        mult = {}
-        for o in ds.orbits:
-            e = expression(("m", src, o.id))
-            if e:
-                mult[o.id] = e
-        cc_table[src] = CharacteristicCycle(src, mult)
+    cc_table = {src: CharacteristicCycle(src, mult) for src, mult in mults.items()}
 
     params = sorted({n for v, n in names.items()},
                     key=lambda n: (n != "c", n.startswith("q_"), n))
@@ -475,7 +569,7 @@ def solve(cs):
         residual_unknowns=residual,
         skipped=list(cs.skipped),
         bounds=None,
-        equation_count=len(cs.equations),
+        equation_count=len(cs.rows),
     )
     return _with_bounds(report)
 

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,23 @@ def test_unpinned_localization_data_is_not_a_traceback(capsys, bundled_doc, tmp_
     assert f"localization               FAIL  {why}\n" in capsys.readouterr().out
     assert main(["report", "--dataset", str(p)]) == 1
     assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_output_does_not_follow_the_hash_seed(bundled_doc, tmp_path):
+    # the conflict of the benchmark's f4a3-corrupt input
+    doc = copy.deepcopy(bundled_doc)
+    (rec,) = [r for r in doc["kl"]
+              if (r["target"], r["source"]) == (["S9", "(1)"], ["S10", "(1)"])]
+    rec["value"] = 5
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for args in (["report"], ["packets"], ["solve", "--dataset", str(corrupt)]):
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "microloc", *args], env=env,
+                                  capture_output=True, timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1], args
+        assert runs[0][0] == (1 if args[0] == "solve" else 0), runs[0]

@@ -85,6 +85,21 @@ def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, 
     assert err.startswith("error: cannot load dataset: ") and err.count("\n") == 1
 
 
+def test_empty_b_function_is_a_violation(bundled_doc, tmp_path, capsys):
+    # it loads, and check_halfinteger_roots has nothing to decide on
+    doc = copy.deepcopy(bundled_doc)
+    doc["b_function"] = []
+    p = tmp_path / "empty-b.json"
+    p.write_text(json.dumps(doc))
+    violation = "[b-function-empty] b_function lists no roots"
+    assert [str(v) for v in validate_dataset(load_dataset(str(p)))] == [violation]
+    for command in ("validate", "verify", "report"):
+        assert main([command, "--dataset", str(p)]) == 1, command
+        out, err = capsys.readouterr()
+        assert violation in out + err, command
+        assert "Traceback" not in err, command
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("kl", 0, "target", 1), "(9)", "kl target irrep '(9)' unknown on S9"),
     (("kl", 0, "target", 1), ["(1)"], "kl target irrep ['(1)'] unknown on S9"),
@@ -137,12 +152,16 @@ def test_any_top_level_field_loads_or_is_a_schema_error(
         doc[field] = value
     try:
         loads_dataset(doc)
+        loaded = True
     except SchemaError:
-        pass
+        loaded = False
     p = tmp_path / "generated.json"
     p.write_text(json.dumps(doc))
     assert main(["validate", "--dataset", str(p)]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+    if loaded:
+        assert main(["verify", "--dataset", str(p)]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_diagonal_rule_switch(bundled_doc, load_doc):
