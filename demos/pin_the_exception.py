@@ -1,10 +1,12 @@
 """Walk through the localization argument that pins the S4 multiplicity.
 
 The conormal to S4 is the one conormal without a dense orbit projection,
-so the cycle of the open-orbit sign sheaf carries an unknown coefficient
-there.  Decomposing that cycle against the multiplicity column of the
-standard sheaf at the open orbit forces the unknown to equal the table's
-free parameter c; the arithmetic underneath is the -1 + 2 - 1 = 0 identity.
+so the cycle of the open-orbit sign sheaf has no forced coefficient there.
+Summing the cycles of the sheaves in the multiplicity column of the
+standard sheaf at the open orbit, each weighted by its multiplicity, gives
+that coefficient directly: it reads off as the table's free parameter c.
+The -1 + 2 - 1 = 0 printed first is the S4 entry of cg * mg = 1 on that
+column.
 
     python3 demos/pin_the_exception.py
 """

@@ -38,10 +38,8 @@ from .euler import (
     EulerMatrix,
     InsufficientKLData,
     MultiplicityMatrices,
-    composition_multiplicity,
     composition_terms,
     euler_matrix,
-    geometric_multiplicity_matrix,
     kl_value,
     local_euler,
 )

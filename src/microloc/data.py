@@ -382,22 +382,28 @@ def load_bundled_dataset():
 
 # ---------------------------------------------------------------- validation
 
+def _repeats(keys):
+    """Each key that equals an earlier one, in order."""
+    seen = set()
+    return [k for k in keys if k in seen or seen.add(k)]
+
+
 def validate_dataset(ds):
     """Collect structural violations; empty list means the dataset is sound.
 
     Pure and idempotent.  Covers the poset axioms, the catalog bijections,
-    KL normalization and support, and delegates the duality laws to
-    validate_duality.
+    repeated keys, KL normalization and support, and delegates the duality
+    laws to validate_duality.
     """
     from .duality import validate_duality
 
     out = list(validate_poset(ds.poset))
 
-    seen = set()
-    for r in ds.catalog:
-        if r.id in seen:
-            out.append(Violation("catalog-duplicate-id", f"catalog id {r.id} repeated", (r.id,)))
-        seen.add(r.id)
+    for code, what, keys in (
+            ("catalog-duplicate-id", "catalog id", [r.id for r in ds.catalog]),
+            ("exception-duplicate", "exception orbit", ds.conormal_dense_exceptions),
+            ("arthur-duplicate-label", "arthur_type label", [p.label for p in ds.arthur_type])):
+        out.extend(Violation(code, f"{what} {k} repeated", (k,)) for k in _repeats(keys))
     all_ls = ds.local_systems()
     params = [r.param for r in ds.catalog]
     if len(set(params)) != len(params):
@@ -420,6 +426,11 @@ def validate_dataset(ds):
                 f"(az(az({r.id})) = {ds.representation(r.az_partner).az_partner})",
                 (r.id,)))
 
+    # KLTable keeps the last record of a key: their order would decide the answer
+    for torb, tirr, source in _repeats((r.target_orbit, r.target_irrep, r.source)
+                                       for r in ds.kl.records):
+        out.append(Violation("kl-duplicate", f"kl record ({torb},{tirr}) <- {source} repeated",
+                             (torb, tirr) + source))
     for rec in ds.kl.records:
         src_orb = rec.source[0]
         if rec.target_orbit == src_orb:
@@ -459,6 +470,9 @@ def validate_dataset(ds):
     for x in ds.special_piece:
         if x not in ds.poset:
             out.append(Violation("special-unknown", f"unknown orbit {x} in special_piece"))
+    out.extend(Violation("exception-top", f"exception orbit {e} is the top orbit, whose "
+                         "conormal (the zero section) has a dense orbit", (e,))
+               for e in ds.conormal_dense_exceptions if e in ds.poset.maximal())
     hats = ds.duality.hat_map
     for p in ds.arthur_type:
         if p.langlands not in hats:

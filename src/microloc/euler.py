@@ -210,22 +210,10 @@ class MultiplicityMatrices:
                     yield g, self.cg(d, g), m
 
 
-def geometric_multiplicity_matrix(ds):
-    return MultiplicityMatrices(ds)
-
-
-def composition_multiplicity(mm, probe, column):
-    """The bilinear pairing  sum over g of cg(probe,g) * mg(g,column).
-
-    Equals 1 when probe == column and 0 otherwise; evaluating it exercises
-    exactly the evaluation entries the identity needs, so it doubles as a
-    consistency probe of partially pinned tables.
-    """
-    return sum(t["product"] for t in composition_terms(mm, probe, column))
-
-
 def composition_terms(mm, probe, column):
-    """Term breakdown of composition_multiplicity, diagonal term first."""
+    """The terms cg(probe, g) * mg(g, column), diagonal term first, then each
+    g above probe's orbit where mg(g, column) is nonzero.  The products sum
+    to 1 when probe == column and to 0 otherwise, mg being the inverse of cg."""
     probe, column = tuple(probe), tuple(column)
     own = mm.mg(probe, column)
     terms = [{"gamma": probe, "cg": 1, "mg": own, "product": own}]

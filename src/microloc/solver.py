@@ -63,8 +63,7 @@ from typing import NamedTuple
 
 from .affine import AffineInt, ZERO, div, exact
 from .duality import fourier_partner, hat
-from .euler import UNKNOWN, InsufficientKLData, geometric_multiplicity_matrix, \
-    composition_multiplicity, composition_terms
+from .euler import UNKNOWN, InsufficientKLData, MultiplicityMatrices, composition_terms
 
 
 class InconsistentSystem(Exception):
@@ -735,75 +734,47 @@ def _pinned(fn, *args):
 def special_cc_localization(ds, sr):
     """Cycle of the open-orbit sign sheaf via the localization recipe.
 
-    Multiplicity 1 on every conormal carrying a dense orbit; on each listed
-    exception orbit the multiplicity starts as an unknown and is pinned by
-    matching the cycle's decomposition against the multiplicity column of
-    the standard sheaf attached to the open orbit's trivial local system.
-    Coefficients at orbits outside the exceptions' up-sets cannot be
-    cross-checked from a partial evaluation table and are not.
+    Multiplicity 1 on every conormal carrying a dense orbit.  Each listed
+    exception orbit carries one local system, and its coefficient is read
+    off total[e], where total[o] = sum over g of mg(g, (top, triv)) * CC(g)[o]
+    decomposes the cycle against the multiplicity column of the standard
+    sheaf at the open orbit's trivial local system.  The sum runs over the
+    local systems g on the exceptions' up-sets and the top orbit, and every
+    other orbit of that region must get total 1.  Coefficients outside the
+    region cannot be cross-checked from a partial evaluation table and are
+    not.
     """
-    poset = ds.poset
-    top = poset.top()
-    exceptions = list(ds.conormal_dense_exceptions)
-    top_group = ds.orbit(top).group
-    triv = top_group.labels()[0]
-    sign = top_group.labels()[-1]
-    col = (top, triv)
-
-    mm = geometric_multiplicity_matrix(ds)
+    top = ds.poset.top()
+    labels = ds.orbit(top).group.labels()
+    col, sign = (top, labels[0]), labels[-1]
+    exceptions = ds.conormal_dense_exceptions
+    mm = MultiplicityMatrices(ds)
     for e in exceptions:
         labels = ds.orbit(e).group.labels()
         if len(labels) != 1:
             raise ComputationError(
                 f"exception orbit {e} carries {len(labels)} local systems; "
                 "the pinning step needs exactly one")
-        check = _pinned(composition_multiplicity, mm, (e, labels[0]), col)
-        if check != 0:
-            raise ComputationError(
-                f"composition check nonzero at ({e},{labels[0]}): {check}")
+        # fetched before the region walk, so a KL gap under e is named first
+        _pinned(mm.mg, (e, labels[0]), col)
 
-    aname = {e: ("a" if len(exceptions) == 1 else f"a_{e}") for e in exceptions}
-    target = {}
-    for o in ds.orbits:
-        target[o.id] = AffineInt.parameter(aname[o.id]) if o.id in aname \
-            else AffineInt(1)
-
-    region = set()
-    for e in exceptions:
-        region |= poset.up_set(e)
-    region.add(top)
-    remainder = dict(target)
-    for orb in sorted(region, key=lambda o: (-ds.orbit(o).dim, o)):
+    region = sorted({top}.union(*(ds.poset.up_set(e) for e in exceptions)),
+                    key=lambda o: (-ds.orbit(o).dim, o))
+    total = {o.id: AffineInt(0) for o in ds.orbits}
+    for orb in region:
         for lab in ds.orbit(orb).group.labels():
             m = _pinned(mm.mg, (orb, lab), col)
-            if m == 0:
-                continue
-            for o2, v in sr.cc_table[(orb, lab)].mult.items():
-                remainder[o2] = remainder[o2] - m * v
-
-    solved = {}
-    for e in exceptions:
-        r = remainder[e]
-        co = r.coeffs.get(aname[e])
-        if co != 1:
-            raise ComputationError(
-                f"unexpected decomposition at exception orbit {e}: {r}")
-        solved[e] = -(r - AffineInt.parameter(aname[e]))
+            if m:
+                for o2, v in sr.cc_table[(orb, lab)].mult.items():
+                    total[o2] += m * v
     for orb in region:
-        if orb in exceptions:
-            continue
-        if remainder[orb]:
+        if orb not in exceptions and total[orb] != 1:
             raise ComputationError(
                 f"localization decomposition does not close at {orb}: "
-                f"remainder {remainder[orb]}")
+                f"remainder {1 - total[orb]}")
 
-    mult = {}
-    for o in ds.orbits:
-        v = solved.get(o.id, target[o.id])
-        if v:
-            mult[o.id] = v
-    result = CharacteristicCycle((top, sign), mult)
-
+    mult = {o.id: total[o.id] if o.id in exceptions else AffineInt(1) for o in ds.orbits}
+    result = CharacteristicCycle((top, sign), {o: v for o, v in mult.items() if v})
     table_row = sr.cc_table.get((top, sign))
     if table_row is not None and table_row.mult != result.mult:
         raise ComputationError(
@@ -816,7 +787,7 @@ def localization_check_terms(ds):
     """The term breakdown behind the localization pinning, for reports."""
     top = ds.poset.top()
     triv = ds.orbit(top).group.labels()[0]
-    mm = geometric_multiplicity_matrix(ds)
+    mm = MultiplicityMatrices(ds)
     out = {}
     for e in ds.conormal_dense_exceptions:
         lab = ds.orbit(e).group.labels()[0]

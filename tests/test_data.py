@@ -226,6 +226,57 @@ def test_duplicate_catalog_id_flagged(mutate):
         [("catalog-duplicate-id", "catalog id X5 repeated", ("X5",))]
 
 
+def _kl_copy(target, source, at_front=False, **change):
+    """A mutation adding a copy of the KL record target <- source."""
+    def add(doc):
+        (rec,) = [r for r in doc["kl"] if r["target"] == target and r["source"] == source]
+        doc["kl"].insert(0 if at_front else len(doc["kl"]), dict(rec, **change))
+    return add
+
+
+def _set(field, value):
+    return lambda doc: doc.__setitem__(field, value)
+
+
+@pytest.mark.parametrize("fn, want", [
+    # KLTable keeps the last of two records with one key: appended, the
+    # value 2 made solve exit 1 (inconsistent); inserted first, exit 0
+    (_kl_copy(["S9", "(1)"], ["S10", "(1)"], value=2),
+     ("kl-duplicate", "kl record (S9,(1)) <- ('S10', '(1)') repeated",
+      ("S9", "(1)", "S10", "(1)"))),
+    (_kl_copy(["S9", "(1)"], ["S10", "(1)"], at_front=True, value=2),
+     ("kl-duplicate", "kl record (S9,(1)) <- ('S10', '(1)') repeated",
+      ("S9", "(1)", "S10", "(1)"))),
+    (_kl_copy(["S8", None], ["S10", "(1)"]),
+     ("kl-duplicate", "kl record (S8,None) <- ('S10', '(1)') repeated",
+      ("S8", None, "S10", "(1)"))),
+    # the repeat renamed c to p_S4_S11 and passed verify and report
+    (_set("conormal_dense_exceptions", ["S4", "S4"]),
+     ("exception-duplicate", "exception orbit S4 repeated", ("S4",))),
+    (_set("conormal_dense_exceptions", ["S11"]),
+     ("exception-top", "exception orbit S11 is the top orbit, whose conormal "
+      "(the zero section) has a dense orbit", ("S11",))),
+    (lambda doc: doc["arthur_type"].append({"label": "psi_0", "langlands": "S1"}),
+     ("arthur-duplicate-label", "arthur_type label psi_0 repeated", ("psi_0",))),
+], ids=["kl-appended", "kl-first", "kl-sum", "exception-duplicate", "exception-top",
+        "arthur-duplicate-label"])
+def test_repeated_entry_flagged(mutate, fn, want):
+    vs = validate_dataset(mutate(fn))
+    assert [(v.code, v.detail, v.subject) for v in vs] == [want]
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "report", "solve"])
+def test_repeated_entries_fail_every_command(bundled_doc, tmp_path, capsys, command):
+    doc = copy.deepcopy(bundled_doc)
+    doc["conormal_dense_exceptions"] = ["S4", "S4"]
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, "--dataset", str(p)]) == 1
+    out = capsys.readouterr()
+    assert "exception-duplicate" in out.out + out.err
+    assert "p_S4_S11" not in out.out
+
+
 def test_kl_record_outside_support_flagged(mutate):
     def off(doc):
         # S6 is not below S9, so an (S6,*) <- (S9,*) record has empty support
