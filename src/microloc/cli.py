@@ -248,7 +248,7 @@ def _verify_checks(ds, sr):
 
     try:
         loc = special_cc_localization(ds, sr)
-        at = ", ".join(f"{o}: {loc.at(o)}" for o in ds.conormal_dense_exceptions)
+        at = ", ".join(f"{o}: {loc.mult[o]}" for o in ds.conormal_dense_exceptions)
         checks.append(("localization", True, f"pinned {at}"))
     except ComputationError as e:
         checks.append(("localization", False, str(e)))

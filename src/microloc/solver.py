@@ -745,8 +745,8 @@ def special_cc_localization(ds, sr):
     not.
     """
     top = ds.poset.top()
-    labels = ds.orbit(top).group.labels()
-    col, sign = (top, labels[0]), labels[-1]
+    top_labels = ds.orbit(top).group.labels()
+    col, sign = (top, top_labels[0]), top_labels[-1]
     exceptions = ds.conormal_dense_exceptions
     mm = MultiplicityMatrices(ds)
     for e in exceptions:

@@ -13,6 +13,10 @@ and on solved reports edited to reach each failure path.
 import copy
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,33 @@ def test_exception_with_two_local_systems(dataset, solved):
     assert _both(ds, solved) == ("error",
                                  "exception orbit S9 carries 2 local systems; "
                                  "the pinning step needs exactly one")
+
+
+_FOUR_GAPS = """
+import dataclasses
+from microloc import build_constraints, euler_matrix, load_bundled_dataset, solve
+from microloc.solver import CharacteristicCycle, ComputationError, special_cc_localization
+ds = load_bundled_dataset()
+sr = solve(build_constraints(ds, euler_matrix(ds)))
+src = ("S11", "(4)")
+mult = dict(sr.cc_table[src].mult)
+for o in ("S7", "S8", "S9", "S10"):
+    mult[o] = mult.get(o, 0) + 1
+sr = dataclasses.replace(sr, cc_table={**sr.cc_table, src: CharacteristicCycle(src, mult)})
+try:
+    special_cc_localization(ds, sr)
+except ComputationError as e:
+    print(e)
+"""
+
+
+def test_the_first_open_orbit_named_does_not_follow_the_hash_seed():
+    # four orbits fail to close and the message names the highest, S10,
+    # under any hash seed; a walk in set order named S8 under seed 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    want = "localization decomposition does not close at S10: remainder -1\n"
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _FOUR_GAPS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.stderr, proc.stdout) == ("", want), seed
