@@ -1,4 +1,11 @@
-"""The documented code runs: every demo script and README's Library block."""
+"""The documented code runs: every demo script and README's Library block.
+
+Each demo's stdout must match its snapshot in tests/snapshots/demos/ byte
+for byte; the snapshots were written by the package itself, so they pin
+regressions only.  To rewrite them after a deliberate output change, run
+each demo with PYTHONPATH=src and save its stdout under the demo's name
+with the suffix .txt.
+"""
 
 import os
 import re
@@ -10,12 +17,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_SNAPSHOTS = ROOT / "tests" / "snapshots" / "demos"
 
 
-def _run(args):
+def _run(args, text=True):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=text, timeout=120)
 
 
 def test_every_demo_is_found():
@@ -24,9 +32,9 @@ def test_every_demo_is_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    proc = _run([str(demo)])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    proc = _run([str(demo)], text=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DEMO_SNAPSHOTS / f"{demo.stem}.txt").read_bytes()
 
 
 def test_readme_library_block_runs():
