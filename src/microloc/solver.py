@@ -25,34 +25,46 @@ The generating rules, tagged on every equation:
 The system is block diagonal by anchor pair: an m[., t] or c(t, .) unknown
 occurs only in rows of anchor t, and symmetry joins t to hat(t) alone.
 build_constraints records the row ids and column ids of each pair
-{t, hat(t)}, and solve runs deterministic exact Gaussian elimination over
-the rationals once per block, with the block's columns in the fixed
-variable order (m-variables first, then c-variables by falling row
-dimension) and its rows in input order.  Each variable's pivot is the
-unused row holding it with the fewest entries, ties to the lowest row
-index; every row holding a variable lies in that variable's block, so this
-gives the pivots, rows and right-hand sides of one elimination of the whole
-system, and the same dataset always yields the same pivots, the same free
-parameters, and the same names.  The rows holding a variable are found
-through a column index that follows fill-in and cancellation, not by
-scanning every row.  Every value, from the coefficients build_constraints
-emits through the row entries and right-hand sides to the AffineInt
-results, is an int where it is integral and a Fraction otherwise
-(affine.exact), which keeps the common case (every value of the bundled
-case and of the chain family is a small integer) off Fraction arithmetic;
-every division goes through affine.div, since / on two ints would give a
-float.  Whatever stays free becomes a named parameter; every downstream
-quantity is an AffineInt over those names.
+{t, hat(t)}, and solve solves each block on its own, with the block's
+columns in the fixed variable order (m-variables first, then c-variables
+by falling row dimension).  For a fixed column order the RREF is unique,
+so solve may reach it any way it likes; it presolves each block first
+(_presolve).  The columns of every equality row (two entries, opposite
+coefficients, rhs 0: the symmetry rows) are merged into classes, each
+represented by its latest column; every other row is rewritten onto the
+representatives; each singleton row (support, leading, diagonal, or one
+that the pins reduce to a single entry) pins its class, and the pin is
+substituted into the rows of its column.  That settles every chain
+system, and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
+what remains goes through deterministic exact Gaussian elimination over
+the rationals (_eliminate), over the unpinned representatives in column
+order, its rows in input order.  Each variable's pivot there is the unused
+row holding it with the fewest entries, ties to the lowest row index; the
+rows holding a variable are found through a column index that follows
+fill-in and cancellation, not by scanning every row.  So the same dataset
+always yields the same pivots, the same free parameters, and the same
+names: a free parameter is a class representative that is neither pinned
+nor a pivot.  Every value, from the coefficients build_constraints emits
+through the row entries and right-hand sides to the AffineInt results, is
+an int where it is integral and a Fraction otherwise (affine.exact), which
+keeps the common case (every value of the bundled case and of the chain
+family is a small integer) off Fraction arithmetic; every division goes
+through affine.div, since / on two ints would give a float.  Whatever stays
+free becomes a named parameter; every downstream quantity is an AffineInt
+over those names.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
-subset of tags, found in the block whose conflicting row comes first in the
-system: the equations combined into that row, reduced by a drop-one deletion
-filter that eliminates them once, each with its own unit column, and decides
-every trial by one elimination step on the resulting basis of their left
-null space (_minimal_conflict).  The elimination keeps no per-row record of
-the equations combined into it; it logs each row update as a (target row,
-pivot row) pair, and only on a conflict is that log replayed backwards for
-the conflicting row (_combined).
+subset of tags.  A block whose presolve or remaining elimination meets a
+conflict is eliminated again in full, all its tagged rows in input order,
+and the block whose conflicting row comes first in the system is reduced:
+the equations combined into that row, reduced by a drop-one deletion
+filter that eliminates them once, each with its own unit column, and
+decides every trial by one elimination step on the resulting basis of
+their left null space (_minimal_conflict).  The elimination keeps no
+per-row record of the equations combined into it; it logs each row update
+as a (target row, pivot row) pair, and only on a conflict is that log
+replayed backwards for the conflicting row (_combined).  A successful
+solve never runs the full elimination.
 """
 
 from __future__ import annotations
@@ -411,7 +423,8 @@ def _eliminate(equations, var_order):
         used.add(i)
     conflict = None
     for i in range(len(rows)):
-        if i not in used and not rows[i] and rhss[i] != 0:
+        # an explicit zero coefficient stays in its row, so 0 = r can keep keys
+        if i not in used and rhss[i] != 0 and not any(rows[i].values()):
             conflict = i
             break
     return pivots, rows, rhss, conflict, merges
@@ -483,15 +496,128 @@ def _cancel(b, pivot, i):
     return out, exact(value - f * pvalue)
 
 
-def solve(cs):
-    """Eliminate block by block, name whatever stays free, and assemble the report.
+def _presolve(block):
+    """Solve the rows of one block, or return None if they conflict.
 
-    Each block is eliminated on its own, its columns in the order of
-    cs.unknowns and its rows in input order; a pivot is only ever chosen
-    among the rows holding its column, all in that column's block, so this
-    gives the pivots, rows and right-hand sides of one elimination of the
-    whole system.  On a conflict, the block whose conflicting row comes
-    first in the system is reduced to the tags raised.
+    Four steps, none of which can change the result, since for a fixed
+    column order the RREF is unique:
+      1. merge the columns of every equality row (two entries, opposite
+         coefficients, rhs 0) by union-find into classes, each represented
+         by its latest column: in the RREF every other member of a class is
+         a pivot, and the class's own value is its representative's;
+      2. rewrite every other row onto the representatives, adding the
+         coefficients that land on one and dropping those that cancel;
+      3. pin the class of each singleton row and substitute the pin into
+         the rows of its column, queueing any row left with one entry;
+      4. eliminate whatever rows remain with _eliminate, over the unpinned
+         representatives they hold, in column order.
+    Returns {column: (rest, rhs)} for every column that is not free: the
+    column equals rhs - sum(rest[k] * k) over free columns k.  The free
+    columns are the representatives neither pinned nor pivots.
+    """
+    parent = {}            # column -> a column of its class nearer the representative
+
+    def find(k):
+        r = k
+        while r in parent:
+            r = parent[r]
+        while k != r:
+            parent[k], k = r, parent[k]
+        return r
+
+    rest = []
+    for coeffs, rhs, _ in block:
+        # keyed as _eliminate keys it: a repeated column keeps its last value
+        row = dict(coeffs)
+        if len(row) == 2 and rhs == 0:
+            (a, x), (b, y) = row.items()
+            if x and x == -y:
+                a, b = find(a), find(b)
+                if a != b:
+                    parent[min(a, b)] = max(a, b)
+                continue
+        rest.append((row, rhs))
+    rep = {k: find(k) for k in parent}
+
+    rows = []
+    rhss = []
+    column = {}            # representative -> ids of the rows holding it
+    queue = []
+    for row, rhs in rest:
+        new = {}
+        for k, x in row.items():
+            if not x:
+                continue
+            r = rep.get(k, k)
+            if r in new:
+                x += new[r]
+                if not x:
+                    del new[r]
+                    continue
+            new[r] = x
+        if not new:
+            if rhs != 0:
+                return None
+            continue
+        i = len(rows)
+        rows.append(new)
+        rhss.append(rhs if type(rhs) is int else exact(rhs))
+        for k in new:
+            if k in column:
+                column[k].append(i)
+            else:
+                column[k] = [i]
+        if len(new) == 1:
+            queue.append(i)
+
+    pins = {}
+    while queue:
+        i = queue.pop()
+        row = rows[i]
+        if row is None:
+            continue
+        (k, a), = row.items()
+        pins[k] = value = div(rhss[i], a)
+        for j in column.pop(k):
+            row = rows[j]
+            rows[j] = None
+            if j == i:
+                continue
+            f = row.pop(k)
+            nv = rhss[j] - f * value
+            rhss[j] = nv = nv if type(nv) is int else exact(nv)
+            if row:
+                rows[j] = row
+                if len(row) == 1:
+                    queue.append(j)
+            elif nv:
+                return None
+
+    remaining = [(tuple(row.items()), rhs, None)
+                 for row, rhs in zip(rows, rhss) if row is not None]
+    pivots, erows, erhss, conflict, _ = _eliminate(remaining, sorted(column))
+    if conflict is not None:
+        return None
+    out = {k: ({}, value) for k, value in pins.items()}
+    for v, i in pivots.items():
+        out[v] = ({k: x for k, x in erows[i].items() if k != v}, erhss[i])
+    for k, r in rep.items():
+        out[k] = out[r] if r in out else ({r: -1}, 0)
+    return out
+
+
+def solve(cs):
+    """Presolve and eliminate block by block, name whatever stays free, and
+    assemble the report.
+
+    Each block is solved on its own, its columns in the order of cs.unknowns
+    (_presolve): equal pairs are merged, singleton pins propagated, and only
+    the rows left after that go through _eliminate.  Since the RREF for a
+    fixed column order is unique, this gives the pivots, the free columns
+    and every expression of one elimination of the whole system.  A block
+    whose presolve or elimination meets a conflict is eliminated again in
+    full, rows in input order, and on a conflict the block whose conflicting
+    row comes first in the system is reduced to the tags raised.
 
     Free c-variables are named p_<row>_<col>.  One of them gets the short
     name "c": the pair (E, top) where E is the dataset's single orbit whose
@@ -500,17 +626,18 @@ def solve(cs):
     named q_<anchor>_<orbit>_<irrep>.
     """
     ds = cs.dataset
-    solved = {}            # column id -> (fully reduced row, rhs)
+    solved = {}            # column id -> (free column -> coefficient, rhs)
     conflict = None        # (global row id, block rows, block columns, local row id, merges)
     for row_ids, cols in cs.blocks:
         block = [cs.rows[i] for i in row_ids]
-        pivots, rows, rhss, c, merges = _eliminate(block, cols)
-        if c is not None:
-            if conflict is None or row_ids[c] < conflict[0]:
-                conflict = (row_ids[c], block, cols, c, merges)
+        got = _presolve(block)
+        if got is not None:
+            solved.update(got)
             continue
-        for v, i in pivots.items():
-            solved[v] = (rows[i], rhss[i])
+        # the block is inconsistent, so the full elimination finds a conflict
+        _, _, _, c, merges = _eliminate(block, cols)
+        if conflict is None or row_ids[c] < conflict[0]:
+            conflict = (row_ids[c], block, cols, c, merges)
     if conflict is not None:
         _, block, cols, c, merges = conflict
         subset = _minimal_conflict(block, _combined(merges, c), cols)
@@ -534,13 +661,9 @@ def solve(cs):
     def expression(j):
         if j not in solved:
             return AffineInt.parameter(names[j])
-        row, rhs = solved[j]
-        coeffs = {}
-        for k, val in row.items():
-            if k != j:
-                # fully reduced rows only mention free variables besides the pivot
-                coeffs[names[k]] = coeffs.get(names[k], 0) - val
-        return AffineInt(rhs, coeffs)
+        rest, rhs = solved[j]
+        # rhs and every entry of rest are canonical, and no entry is 0
+        return AffineInt._make(rhs, {names[k]: -x for k, x in rest.items()})
 
     dims = {o.id: o.dim for o in ds.orbits}
     centries = {}
