@@ -845,6 +845,16 @@ def reconstruct_local_euler(sr, published_cc):
     return EulerMatrix(sources, all_orbits, entries, failures=failures)
 
 
+def _exception_label(ds, e):
+    """The local system of exception orbit e; the pinning step needs exactly one."""
+    labels = ds.orbit(e).group.labels()
+    if len(labels) != 1:
+        raise ComputationError(
+            f"exception orbit {e} carries {len(labels)} local systems; "
+            "the pinning step needs exactly one")
+    return labels[0]
+
+
 def _pinned(fn, *args):
     """fn(*args), with unpinned evaluation data raised as ComputationError."""
     try:
@@ -873,13 +883,8 @@ def special_cc_localization(ds, sr):
     exceptions = ds.conormal_dense_exceptions
     mm = MultiplicityMatrices(ds)
     for e in exceptions:
-        labels = ds.orbit(e).group.labels()
-        if len(labels) != 1:
-            raise ComputationError(
-                f"exception orbit {e} carries {len(labels)} local systems; "
-                "the pinning step needs exactly one")
         # fetched before the region walk, so a KL gap under e is named first
-        _pinned(mm.mg, (e, labels[0]), col)
+        _pinned(mm.mg, (e, _exception_label(ds, e)), col)
 
     region = sorted({top}.union(*(ds.poset.up_set(e) for e in exceptions)),
                     key=lambda o: (-ds.orbit(o).dim, o))
@@ -907,13 +912,18 @@ def special_cc_localization(ds, sr):
 
 
 def localization_check_terms(ds):
-    """The term breakdown behind the localization pinning, for reports."""
+    """The term breakdown behind the localization pinning, for reports.
+
+    Raises ComputationError where special_cc_localization does on an
+    exception orbit's local systems, so no report shows a pinning line
+    that the pinning step rejects.
+    """
     top = ds.poset.top()
     triv = ds.orbit(top).group.labels()[0]
     mm = MultiplicityMatrices(ds)
     out = {}
     for e in ds.conormal_dense_exceptions:
-        lab = ds.orbit(e).group.labels()[0]
+        lab = _exception_label(ds, e)
         out[(e, lab)] = _pinned(composition_terms, mm, (e, lab), (top, triv))
     return out
 

@@ -10,9 +10,12 @@ the bundled case, on chains, on the bundled case with KL records deleted,
 and on solved reports edited to reach each failure path.
 """
 
+import contextlib
 import copy
 import dataclasses
+import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -21,11 +24,12 @@ from pathlib import Path
 import pytest
 
 from microloc.affine import AffineInt
+from microloc.cli import main
 from microloc.data import loads_dataset
 from microloc.euler import InsufficientKLData, MultiplicityMatrices, composition_terms, \
     euler_matrix
 from microloc.solver import CharacteristicCycle, ComputationError, build_constraints, \
-    solve, special_cc_localization
+    localization_check_terms, solve, special_cc_localization
 from chains import chain_doc
 
 
@@ -242,3 +246,24 @@ def test_the_first_open_orbit_named_does_not_follow_the_hash_seed():
         proc = subprocess.run([sys.executable, "-c", _FOUR_GAPS], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (proc.stderr, proc.stdout) == ("", want), seed
+
+
+def test_pinning_terms_refuse_an_exception_with_two_local_systems(dataset, bundled_doc,
+                                                                  tmp_path):
+    # the breakdown refuses the exception orbit that the pinning step
+    # refuses, so report prints no pinning line for it and exits 1
+    ds = dataclasses.replace(dataset, conormal_dense_exceptions=["S9"])
+    with pytest.raises(ComputationError) as e:
+        localization_check_terms(ds)
+    assert str(e.value) == ("exception orbit S9 carries 2 local systems; "
+                            "the pinning step needs exactly one")
+
+    doc = dict(bundled_doc, conormal_dense_exceptions=["S9"])
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--dataset", str(path)])
+    assert code == 1
+    assert "m((S9," not in out.getvalue()
+    assert err.getvalue() == f"error: {e.value}\n"
