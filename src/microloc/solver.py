@@ -525,7 +525,7 @@ def _presolve(block):
             parent[k], k = r, parent[k]
         return r
 
-    rest = []
+    others = []
     for coeffs, rhs, _ in block:
         # keyed as _eliminate keys it: a repeated column keeps its last value
         row = dict(coeffs)
@@ -536,14 +536,14 @@ def _presolve(block):
                 if a != b:
                     parent[min(a, b)] = max(a, b)
                 continue
-        rest.append((row, rhs))
+        others.append((row, rhs))
     rep = {k: find(k) for k in parent}
 
     rows = []
     rhss = []
     column = {}            # representative -> ids of the rows holding it
     queue = []
-    for row, rhs in rest:
+    for row, rhs in others:
         new = {}
         for k, x in row.items():
             if not x:
@@ -578,20 +578,20 @@ def _presolve(block):
             continue
         (k, a), = row.items()
         pins[k] = value = div(rhss[i], a)
+        rows[i] = None
         for j in column.pop(k):
-            row = rows[j]
-            rows[j] = None
             if j == i:
                 continue
+            row = rows[j]
             f = row.pop(k)
             nv = rhss[j] - f * value
             rhss[j] = nv = nv if type(nv) is int else exact(nv)
-            if row:
-                rows[j] = row
-                if len(row) == 1:
-                    queue.append(j)
-            elif nv:
-                return None
+            if not row:
+                if nv:
+                    return None
+                rows[j] = None
+            elif len(row) == 1:
+                queue.append(j)
 
     remaining = [(tuple(row.items()), rhs, None)
                  for row, rhs in zip(rows, rhss) if row is not None]
