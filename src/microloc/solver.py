@@ -662,8 +662,7 @@ def solve(cs):
         if j not in solved:
             return AffineInt.parameter(names[j])
         rest, rhs = solved[j]
-        # rhs and every entry of rest are canonical, and no entry is 0
-        return AffineInt._make(rhs, {names[k]: -x for k, x in rest.items()})
+        return AffineInt(rhs, {names[k]: -x for k, x in rest.items()})
 
     dims = {o.id: o.dim for o in ds.orbits}
     centries = {}
