@@ -34,12 +34,14 @@ COMMANDS = ("validate", "solve", "cc", "packets", "verify", "report")
 TEXT_CASES = {c: ("f4", [c]) for c in COMMANDS}
 TEXT_CASES.update({
     "cc-set-c2": ("f4", ["cc", "--set", "c=2"]),
+    "report-set-c2": ("f4", ["report", "--set", "c=2"]),
     "report-chain6": ("chain6", ["report"]),
     "validate-broken": ("broken", ["validate"]),
     "verify-broken": ("broken", ["verify"]),
 })
 MACHINE_CASES = {f"{c}-machine": ("f4", [c, "--format", "machine"]) for c in COMMANDS}
 MACHINE_CASES["report-chain6-machine"] = ("chain6", ["report", "--format", "machine"])
+MACHINE_CASES["solve-set-c3-machine"] = ("f4", ["solve", "--set", "c=3", "--format", "machine"])
 
 _SOLVE_KEYS = {("orbit_count",), ("local_system_count",), ("bound_note",)}
 # command -> key paths a machine document may hold beyond its snapshot
