@@ -164,9 +164,9 @@ def euler_matrix(ds):
 class MultiplicityMatrices:
     """Lazy view of the signed transition matrix cg and its inverse mg.
 
-    Entries are materialized on demand.  cg comes straight from pinned
-    evaluations; mg columns are solved top-down.  Requests that hit unpinned
-    pairs raise InsufficientKLData naming them.
+    Entries are materialized on demand.  cg is kl_value with its sign; mg
+    columns are solved top-down.  Requests that hit unpinned pairs raise
+    InsufficientKLData naming them.
     """
 
     def __init__(self, ds):
@@ -175,11 +175,7 @@ class MultiplicityMatrices:
 
     def cg(self, d, g):
         d, g = tuple(d), tuple(g)
-        if d == g:
-            return 1
-        if d[0] == g[0] or not self.ds.poset.leq(d[0], g[0]):
-            return 0
-        v = _pinned_value(self.ds, d, g)
+        v = kl_value(self.ds, d, g)
         if v is UNKNOWN:
             raise InsufficientKLData([(d, g)])
         return _sign(self.ds.orbit(d[0]).dim + self.ds.orbit(g[0]).dim) * v

@@ -10,7 +10,9 @@ linear system over two families of unknowns:
 Each equation is emitted once, as a (coeffs, rhs, tag) row whose
 coefficients are keyed by integer column id, the variable's index in the
 system's unknowns; the variable-keyed Equations are a view of these rows,
-built only when something reads them.
+built only when something reads them.  Every row is in one row form, which
+ConstraintSystem establishes and no later stage checks again: each column
+once, every coefficient nonzero, every value exact.
 
 The generating rules, tagged on every equation:
 
@@ -75,7 +77,8 @@ from typing import NamedTuple
 
 from .affine import AffineInt, ZERO, div, exact
 from .duality import fourier_partner, hat
-from .euler import UNKNOWN, InsufficientKLData, MultiplicityMatrices, composition_terms
+from .euler import UNKNOWN, EulerMatrix, InsufficientKLData, MultiplicityMatrices, \
+    composition_terms
 
 
 class InconsistentSystem(Exception):
@@ -130,10 +133,14 @@ class ConstraintSystem:
 
     rows holds each equation once as a (coeffs, rhs, tag) tuple whose
     coefficients are keyed by column id, the variable's index in unknowns.
-    blocks lists each block as (row ids, column ids), both ascending, and
-    every row's columns lie in its own block.  equations is the same system
-    keyed by variable, as Equations, built on first read.  A system built
-    by hand from Equations, as here, is one block.
+    Every row is in the one row form the solver relies on: each column
+    appears once, every coefficient is nonzero, and coefficients and
+    right-hand side are exact (affine.exact).  build_constraints emits its
+    rows in that form; a system built by hand from Equations, as here, is
+    brought into it, repeated columns summed and zero sums dropped, and is
+    one block.  blocks lists each block as (row ids, column ids), both
+    ascending, and every row's columns lie in its own block.  equations is
+    the same rows keyed by variable, as Equations, built on first read.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -141,10 +148,16 @@ class ConstraintSystem:
         self.dataset = dataset
         self.unknowns = unknowns
         self.skipped = skipped
-        self.rows = [(tuple((col[v], x) for v, x in eq.coeffs), eq.rhs, eq.tag)
-                     for eq in equations]
+        self.rows = []
+        for eq in equations:
+            summed = {}
+            for v, x in eq.coeffs:
+                k = col[v]
+                summed[k] = summed.get(k, 0) + x
+            self.rows.append((tuple((k, exact(x)) for k, x in summed.items() if x),
+                              exact(eq.rhs), eq.tag))
         self.blocks = [(list(range(len(self.rows))), list(range(len(unknowns))))]
-        self._equations = equations
+        self._equations = None
 
     @classmethod
     def _from_rows(cls, dataset, unknowns, rows, blocks, skipped):
@@ -222,25 +235,28 @@ class SolveReport:
             out = v.substitute(assignment)
             return out if isinstance(out, AffineInt) else ZERO + out
 
-        cm = CMatrix({k: sub(v) for k, v in self.cmatrix.entries.items()})
-        table = {}
-        for src, cc in self.cc_table.items():
-            mult = {}
-            for o, v in cc.mult.items():
-                w = sub(v)
-                if w:
-                    mult[o] = w
-            table[src] = CharacteristicCycle(src, mult)
-        out = SolveReport(
-            self.dataset, cm, table,
+        return _report(
+            self.dataset,
+            {k: sub(v) for k, v in self.cmatrix.entries.items()},
+            {src: {o: sub(v) for o, v in cc.mult.items()} for src, cc in self.cc_table.items()},
             [p for p in self.free_parameters if p not in assignment],
-            [p for p in self.residual_unknowns if not cm.entries[p].is_constant()],
-            self.skipped, None, "", self.equation_count)
-        return _with_bounds(out)
+            self.skipped, self.equation_count)
 
 
-def _with_bounds(report):
-    """report with its bounds derived, or with bound_note saying why not."""
+def _report(ds, centries, mults, free_parameters, skipped, equation_count):
+    """The SolveReport of these index entries and multiplicities.
+
+    Each cycle keeps its nonzero multiplicities, the residual unknowns are
+    the index pairs whose entry carries a parameter, sorted by _cvar_key,
+    and the bounds are derived, or bound_note says why they could not be.
+    """
+    dims = {o.id: o.dim for o in ds.orbits}
+    residual = sorted((pair for pair, e in centries.items() if not e.is_constant()),
+                      key=lambda p: _cvar_key(p, dims))
+    cc_table = {src: CharacteristicCycle(src, {o: v for o, v in mult.items() if v})
+                for src, mult in mults.items()}
+    report = SolveReport(ds, CMatrix(centries), cc_table, free_parameters, residual,
+                         skipped, None, "", equation_count)
     try:
         report.bounds = parameter_bounds(report)
     except MultiParameterMultiplicity as e:
@@ -361,10 +377,11 @@ def _eliminate(equations, var_order):
     of a ConstraintSystem are.  Returns (pivots, rows, rhss,
     conflict_row_or_None, merges).
 
+    The input must be in ConstraintSystem's row form, and elimination keeps
+    it: a conflict is a row left empty with a nonzero right-hand side.
+
     pivots maps variable -> row index; each returned row is fully reduced
-    (no pivot variable of another row appears in it).  Row entries and
-    right-hand sides are ints where integral and Fractions otherwise.
-    merges is the log of row updates, in order: (j, i) when pivot row i was
+    (no pivot variable of another row appears in it).  merges is the log of row updates, in order: (j, i) when pivot row i was
     subtracted from row j.  Only a conflict needs the input equations
     combined into a row, and _combined replays the log for that one row.
 
@@ -378,12 +395,10 @@ def _eliminate(equations, var_order):
     rhss = []
     column = {}
     for i, (coeffs, rhs, _) in enumerate(equations):
-        row = {k: x if type(x) is int else exact(x) for k, x in coeffs}
-        rows.append(row)
-        rhss.append(exact(rhs))
-        for k, x in row.items():
-            if x:
-                column.setdefault(k, set()).add(i)
+        rows.append(dict(coeffs))
+        rhss.append(rhs)
+        for k, _ in coeffs:
+            column.setdefault(k, set()).add(i)
     merges = []
     pivots = {}
     used = set()
@@ -421,12 +436,8 @@ def _eliminate(equations, var_order):
             merges.append((j, i))
         pivots[v] = i
         used.add(i)
-    conflict = None
-    for i in range(len(rows)):
-        # an explicit zero coefficient stays in its row, so 0 = r can keep keys
-        if i not in used and rhss[i] != 0 and not any(rows[i].values()):
-            conflict = i
-            break
+    conflict = next((i for i, row in enumerate(rows)
+                     if not row and rhss[i] != 0), None)
     return pivots, rows, rhss, conflict, merges
 
 
@@ -465,9 +476,8 @@ def _minimal_conflict(equations, suspects, var_order):
     the reduced basis becomes the basis.
     """
     current = sorted(suspects)
-    # an explicit zero coefficient would stay in its row, beside the markers
-    marked = [(tuple((v, c) for v, c in equations[j][0] if c) + (((_MARKER, j), 1),),
-               equations[j][1], None) for j in current]
+    marked = [(equations[j][0] + (((_MARKER, j), 1),), equations[j][1], None)
+              for j in current]
     pivots, rows, rhss, _, _ = _eliminate(marked, var_order)
     used = set(pivots.values())
     basis = [({k[1]: val for k, val in rows[r].items()}, rhss[r])
@@ -506,7 +516,8 @@ def _presolve(block):
          by its latest column: in the RREF every other member of a class is
          a pivot, and the class's own value is its representative's;
       2. rewrite every other row onto the representatives, adding the
-         coefficients that land on one and dropping those that cancel;
+         coefficients that land on one and dropping those that cancel, so
+         the rows keep ConstraintSystem's row form;
       3. pin the class of each singleton row and substitute the pin into
          the rows of its column, queueing any row left with one entry;
       4. eliminate whatever rows remain with _eliminate, over the unpinned
@@ -527,30 +538,26 @@ def _presolve(block):
 
     others = []
     for coeffs, rhs, _ in block:
-        # keyed as _eliminate keys it: a repeated column keeps its last value
-        row = dict(coeffs)
-        if len(row) == 2 and rhs == 0:
-            (a, x), (b, y) = row.items()
-            if x and x == -y:
+        if len(coeffs) == 2 and rhs == 0:
+            (a, x), (b, y) = coeffs
+            if x == -y:
                 a, b = find(a), find(b)
                 if a != b:
                     parent[min(a, b)] = max(a, b)
                 continue
-        others.append((row, rhs))
+        others.append((coeffs, rhs))
     rep = {k: find(k) for k in parent}
 
     rows = []
     rhss = []
     column = {}            # representative -> ids of the rows holding it
     queue = []
-    for row, rhs in others:
+    for coeffs, rhs in others:
         new = {}
-        for k, x in row.items():
-            if not x:
-                continue
+        for k, x in coeffs:
             r = rep.get(k, k)
             if r in new:
-                x += new[r]
+                x = exact(new[r] + x)
                 if not x:
                     del new[r]
                     continue
@@ -561,7 +568,7 @@ def _presolve(block):
             continue
         i = len(rows)
         rows.append(new)
-        rhss.append(rhs if type(rhs) is int else exact(rhs))
+        rhss.append(rhs)
         for k in new:
             if k in column:
                 column[k].append(i)
@@ -664,35 +671,15 @@ def solve(cs):
         rest, rhs = solved[j]
         return AffineInt(rhs, {names[k]: -x for k, x in rest.items()})
 
-    dims = {o.id: o.dim for o in ds.orbits}
     centries = {}
-    residual = []
     mults = {src: {} for src in ds.local_systems()}
     for j, v in enumerate(unknowns):
-        e = expression(j)
         if v[0] == "c":
-            pair = (v[1], v[2])
-            centries[pair] = e
-            if not e.is_constant():
-                residual.append(pair)
-        elif e:
-            mults[v[1]][v[2]] = e
-    residual.sort(key=lambda p: _cvar_key(p, dims))
-    cc_table = {src: CharacteristicCycle(src, mult) for src, mult in mults.items()}
-
-    params = sorted({n for v, n in names.items()},
-                    key=lambda n: (n != "c", n.startswith("q_"), n))
-    report = SolveReport(
-        dataset=ds,
-        cmatrix=CMatrix(centries),
-        cc_table=cc_table,
-        free_parameters=params,
-        residual_unknowns=residual,
-        skipped=list(cs.skipped),
-        bounds=None,
-        equation_count=len(cs.rows),
-    )
-    return _with_bounds(report)
+            centries[(v[1], v[2])] = expression(j)
+        else:
+            mults[v[1]][v[2]] = expression(j)
+    params = sorted(set(names.values()), key=lambda n: (n != "c", n.startswith("q_"), n))
+    return _report(ds, centries, mults, params, list(cs.skipped), len(cs.rows))
 
 
 # ---------------------------------------------------------------- stage 3
@@ -788,8 +775,6 @@ def reconstruct_local_euler(sr, published_cc):
     parameter stays an AffineInt, so the chain family, where every entry is
     constant, never builds one.
     """
-    from .euler import EulerMatrix
-
     ds = sr.dataset
     poset = ds.poset
     dims = {o.id: o.dim for o in ds.orbits}

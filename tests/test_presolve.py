@@ -26,7 +26,7 @@ from microloc import solver
 from microloc.affine import AffineInt, exact
 from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _combined, \
     _eliminate, _minimal_conflict, _presolve, solve
-from test_solver_blocks import CASES, systems  # noqa: F401  (fixture)
+from test_solver_blocks import CASES, _residual_failures, systems  # noqa: F401  (fixture)
 from test_solver_oracle import CHAIN_SIZES, _exact_value, _rref
 
 
@@ -189,6 +189,22 @@ def test_short_name_c_for_the_exception_top_pair():
     assert str(sr.cmatrix.entry("O0", "O2")) == "1/3c+1/3"
 
 
+def test_hand_built_rows_take_the_row_form():
+    # x + x = 2 is 2x = 2, so x = 1; the zero coefficient goes, and 4/2 is
+    # stored as the int 2
+    x, y = MVARS[0], MVARS[1]
+    cs = ConstraintSystem(DATASET, [x, y], [
+        Equation(((x, 1), (x, 1)), 2, ("expansion", "xx")),
+        Equation(((y, Fraction(4, 2)), (x, 0)), Fraction(4, 2), ("support", "y"))], [])
+    assert cs.rows == [(((0, 2),), 2, ("expansion", "xx")), (((1, 2),), 2, ("support", "y"))]
+    assert cs.equations == [Equation(((x, 2),), 2, ("expansion", "xx")),
+                            Equation(((y, 2),), 2, ("support", "y"))]
+    assert all(type(v) is int for coeffs, rhs, _ in cs.rows for v in (coeffs[0][1], rhs))
+    sr = solve(cs)
+    assert (_solved_value(sr, x), _solved_value(sr, y)) == (1, 1)
+    assert _residual_failures(cs, sr) == []
+
+
 # -- conflicts the presolve finds ---------------------------------------------
 
 X, Y, Z = MVARS[0], MVARS[1], MVARS[2]
@@ -230,6 +246,12 @@ def test_row_of_zero_coefficients_conflicts():
     tags = _conflict_tags([Equation(((X, 1),), 1, ("support", "x")),
                            Equation(((Y, 0), (Z, 0)), 2, ("expansion", "zero"))])
     assert tags == [("expansion", "zero")]
+
+
+def test_repeated_column_that_cancels_conflicts():
+    tags = _conflict_tags([Equation(((Y, 1),), 1, ("support", "y")),
+                           Equation(((X, 1), (X, -1)), 2, ("expansion", "xx"))])
+    assert tags == [("expansion", "xx")]
 
 
 @pytest.mark.parametrize("coeffs", [((X, 1), (Y, 1)), ((X, 2), (Y, -1)), ((X, -1), (Y, -1))])

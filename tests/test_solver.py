@@ -21,6 +21,7 @@ from microloc.solver import (CMatrix, CharacteristicCycle, ComputationError,
                              special_cc_localization, verify_fourier_symmetry)
 from chains import chain_doc, middle_corruption, with_kl_value
 from golden import CC_TABLE, C_ENTRIES, EULER
+from test_constraints import DIAMOND
 
 
 def pair(v):
@@ -133,12 +134,17 @@ def test_bound_and_membership_of_one_entry_match_integer_scan(a, b):
     assert _classify(sr, value) == want
 
 
-@pytest.mark.parametrize("n", [None, 6, 9, 12], ids=lambda n: f"chain{n}" if n else "f4a3")
+@pytest.mark.parametrize("n", [None, 3, 6, 9, 12, "diamond"],
+                         ids=lambda n: "f4a3" if n is None else f"chain{n}" if n != "diamond" else n)
 def test_system_and_solution_values_are_ints(dataset, n):
-    ds = dataset if n is None else loads_dataset(chain_doc(n))
+    ds = dataset if n is None else loads_dataset(DIAMOND if n == "diamond" else chain_doc(n))
     cs = build_constraints(ds, euler_matrix(ds))
-    assert all(type(x) is int for eq in cs.equations for _, x in eq.coeffs)
-    assert all(type(eq.rhs) is int for eq in cs.equations)
+    # the row form the solver relies on: each column once, every coefficient
+    # a nonzero int, an int right-hand side
+    for coeffs, rhs, _ in cs.rows:
+        assert len({k for k, _ in coeffs}) == len(coeffs)
+        assert all(type(x) is int and x for _, x in coeffs)
+        assert type(rhs) is int
     sr = solve(cs)
     values = list(sr.cmatrix.entries.values())
     values += [v for cc in sr.cc_table.values() for v in cc.mult.values()]
