@@ -17,9 +17,10 @@ an inadmissible value exits 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .affine import AffineInt
@@ -233,11 +234,14 @@ def _verify_checks(ds, sr):
     except (ComputationError, KeyError, ValueError) as e:
         checks.append(("weak-equals-union", False, str(e)))
 
-    compat = verify_az_micro_compatibility(sr)
-    bad = [r for r in compat if not r.ok]
-    checks.append(("az-compatibility", not bad,
-                   f"{len(compat)} anchors" if not bad
-                   else "mismatch at " + ", ".join(r.anchor for r in bad)))
+    try:
+        compat = verify_az_micro_compatibility(sr)
+        bad = [r for r in compat if not r.ok]
+        checks.append(("az-compatibility", not bad,
+                       f"{len(compat)} anchors" if not bad
+                       else "mismatch at " + ", ".join(r.anchor for r in bad)))
+    except ComputationError as e:
+        checks.append(("az-compatibility", False, str(e)))
 
     try:
         basic = basic_arthur_packet(sr)
@@ -327,48 +331,66 @@ def _machine_json(doc):
     raises TypeError.
     """
     parts = []
-    put = parts.append
-
-    def emit(v, nl):
-        if isinstance(v, str):
-            put(encode_basestring_ascii(v))
-        elif v is None:
-            put("null")
-        elif v is True:
-            put("true")
-        elif v is False:
-            put("false")
-        elif isinstance(v, int):
-            put(int.__repr__(v))
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                put("[]")
-                return
-            inner = nl + "  "
-            sep = "[" + inner
-            for x in v:
-                put(sep)
-                emit(x, inner)
-                sep = "," + inner
-            put(nl + "]")
-        elif isinstance(v, dict):
-            if not v:
-                put("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for k in sorted(v):
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                put(sep + encode_basestring_ascii(k) + ": ")
-                emit(v[k], inner)
-                sep = "," + inner
-            put(nl + "}")
-        else:
-            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-    emit(doc, "\n")
+    _write_json(doc, "\n", parts.append)
     return "".join(parts)
+
+
+def _write_json(v, nl, put):
+    """Pass v's JSON text to put in pieces; nl is the newline and indent of v's line.
+
+    A module-level function rather than a closure over put: a recursive
+    closure is a reference cycle, which would keep the whole output alive
+    until the next collection.  str and int children, most of a document,
+    are written inline without a call.
+    """
+    if isinstance(v, str):
+        put(encode_basestring_ascii(v))
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            if type(x) is str:
+                put(sep + encode_basestring_ascii(x))
+            elif type(x) is int:
+                put(sep + int.__repr__(x))
+            else:
+                put(sep)
+                _write_json(x, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            x = v[k]
+            head = sep + encode_basestring_ascii(k) + ": "
+            if type(x) is str:
+                put(head + encode_basestring_ascii(x))
+            elif type(x) is int:
+                put(head + int.__repr__(x))
+            else:
+                put(head)
+                _write_json(x, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------- text
@@ -541,6 +563,21 @@ def run(cfg):
     return code
 
 
+class _UsageFormatter(argparse.HelpFormatter):
+    """argparse's formatter, cut from its root section once the text is made.
+
+    The root section and the formatter refer to each other, so every usage
+    or error message argparse prints would leave a reference cycle.  The
+    full --help text nests sections that link to their parents; that cycle
+    stays, and main's closing collection frees it.
+    """
+
+    def format_help(self):
+        text = super().format_help()
+        self._root_section = self._current_section = None
+        return text
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dataset", metavar="PATH",
@@ -552,21 +589,16 @@ def build_parser():
                         help="substitute an integer for a free parameter "
                              "(checked against the derived bounds; repeatable)")
     parser = argparse.ArgumentParser(
-        prog="microloc",
+        prog="microloc", formatter_class=_UsageFormatter,
         description="exact characteristic-cycle and packet computations")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
-                   help="check dataset invariants, list violations")
-    sub.add_parser("solve", parents=[common],
-                   help="solve the index system, summarize parameters and bounds")
-    sub.add_parser("cc", parents=[common],
-                   help="print the characteristic cycle table")
-    sub.add_parser("packets", parents=[common],
-                   help="micro, basic and weak packets")
-    sub.add_parser("verify", parents=[common],
-                   help="run the verification battery, one line per check")
-    sub.add_parser("report", parents=[common],
-                   help="full report: cycles, index matrix, packets, checks")
+    add = partial(sub.add_parser, parents=[common], formatter_class=_UsageFormatter)
+    add("validate", help="check dataset invariants, list violations")
+    add("solve", help="solve the index system, summarize parameters and bounds")
+    add("cc", help="print the characteristic cycle table")
+    add("packets", help="micro, basic and weak packets")
+    add("verify", help="run the verification battery, one line per check")
+    add("report", help="full report: cycles, index matrix, packets, checks")
     return parser
 
 
@@ -577,7 +609,23 @@ def _parser():
 
 
 def main(argv=None):
-    return run(_parser().parse_args(argv))
+    """Parse argv and run it; returns the exit code.
+
+    The cyclic garbage collector is paused for the command: no command
+    creates a reference cycle (tests/test_cli_gc.py checks each one), so
+    the young collections it would run find nothing to free.  Once the
+    command ends, one young collection runs in its place.  A collector that
+    the caller has disabled stays disabled.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return run(_parser().parse_args(argv))
+    finally:
+        if paused:
+            gc.enable()
+            gc.collect(0)
 
 
 if __name__ == "__main__":

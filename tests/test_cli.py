@@ -11,7 +11,7 @@ import pytest
 
 from microloc.cli import main
 from chains import chain_doc
-from test_cli_snapshots import broken_doc
+from test_cli_snapshots import broken_doc, corrupt_doc
 
 
 @pytest.fixture
@@ -187,14 +187,35 @@ def test_unpinned_localization_data_is_not_a_traceback(capsys, bundled_doc, tmp_
     assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
+def test_unbounded_packets_fail_verify_without_a_traceback(capsys, bundled_doc, tmp_path):
+    # without these two orbit-sum records no bound on c is derived, so no
+    # micro-packet member can be classified
+    doc = copy.deepcopy(bundled_doc)
+    doc["kl"] = [r for r in doc["kl"]
+                 if (r["target"], r["source"]) not in ((["S8", None], ["S11", "(4)"]),
+                                                       (["S8", None], ["S11", "(22)"]))]
+    assert len(doc["kl"]) == len(bundled_doc["kl"]) - 2
+    p = tmp_path / "unbounded.json"
+    p.write_text(json.dumps(doc))
+    why = "no usable bounds; cannot classify membership"
+    assert main(["validate", "--dataset", str(p)]) == 0
+    capsys.readouterr()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "microloc", "verify", "--dataset", str(p)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"az-compatibility           FAIL  {why}\n" in proc.stdout
+    for command in ("report", "packets"):
+        assert main([command, "--dataset", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
 def test_output_does_not_follow_the_hash_seed(bundled_doc, tmp_path):
     # the conflict of the benchmark's f4a3-corrupt input
-    doc = copy.deepcopy(bundled_doc)
-    (rec,) = [r for r in doc["kl"]
-              if (r["target"], r["source"]) == (["S9", "(1)"], ["S10", "(1)"])]
-    rec["value"] = 5
     corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text(json.dumps(doc))
+    corrupt.write_text(json.dumps(corrupt_doc(bundled_doc)))
     src = str(Path(__file__).resolve().parents[1] / "src")
     for args in (["report"], ["packets"], ["solve", "--dataset", str(corrupt)]):
         runs = []

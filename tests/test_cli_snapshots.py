@@ -9,9 +9,12 @@ in NEW_KEYS, which carry facts that the text shows.  The machine bytes
 themselves must be exactly json.dumps(doc, sort_keys=True, indent=2) and a
 newline, so a change in indentation, key order or escaping shows too.
 
-To rewrite the snapshots after a deliberate output change, run
-`PYTHONPATH=src python tests/test_cli_snapshots.py --write` from the
-repository root.
+To write the snapshots of some cases, after a deliberate output change or
+for a new case, run
+`PYTHONPATH=src python tests/test_cli_snapshots.py --write NAME [NAME ...]`
+from the repository root.  It rewrites only the named cases' files and
+their entries in exits.json; the other snapshots keep the keys they were
+frozen with.  An unknown name is refused with the list of valid ones.
 """
 
 import contextlib
@@ -38,6 +41,7 @@ TEXT_CASES.update({
     "report-chain6": ("chain6", ["report"]),
     "validate-broken": ("broken", ["validate"]),
     "verify-broken": ("broken", ["verify"]),
+    "solve-conflict": ("f4-corrupt", ["solve"]),
 })
 MACHINE_CASES = {f"{c}-machine": ("f4", [c, "--format", "machine"]) for c in COMMANDS}
 MACHINE_CASES["report-chain6-machine"] = ("chain6", ["report", "--format", "machine"])
@@ -63,10 +67,20 @@ def broken_doc(bundled):
     return doc
 
 
+def corrupt_doc(bundled):
+    """The bundled document with P(S9:(1) <- S10:(1)) raised from 1 to 5: inconsistent."""
+    doc = copy.deepcopy(bundled)
+    (rec,) = [r for r in doc["kl"]
+              if r["target"] == ["S9", "(1)"] and r["source"] == ["S10", "(1)"]]
+    rec["value"] = 5
+    return doc
+
+
 def write_inputs(directory, bundled):
     """Dataset files for the cases' inputs, written into directory."""
     paths = {"f4": None}
-    for name, doc in (("chain6", chain_doc(6)), ("broken", broken_doc(bundled))):
+    for name, doc in (("chain6", chain_doc(6)), ("broken", broken_doc(bundled)),
+                      ("f4-corrupt", corrupt_doc(bundled))):
         p = Path(directory) / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -154,28 +168,45 @@ def test_added_keys_rejects_changes():
         added_keys({"a": 1, "b": 2}, {"a": 1})
 
 
+def test_write_touches_only_the_named_cases(tmp_path):
+    (tmp_path / "exits.json").write_text((SNAPSHOTS / "exits.json").read_text(encoding="utf-8"))
+    _write(["validate", "cc-machine"], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["cc-machine.json", "exits.json", "validate.txt"]
+    for name in ("validate.txt", "cc-machine.json", "exits.json"):
+        assert (tmp_path / name).read_text() == (SNAPSHOTS / name).read_text(), name
+    (tmp_path / "validate.txt").unlink()
+    with pytest.raises(SystemExit, match="unknown case nosuch; valid cases: cc, cc-machine"):
+        _write(["validate", "nosuch"], tmp_path)
+    assert not (tmp_path / "validate.txt").exists()
+
+
 def bundled_doc_from_package():
     import microloc.data
     path = Path(microloc.data.__file__).parent / "data" / "f4a3.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _write():
-    bundled = bundled_doc_from_package()
-    SNAPSHOTS.mkdir(exist_ok=True)
-    exits = {}
+def _write(names, directory=SNAPSHOTS):
+    """Write the named cases' snapshots into directory and merge their exits.json entries."""
+    cases = {**TEXT_CASES, **MACHINE_CASES}
+    unknown = [n for n in names if n not in cases]
+    if unknown:
+        raise SystemExit(f"unknown case {', '.join(unknown)}; valid cases: "
+                         f"{', '.join(sorted(cases))}")
+    exits_path = directory / "exits.json"
+    exits = json.loads(exits_path.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_inputs(tmp, bundled)
-        for cases, suffix in ((TEXT_CASES, "txt"), (MACHINE_CASES, "json")):
-            for name, case in cases.items():
-                code, out, err = run_case(case, paths)
-                exits[name] = {"exit": code, "stderr": err}
-                (SNAPSHOTS / f"{name}.{suffix}").write_text(out, encoding="utf-8")
-    (SNAPSHOTS / "exits.json").write_text(
-        json.dumps(exits, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        paths = write_inputs(tmp, bundled_doc_from_package())
+        for name in names:
+            code, out, err = run_case(cases[name], paths)
+            exits[name] = {"exit": code, "stderr": err}
+            suffix = "txt" if name in TEXT_CASES else "json"
+            (directory / f"{name}.{suffix}").write_text(out, encoding="utf-8")
+    exits_path.write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:2] != ["--write"] or not sys.argv[2:]:
         raise SystemExit(__doc__)
-    _write()
+    _write(sys.argv[2:])
