@@ -12,7 +12,6 @@ and on solved reports edited to reach each failure path.
 
 import contextlib
 import copy
-import dataclasses
 import io
 import itertools
 import json
@@ -195,7 +194,9 @@ def _edited(sr, source, orbit, delta):
     mult = dict(table[source].mult)
     mult[orbit] = mult.get(orbit, AffineInt(0)) + delta
     table[source] = CharacteristicCycle(source, mult)
-    return dataclasses.replace(sr, cc_table=table)
+    edited = copy.copy(sr)
+    edited.cc_table = table
+    return edited
 
 
 @pytest.mark.parametrize("source, orbit, delta, text", [
@@ -212,14 +213,15 @@ def test_edited_reports_reach_each_failure(dataset, solved, source, orbit, delta
 
 
 def test_exception_with_two_local_systems(dataset, solved):
-    ds = dataclasses.replace(dataset, conormal_dense_exceptions=["S9"])
+    ds = copy.copy(dataset)
+    ds.conormal_dense_exceptions = ["S9"]
     assert _both(ds, solved) == ("error",
                                  "exception orbit S9 carries 2 local systems; "
                                  "the pinning step needs exactly one")
 
 
 _FOUR_GAPS = """
-import dataclasses
+import copy
 from microloc import build_constraints, euler_matrix, load_bundled_dataset, solve
 from microloc.solver import CharacteristicCycle, ComputationError, special_cc_localization
 ds = load_bundled_dataset()
@@ -228,7 +230,8 @@ src = ("S11", "(4)")
 mult = dict(sr.cc_table[src].mult)
 for o in ("S7", "S8", "S9", "S10"):
     mult[o] = mult.get(o, 0) + 1
-sr = dataclasses.replace(sr, cc_table={**sr.cc_table, src: CharacteristicCycle(src, mult)})
+sr = copy.copy(sr)
+sr.cc_table = {**sr.cc_table, src: CharacteristicCycle(src, mult)}
 try:
     special_cc_localization(ds, sr)
 except ComputationError as e:
@@ -252,7 +255,8 @@ def test_pinning_terms_refuse_an_exception_with_two_local_systems(dataset, bundl
                                                                   tmp_path):
     # the breakdown refuses the exception orbit that the pinning step
     # refuses, so report prints no pinning line for it and exits 1
-    ds = dataclasses.replace(dataset, conormal_dense_exceptions=["S9"])
+    ds = copy.copy(dataset)
+    ds.conormal_dense_exceptions = ["S9"]
     with pytest.raises(ComputationError) as e:
         localization_check_terms(ds)
     assert str(e.value) == ("exception orbit S9 carries 2 local systems; "
