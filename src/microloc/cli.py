@@ -110,10 +110,10 @@ def _jvalue(v):
 
 def _cc_doc(ds, sr):
     rows = []
+    top_down = [o.id for o in reversed(ds.orbits)]
     for src in ds.local_systems():
         cc = sr.cc_table[src]
-        mult = [{"orbit": o.id, "value": _jvalue(cc.mult[o.id])}
-                for o in reversed(ds.orbits) if o.id in cc.mult]
+        mult = [{"orbit": t, "value": _jvalue(cc.mult[t])} for t in top_down if t in cc.mult]
         rows.append({"source": list(src), "mult": mult})
     return {"dataset": ds.name, "cycles": rows}
 
@@ -614,8 +614,12 @@ def main(argv=None):
     The cyclic garbage collector is paused for the command: no command
     creates a reference cycle (tests/test_cli_gc.py checks each one), so
     the young collections it would run find nothing to free.  Once the
-    command ends, one young collection runs in its place.  A collector that
-    the caller has disabled stays disabled.
+    command ends, one collection runs in their place: of the oldest
+    generation whose count exceeds its threshold, as the automatic
+    collector would choose, and of the young generation when none does.
+    So a caller that runs many commands in one process still gets its
+    middle and full collections.  A collector that the caller has disabled
+    stays disabled.
     """
     paused = gc.isenabled()
     if paused:
@@ -625,7 +629,13 @@ def main(argv=None):
     finally:
         if paused:
             gc.enable()
-            gc.collect(0)
+            gc.collect(_due_generation())
+
+
+def _due_generation():
+    """The oldest generation whose count exceeds its threshold, or 0."""
+    counts, limits = gc.get_count(), gc.get_threshold()
+    return next((g for g in (2, 1) if counts[g] > limits[g]), 0)
 
 
 if __name__ == "__main__":

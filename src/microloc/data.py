@@ -13,11 +13,12 @@ Local systems are plain (orbit_id, irrep_label) tuples throughout.
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 
+from ._record import Record
 from .poset import OrbitPoset, Violation, validate_poset
 
 SCHEMA_VERSION = 1
@@ -27,10 +28,9 @@ class SchemaError(Exception):
     """The file does not have the documented shape."""
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
-    name: str
-    irreps: tuple          # of (label, dim) pairs, in declared order
+class ComponentGroup(namedtuple("ComponentGroup", "name irreps")):
+    # irreps: (label, dim) pairs, in declared order
+    __slots__ = ()
 
     def labels(self):
         return [lab for lab, _ in self.irreps]
@@ -42,50 +42,39 @@ class ComponentGroup:
         raise KeyError(f"no irrep {label!r} in group {self.name}")
 
 
-@dataclass(frozen=True)
-class Orbit:
-    id: str
-    dim: int
-    group: ComponentGroup
+class Orbit(namedtuple("Orbit", "id dim group")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Representation:
-    id: str
-    param: tuple           # LocalSystem
-    az_partner: str
-    iwahori_spherical: bool
-    unitary: bool
+class Representation(namedtuple(
+        "Representation", "id param az_partner iwahori_spherical unitary")):
+    # param: its local system
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArthurParameter:
-    label: str
-    langlands: str         # orbit id; the dual orbit is hat(langlands)
+class ArthurParameter(namedtuple("ArthurParameter", "label langlands")):
+    # langlands: an orbit id; the dual orbit is hat(langlands)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KLRecord:
+class KLRecord(namedtuple("KLRecord",
+                          "target_orbit target_irrep source value provenance note",
+                          defaults=("",))):
     """One pinned evaluation P(1).
 
     target_irrep None means the record pins the dimension-weighted sum over
     the target orbit's irreps instead of a single entry.  value 0 with
     target_irrep None pins every per-irrep entry to 0, values being
-    nonnegative.
+    nonnegative.  provenance is "transcribed" or "reconstructed".
     """
-    target_orbit: str
-    target_irrep: str | None
-    source: tuple
-    value: int
-    provenance: str        # "transcribed" | "reconstructed"
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass
-class KLTable:
-    records: list
+class KLTable(Record):
+    _fields = ("records",)
 
-    def __post_init__(self):
+    def __init__(self, records):
+        self.records = records
         self._per = {}
         self._sum = {}
         for r in self.records:
@@ -101,12 +90,12 @@ class KLTable:
         return self._sum.get((target_orbit, source))
 
 
-@dataclass
-class DualityData:
-    hat_pairs: list        # of (orbit, orbit)
-    fourier_pairs: list    # of (LocalSystem, LocalSystem)
+class DualityData(Record):
+    _fields = ("hat_pairs", "fourier_pairs")
 
-    def __post_init__(self):
+    def __init__(self, hat_pairs, fourier_pairs):
+        self.hat_pairs = hat_pairs            # of (orbit, orbit)
+        self.fourier_pairs = fourier_pairs    # of (LocalSystem, LocalSystem)
         self.hat_map = {}
         for a, b in self.hat_pairs:
             self.hat_map[a] = b
@@ -117,27 +106,33 @@ class DualityData:
             self.fourier_map[tuple(b)] = tuple(a)
 
 
-@dataclass
-class Dataset:
-    name: str
-    schema_version: int
-    ambient_dim: int
-    orbits: list
-    poset: OrbitPoset
-    duality: DualityData
-    kl: KLTable
-    catalog: list
-    special_piece: list
-    arthur_type: list
-    conormal_dense_exceptions: list
-    b_function: list
-    notes: list = field(default_factory=list)
-    # the diagonal normalization c(S,S) = (-1)^dim(S); switchable per dataset
-    diagonal_rule: bool = True
+class Dataset(Record):
+    _fields = ("name", "schema_version", "ambient_dim", "orbits", "poset", "duality", "kl",
+               "catalog", "special_piece", "arthur_type", "conormal_dense_exceptions",
+               "b_function", "notes", "diagonal_rule")
 
-    def __post_init__(self):
-        self._orbit = {o.id: o for o in self.orbits}
-        self._rep = {r.id: r for r in self.catalog}
+    def __init__(self, name, schema_version, ambient_dim, orbits, poset, duality, kl,
+                 catalog, special_piece, arthur_type, conormal_dense_exceptions,
+                 b_function, notes=None, diagonal_rule=True):
+        self.name = name
+        self.schema_version = schema_version
+        self.ambient_dim = ambient_dim
+        self.orbits = orbits
+        self.poset = poset
+        self.duality = duality
+        self.kl = kl
+        self.catalog = catalog
+        self.special_piece = special_piece
+        self.arthur_type = arthur_type
+        self.conormal_dense_exceptions = conormal_dense_exceptions
+        self.b_function = b_function
+        self.notes = [] if notes is None else notes
+        # the diagonal normalization c(S,S) = (-1)^dim(S); switchable per dataset
+        self.diagonal_rule = diagonal_rule
+        self._orbit = {o.id: o for o in orbits}
+        self._rep = {r.id: r for r in catalog}
+        # each entry's id and parameter, for the loops that read them per cell
+        self._rep_params = [(r.id, r.param) for r in catalog]
 
     def orbit(self, oid):
         try:
@@ -147,11 +142,7 @@ class Dataset:
 
     def local_systems(self):
         """All (orbit, irrep) pairs, orbit order then declared irrep order."""
-        out = []
-        for o in self.orbits:
-            for lab, _ in o.group.irreps:
-                out.append((o.id, lab))
-        return out
+        return [(oid, lab) for oid, _, group in self.orbits for lab, _ in group.irreps]
 
     def ls_dim(self, ls):
         return self.orbit(ls[0]).group.irrep_dim(ls[1])
@@ -363,21 +354,32 @@ def load_dataset(path):
     result.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"not valid JSON: {e}") from None
+        text = fh.read()
+    return _parse(text)
+
+
+def _parse(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"not valid JSON: {e}") from None
     return loads_dataset(doc)
 
 
 def bundled_dataset_path():
     """Filesystem path of the F4(a3) case data shipped with the package."""
+    from importlib import resources
     return resources.files(__package__).joinpath("data", "f4a3.json")
 
 
 def load_bundled_dataset():
-    with resources.as_file(bundled_dataset_path()) as p:
-        return load_dataset(p)
+    """The F4(a3) case shipped with the package.
+
+    The file is read through this module's own loader, which reads it from
+    a zipped package too, so loading imports no resource machinery.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "f4a3.json")
+    return _parse(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 # ---------------------------------------------------------------- validation
@@ -427,23 +429,23 @@ def validate_dataset(ds):
                 (r.id,)))
 
     # KLTable keeps the last record of a key: their order would decide the answer
-    for torb, tirr, source in _repeats((r.target_orbit, r.target_irrep, r.source)
-                                       for r in ds.kl.records):
+    keys = [(r.target_orbit, r.target_irrep, r.source) for r in ds.kl.records]
+    for torb, tirr, source in _repeats(keys):
         out.append(Violation("kl-duplicate", f"kl record ({torb},{tirr}) <- {source} repeated",
                              (torb, tirr) + source))
-    for rec in ds.kl.records:
-        src_orb = rec.source[0]
-        if rec.target_orbit == src_orb:
+    for torb, _, source in keys:
+        src_orb = source[0]
+        if torb == src_orb:
             out.append(Violation(
                 "kl-same-orbit",
                 f"kl record with target orbit equal to source orbit {src_orb}; "
                 "same-orbit values are fixed by normalization and must not be stored",
                 (src_orb,)))
-        elif not ds.poset.leq(rec.target_orbit, src_orb):
+        elif not ds.poset.leq(torb, src_orb):
             out.append(Violation(
                 "kl-support",
-                f"kl record at target {rec.target_orbit} outside the closure "
-                f"of source orbit {src_orb}", (rec.target_orbit, src_orb)))
+                f"kl record at target {torb} outside the closure "
+                f"of source orbit {src_orb}", (torb, src_orb)))
     # stored per-irrep values must fit under any stored orbit-level sum,
     # and a complete per-irrep set must reproduce the sum exactly
     for (torb, source), sum_rec in ds.kl._sum.items():

@@ -101,17 +101,16 @@ def _source_facts(ds, source):
     return sign, sign * d, ds.poset.down_set(s_orb)
 
 
-def _cell(ds, source, facts, target):
-    """chi_loc of IC(source) along the Orbit target, given _source_facts."""
+def _cell(ds, source, facts, t, irreps):
+    """chi_loc of IC(source) along orbit t with these irreps, given _source_facts."""
     sign, same_orbit, closure = facts
-    t = target.id
     if t == source[0]:
         return same_orbit
     if t not in closure:
         return 0
     # try per-irrep first, fall back to a pinned orbit-level sum
     total = 0
-    for lab, d in target.group.irreps:
+    for lab, d in irreps:
         v = _pinned_value(ds, (t, lab), source)
         if v is UNKNOWN:
             srec = ds.kl.sum_record(t, source)
@@ -122,8 +121,8 @@ def _cell(ds, source, facts, target):
 
 def local_euler(ds, source, target):
     """chi_loc of IC(source) along the target orbit, or UNKNOWN."""
-    target = ds.orbit(target)
-    return _cell(ds, source, _source_facts(ds, source), target)
+    irreps = ds.orbit(target).group.irreps
+    return _cell(ds, source, _source_facts(ds, source), target, irreps)
 
 
 class EulerMatrix:
@@ -152,13 +151,13 @@ class EulerMatrix:
 def euler_matrix(ds):
     """The full matrix over the dataset; cells may be UNKNOWN."""
     sources = ds.local_systems()
-    targets = [o.id for o in ds.orbits]
+    targets = [(o.id, o.group.irreps) for o in ds.orbits]
     entries = {}
     for src in sources:
         facts = _source_facts(ds, src)
-        for o in ds.orbits:
-            entries[(src, o.id)] = _cell(ds, src, facts, o)
-    return EulerMatrix(sources, targets, entries)
+        for t, irreps in targets:
+            entries[(src, t)] = _cell(ds, src, facts, t, irreps)
+    return EulerMatrix(sources, [t for t, _ in targets], entries)
 
 
 class MultiplicityMatrices:

@@ -13,43 +13,31 @@ the catalog and the duality from sr.dataset; members come in catalog order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .affine import div
 from .duality import hat
 from .solver import ComputationError
 
 
-@dataclass(frozen=True)
-class Packet:
-    kind: str
-    anchor: str | None
-    members: tuple
-    indeterminate: tuple = ()
+class Packet(namedtuple("Packet", "kind anchor members indeterminate", defaults=((),))):
+    # anchor is None for a packet that has none; `in` asks for a member,
+    # definite or indeterminate, not for a field
+    __slots__ = ()
 
     def __contains__(self, rep_id):
         return rep_id in self.members or rep_id in self.indeterminate
 
 
-@dataclass
-class WeakUnionReport:
-    equal: bool
-    weak: Packet
-    anchors: list
-    per_anchor: dict
-    union_members: tuple
-    union_indeterminate: tuple
+class WeakUnionReport(namedtuple("WeakUnionReport", "equal weak anchors per_anchor "
+                                 "union_members union_indeterminate")):
+    __slots__ = ()
 
 
-@dataclass
-class AZCompatReport:
-    anchor: str
-    dual_anchor: str
-    ok: bool
-    az_image: tuple = ()
-    expected: tuple = ()
-    az_indeterminate: tuple = ()
-    expected_indeterminate: tuple = ()
+class AZCompatReport(namedtuple("AZCompatReport", "anchor dual_anchor ok az_image expected "
+                                "az_indeterminate expected_indeterminate",
+                                defaults=((),) * 4)):
+    __slots__ = ()
 
 
 def _catalog_order(catalog):
@@ -103,12 +91,12 @@ def micro_packet(sr, anchor):
     if anchor not in ds.poset:
         raise KeyError(f"unknown orbit {anchor}")
     members, maybe = [], []
-    for rep in ds.catalog:
-        kind = _classify(sr, sr.cc_table[rep.param].at(anchor))
+    for rep_id, param in ds._rep_params:
+        kind = _classify(sr, sr.cc_table[param].at(anchor))
         if kind == "in":
-            members.append(rep.id)
+            members.append(rep_id)
         elif kind == "indeterminate":
-            maybe.append(rep.id)
+            maybe.append(rep_id)
     return Packet("micro", anchor, tuple(members), tuple(maybe))
 
 

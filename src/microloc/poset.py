@@ -8,15 +8,12 @@ validator can report it instead of crashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One structural defect found by a validator."""
-    code: str
-    detail: str
-    subject: tuple = ()
+class Violation(namedtuple("Violation", "code detail subject", defaults=((),))):
+    """One structural defect found by a validator: a frozen record."""
+    __slots__ = ()
 
     def __str__(self):
         return f"[{self.code}] {self.detail}"

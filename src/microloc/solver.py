@@ -71,10 +71,10 @@ solve never runs the full elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
+from ._record import Record
 from .affine import AffineInt, ZERO, div, exact
 from .duality import fourier_partner, hat
 from .euler import UNKNOWN, EulerMatrix, InsufficientKLData, MultiplicityMatrices, \
@@ -113,19 +113,17 @@ def _tag_text(tag):
     return f"{kind}({', '.join(str(x) for x in rest)})"
 
 
-class Equation(NamedTuple):
+class Equation(namedtuple("Equation", "coeffs rhs tag")):
     # the variable-keyed form of one row of a ConstraintSystem, which builds
-    # these only when its equations are read
-    coeffs: tuple          # of (var, value), deterministic order
-    rhs: int | Fraction    # values are ints where integral, else Fractions
-    tag: tuple
+    # these only when its equations are read: coeffs holds (var, value)
+    # pairs in a deterministic order, and values are ints where integral,
+    # else Fractions
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SkippedExpansion:
-    anchor: str
-    source: tuple
-    missing: tuple         # of (target_orbit, source) chi_loc cells
+class SkippedExpansion(namedtuple("SkippedExpansion", "anchor source missing")):
+    # missing: the (target_orbit, source) chi_loc cells
+    __slots__ = ()
 
 
 class ConstraintSystem:
@@ -175,47 +173,60 @@ class ConstraintSystem:
         return self._equations
 
 
-@dataclass
-class CMatrix:
-    entries: dict          # (a, b) -> AffineInt, comparable pairs only
+class CMatrix(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = entries         # (a, b) -> AffineInt, comparable pairs only
 
     def entry(self, a, b):
         return self.entries.get((a, b), ZERO)
 
 
-@dataclass
-class CharacteristicCycle:
-    source: tuple
-    mult: dict             # orbit -> AffineInt, nonzero entries only
+class CharacteristicCycle(Record):
+    _fields = ("source", "mult")
+
+    def __init__(self, source, mult):
+        self.source = source
+        self.mult = mult               # orbit -> AffineInt, nonzero entries only
 
     def at(self, orbit):
         return self.mult.get(orbit, ZERO)
 
 
-@dataclass
-class Bound:
-    parameter: str
-    lower: int | None
-    upper: int | None
-    tight_lower_witnesses: list = field(default_factory=list)
-    tight_upper_witnesses: list = field(default_factory=list)
+class Bound(namedtuple("Bound", "parameter lower upper "
+                       "tight_lower_witnesses tight_upper_witnesses")):
+    # lower and upper are ints or None; each witness list defaults to a
+    # fresh empty list
+    __slots__ = ()
+
+    def __new__(cls, parameter, lower, upper, tight_lower_witnesses=None,
+                tight_upper_witnesses=None):
+        return super().__new__(
+            cls, parameter, lower, upper,
+            [] if tight_lower_witnesses is None else tight_lower_witnesses,
+            [] if tight_upper_witnesses is None else tight_upper_witnesses)
 
     @property
     def feasible(self):
         return self.lower is None or self.upper is None or self.lower <= self.upper
 
 
-@dataclass
-class SolveReport:
-    dataset: object
-    cmatrix: CMatrix
-    cc_table: dict         # source ls -> CharacteristicCycle, theorem row order
-    free_parameters: list
-    residual_unknowns: list
-    skipped: list
-    bounds: list | None
-    bound_note: str = ""
-    equation_count: int = 0
+class SolveReport(Record):
+    _fields = ("dataset", "cmatrix", "cc_table", "free_parameters", "residual_unknowns",
+               "skipped", "bounds", "bound_note", "equation_count")
+
+    def __init__(self, dataset, cmatrix, cc_table, free_parameters, residual_unknowns,
+                 skipped, bounds, bound_note="", equation_count=0):
+        self.dataset = dataset
+        self.cmatrix = cmatrix
+        self.cc_table = cc_table       # source ls -> CharacteristicCycle, theorem row order
+        self.free_parameters = free_parameters
+        self.residual_unknowns = residual_unknowns
+        self.skipped = skipped
+        self.bounds = bounds           # list of Bound, or None
+        self.bound_note = bound_note
+        self.equation_count = equation_count
 
     def substitute(self, assignment):
         """This report with integers put in for some free parameters.
@@ -923,12 +934,12 @@ def check_halfinteger_roots(roots):
 def verify_fourier_symmetry(sr):
     """All pairwise symmetry identities on solver output; returns mismatches."""
     ds = sr.dataset
+    duals = [(o.id, hat(ds.duality, o.id)) for o in ds.orbits]
     out = []
     for src in ds.local_systems():
-        fsrc = fourier_partner(ds.duality, src)
-        for o in ds.orbits:
-            lhs = sr.cc_table[src].at(o.id)
-            rhs = sr.cc_table[fsrc].at(hat(ds.duality, o.id))
+        cc, fcc = sr.cc_table[src], sr.cc_table[fourier_partner(ds.duality, src)]
+        for t, dual in duals:
+            lhs, rhs = cc.at(t), fcc.at(dual)
             if lhs != rhs:
-                out.append((src, o.id, lhs, rhs))
+                out.append((src, t, lhs, rhs))
     return out

@@ -226,3 +226,14 @@ def test_output_does_not_follow_the_hash_seed(bundled_doc, tmp_path):
             runs.append((proc.returncode, proc.stdout, proc.stderr))
         assert runs[0] == runs[1], args
         assert runs[0][0] == (1 if args[0] == "solve" else 0), runs[0]
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # each of these costs milliseconds at start-up, and a command needs none
+    heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib")
+    home = str(Path(sys.modules["microloc"].__file__).resolve().parents[1])
+    code = f"import sys, microloc.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=home),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")

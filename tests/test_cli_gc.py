@@ -97,3 +97,24 @@ def test_command_runs_with_collector_paused(monkeypatch):
     assert cli.main(["validate"]) == 0
     assert seen == [False]
     assert gc.isenabled()
+
+
+def test_many_commands_get_an_older_collection():
+    # each command ends with one collection, which raises the next older
+    # generation's count; once generation 1's count passes its threshold,
+    # the next command must collect generation 1, as the automatic
+    # collector would, and not generation 0 again
+    seen = []
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        for _ in range(gc.get_threshold()[1] + 2):
+            assert _invoke(["validate"]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert 1 in seen

@@ -2,12 +2,19 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import microloc
 from microloc.cli import main
-from microloc.data import SchemaError, load_dataset, loads_dataset, validate_dataset
+from microloc.data import SchemaError, bundled_dataset_path, load_dataset, loads_dataset, \
+    validate_dataset
 
 
 def test_bundled_shape(dataset):
@@ -20,6 +27,25 @@ def test_bundled_shape(dataset):
     assert dataset.diagonal_rule is True
     assert dataset.orbit("S4").dim == 7
     assert dataset.representation("X5").iwahori_spherical is False
+
+
+def test_bundled_dataset_path_names_the_bundled_file(bundled_doc):
+    assert json.loads(bundled_dataset_path().read_text(encoding="utf-8")) == bundled_doc
+
+
+def test_bundled_dataset_loads_from_a_zipped_package(tmp_path):
+    pkg = Path(microloc.__file__).resolve().parent
+    archive = tmp_path / "microloc.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in sorted(pkg.rglob("*")):
+            if f.is_file() and "__pycache__" not in f.parts:
+                zf.write(f, f.relative_to(pkg.parent))
+    code = ("import microloc; ds = microloc.load_bundled_dataset(); "
+            "print(microloc.__file__.startswith(sys.argv[1]), ds.name, len(ds.kl.records))")
+    proc = subprocess.run([sys.executable, "-c", "import sys; " + code, str(archive)],
+                          env=dict(os.environ, PYTHONPATH=str(archive)),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.stderr, proc.stdout) == ("", "True F4(a3) 54\n")
 
 
 def test_bundled_validates_clean(dataset):
