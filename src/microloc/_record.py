@@ -19,9 +19,6 @@ class Record:
     _fields = ()
     __hash__ = None
 
-    def _values(self):
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __repr__(self):
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({inner})"
@@ -29,4 +26,5 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        fields = self._fields
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]

@@ -14,8 +14,6 @@ arguments; the arithmetic builds its results already canonical (no zero
 coefficient either) and skips that.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

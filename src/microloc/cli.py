@@ -14,8 +14,6 @@ SolveReport.substitute, which checks the value against the derived bounds;
 an inadmissible value exits 2.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import sys

@@ -8,9 +8,16 @@ roots).  Loading is schema-shape checking only; semantic invariants live in
 validate_dataset so that broken data can be reported rather than thrown.
 
 Local systems are plain (orbit_id, irrep_label) tuples throughout.
-"""
 
-from __future__ import annotations
+The record types: ComponentGroup, Orbit, Representation, ArthurParameter
+and KLRecord are frozen records, namedtuple subclasses, so equal values
+compare and hash equal and a field cannot be assigned.  Dataset, KLTable
+and DualityData are plain classes that build lookup tables when they are
+constructed; they compare by their fields, as dataclasses would, and have
+no hash.  Loading the bundled case reads its file through this module's
+loader; nothing here imports importlib.resources except
+bundled_dataset_path.
+"""
 
 import json
 import os

@@ -7,8 +7,6 @@ its partner representation; its orbit part composed with hat is what the
 solver's symmetry constraints consume.
 """
 
-from __future__ import annotations
-
 from .poset import Violation
 
 

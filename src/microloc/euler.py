@@ -25,8 +25,6 @@ each target's irreps off its group directly; local_euler is the one-cell
 view of the same code.
 """
 
-from __future__ import annotations
-
 
 class _Unknown:
     __slots__ = ()

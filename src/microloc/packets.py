@@ -9,9 +9,10 @@ are kept apart rather than collapsed.
 
 A function that needs the cycles takes the solved report alone and reads
 the catalog and the duality from sr.dataset; members come in catalog order.
+Packet, WeakUnionReport and AZCompatReport are namedtuple subclasses:
+frozen, equal by value, and built once per call.  `rep in packet` asks
+whether rep is a member, definite or indeterminate.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 

@@ -6,8 +6,6 @@ sets are precomputed once; every query after that is a set lookup.  Bad input
 validator can report it instead of crashing.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 

@@ -67,9 +67,13 @@ per-row record of the equations combined into it; it logs each row update
 as a (target row, pivot row) pair, and only on a conflict is that log
 replayed backwards for the conflicting row (_combined).  A successful
 solve never runs the full elimination.
-"""
 
-from __future__ import annotations
+The record types: Equation, SkippedExpansion and Bound are namedtuple
+subclasses, frozen and equal by value; a Bound's witness lists default to
+fresh empty lists.  CMatrix, CharacteristicCycle and SolveReport are plain
+classes whose fields may be assigned (_report fills in the bounds after
+construction); they compare by their fields and have no hash.
+"""
 
 from collections import namedtuple
 from fractions import Fraction
