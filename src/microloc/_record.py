@@ -4,7 +4,8 @@ Records that nothing changes after construction are collections.namedtuple
 subclasses with __slots__ = (): frozen, equal and hashed by their field
 tuple.  A class whose fields can change after construction derives from
 Record and names its fields in _fields; Record gives it the repr and ==
-a dataclass would, and no hash.  Neither imports more than collections.
+a dataclass would, and no hash.  Neither form needs an import beyond
+collections, which re and functools load anyway.
 """
 
 
