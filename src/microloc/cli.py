@@ -16,6 +16,7 @@ an inadmissible value exits 2.
 
 import argparse
 import gc
+import re
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
@@ -50,15 +51,15 @@ def _load(cfg):
 
 
 def _assignment(cfg):
+    """The --set values as {name: int}; a value is ASCII [+-]?[0-9]+."""
     out = {}
     for item in cfg.set or []:
         name, eq, value = item.partition("=")
         if not eq:
             raise CLIError(f"--set expects name=value, got {item!r}", 2)
-        try:
-            value = int(value)
-        except ValueError:
-            raise CLIError(f"--set {name}: value {value!r} is not an integer", 2) from None
+        if not re.fullmatch("[+-]?[0-9]+", value):
+            raise CLIError(f"--set {name}: value {value!r} is not an integer", 2)
+        value = int(value)
         if out.get(name, value) != value:
             raise CLIError(f"--set {name}: given both {out[name]} and {value}", 2)
         out[name] = value
@@ -539,6 +540,7 @@ COMMANDS = {
 def run(cfg):
     """Execute one parsed invocation; returns the process exit code."""
     try:
+        _assignment(cfg)       # the --set syntax, checked for every command
         ds = _load(cfg)
         command, render = COMMANDS[cfg.command]
         code, doc = command(ds, cfg)

@@ -3,10 +3,13 @@
 The closure order is the reflexive-transitive hull of the covers.  Reachability
 sets are precomputed once; every query after that is a set lookup.  Bad input
 (cycles, dimension drops) is tolerated at construction time so that the
-validator can report it instead of crashing.
+validator can report it instead of crashing.  A poset is a Record: equal by
+its ids, dimensions, covers and ambient dimension, with no hash.
 """
 
 from collections import namedtuple
+
+from ._record import Record
 
 
 class Violation(namedtuple("Violation", "code detail subject", defaults=((),))):
@@ -17,7 +20,9 @@ class Violation(namedtuple("Violation", "code detail subject", defaults=((),))):
         return f"[{self.code}] {self.detail}"
 
 
-class OrbitPoset:
+class OrbitPoset(Record):
+    _fields = ("ids", "dim", "covers", "ambient_dim")
+
     def __init__(self, ids, dims, covers, ambient_dim=None):
         self.ids = list(ids)
         self.dim = dict(dims)

@@ -24,49 +24,41 @@ The generating rules, tagged on every equation:
   symmetry    m[src, anchor] = m[fourier(src), hat(anchor)].
   diagonal    c(S, S) = (-1)^dim(S)  (dataset can switch this rule off).
 
-The system is block diagonal by anchor pair: an m[., t] or c(t, .) unknown
-occurs only in rows of anchor t, and symmetry joins t to hat(t) alone.
-build_constraints records the row ids and column ids of each pair
-{t, hat(t)}, and solve solves each block on its own, with the block's
-columns in the fixed variable order (m-variables first, then c-variables
-by falling row dimension).  For a fixed column order the RREF is unique,
-so solve may reach it any way it likes; it presolves each block first
-(_presolve).  The columns of every equality row (two entries, opposite
-coefficients, rhs 0: the symmetry rows) are merged into classes, each
-represented by its latest column; every other row is rewritten onto the
-representatives; each singleton row (support, leading, diagonal, or one
-that the pins reduce to a single entry) pins its class, and the pin is
-substituted into the rows of its column.  That settles every chain
-system, and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
-what remains goes through deterministic exact Gaussian elimination over
-the rationals (_eliminate), over the unpinned representatives in column
-order, its rows in input order.  Each variable's pivot there is the unused
-row holding it with the fewest entries, ties to the lowest row index; the
-rows holding a variable are found through a column index that follows
-fill-in and cancellation, not by scanning every row.  So the same dataset
-always yields the same pivots, the same free parameters, and the same
-names: a free parameter is a class representative that is neither pinned
-nor a pivot.  Every value, from the coefficients build_constraints emits
+solve presolves the whole system once (_presolve), its columns in the
+fixed variable order (m-variables first, then c-variables by falling row
+dimension): it merges the columns of every equality row (the symmetry
+rows) into classes and propagates the pins of singleton rows.  For a
+fixed column order the RREF is unique, so solve may reach it any way it
+likes.  That settles every chain system, and leaves F4(a3) 30 rows over
+21 columns of its 429 x 311.  Only what remains goes through
+deterministic exact Gaussian elimination over the rationals (_eliminate),
+over the unpinned class representatives in column order, its rows in
+input order.  Each variable's pivot there is the unused row holding it
+with the fewest entries, ties to the lowest row index; the rows holding a
+variable are found through a column index that follows fill-in and
+cancellation, not by scanning every row.  So the same dataset always
+yields the same pivots, the same free parameters, and the same names: a
+free parameter is a class representative that is neither pinned nor a
+pivot.  Every value, from the coefficients build_constraints emits
 through the row entries and right-hand sides to the AffineInt results, is
-an int where it is integral and a Fraction otherwise (affine.exact), which
-keeps the common case (every value of the bundled case and of the chain
-family is a small integer) off Fraction arithmetic; every division goes
-through affine.div, since / on two ints would give a float.  Whatever stays
-free becomes a named parameter; every downstream quantity is an AffineInt
-over those names.
+an int where it is integral and a Fraction otherwise (affine.exact),
+which keeps the common case (every value of the bundled case and of the
+chain family is a small integer) off Fraction arithmetic; every division
+goes through affine.div, since / on two ints would give a float.
+Whatever stays free becomes a named parameter; every downstream quantity
+is an AffineInt over those names.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
-subset of tags.  A block whose presolve or remaining elimination meets a
-conflict is eliminated again in full, all its tagged rows in input order,
-and the block whose conflicting row comes first in the system is reduced:
-the equations combined into that row, reduced by a drop-one deletion
-filter that eliminates them once, each with its own unit column, and
-decides every trial by one elimination step on the resulting basis of
-their left null space (_minimal_conflict).  The elimination keeps no
-per-row record of the equations combined into it; it logs each row update
-as a (target row, pivot row) pair, and only on a conflict is that log
-replayed backwards for the conflicting row (_combined).  A successful
-solve never runs the full elimination.
+subset of tags.  The rows joined through shared columns to a row the
+presolve contradicts are eliminated again in full (_conflict), and their
+first conflicting row is reduced: the equations combined into it, reduced
+by a drop-one deletion filter that eliminates them once, each with its
+own unit column, and decides every trial by one elimination step on the
+resulting basis of their left null space (_minimal_conflict).  The
+elimination keeps no per-row record of the equations combined into a
+row; it logs each row update as a (target row, pivot row) pair, and only
+on a conflict is that log replayed backwards for the conflicting row
+(_combined).  A successful solve never runs the full elimination.
 
 The record types: Equation, SkippedExpansion and Bound are namedtuple
 subclasses, frozen and equal by value; a Bound's witness lists default to
@@ -131,7 +123,7 @@ class SkippedExpansion(namedtuple("SkippedExpansion", "anchor source missing")):
 
 
 class ConstraintSystem:
-    """The tagged system over unknowns, split into blocks that share no column.
+    """The tagged system over unknowns.
 
     rows holds each equation once as a (coeffs, rhs, tag) tuple whose
     coefficients are keyed by column id, the variable's index in unknowns.
@@ -139,10 +131,9 @@ class ConstraintSystem:
     appears once, every coefficient is nonzero, and coefficients and
     right-hand side are exact (affine.exact).  build_constraints emits its
     rows in that form; a system built by hand from Equations, as here, is
-    brought into it, repeated columns summed and zero sums dropped, and is
-    one block.  blocks lists each block as (row ids, column ids), both
-    ascending, and every row's columns lie in its own block.  equations is
-    the same rows keyed by variable, as Equations, built on first read.
+    brought into it, repeated columns summed and zero sums dropped.
+    equations is the same rows keyed by variable, as Equations, built on
+    first read.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -158,14 +149,13 @@ class ConstraintSystem:
                 summed[k] = summed.get(k, 0) + x
             self.rows.append((tuple((k, exact(x)) for k, x in summed.items() if x),
                               exact(eq.rhs), eq.tag))
-        self.blocks = [(list(range(len(self.rows))), list(range(len(unknowns))))]
         self._equations = None
 
     @classmethod
-    def _from_rows(cls, dataset, unknowns, rows, blocks, skipped):
+    def _from_rows(cls, dataset, unknowns, rows, skipped):
         cs = cls.__new__(cls)
         cs.dataset, cs.unknowns, cs.skipped = dataset, unknowns, skipped
-        cs.rows, cs.blocks, cs._equations = rows, blocks, None
+        cs.rows, cs._equations = rows, None
         return cs
 
     @property
@@ -289,9 +279,9 @@ def _cvar_key(pair, dims):
 def build_constraints(ds, em):
     """Assemble the full rule system against a (possibly partial) chi_loc matrix.
 
-    An m[., t] or c(t, .) unknown occurs only in rows of anchor t, and the
-    symmetry rows join t to hat(t) alone, so each anchor pair {t, hat(t)}
-    is one block; the blocks follow the first anchor of each in stored order.
+    The rows come rule by rule: per source, its support, leading and
+    expansion rows anchor by anchor, then the symmetry rows, then the
+    diagonal rows.
     """
     poset = ds.poset
     d = ds.duality
@@ -313,21 +303,6 @@ def build_constraints(ds, em):
     ccol = {t: {} for t in anchors}
     for j, (a, b) in enumerate(cpairs, len(mvars)):
         ccol[a][b] = j
-
-    # the anchors each symmetry row joins, merged by union-find: the pairs
-    # {t, hat(t)} when hat is an involution
-    root = list(range(n))
-
-    def find(k):
-        while root[k] != k:
-            k = root[k]
-        return k
-
-    for k, t in enumerate(anchors):
-        x, y = find(k), find(at[hat(d, t)])
-        root[max(x, y)] = min(x, y)
-    roots = {}
-    block = [roots.setdefault(find(k), len(roots)) for k in range(n)]
 
     rows = []
     skipped = []
@@ -369,20 +344,11 @@ def build_constraints(ds, em):
                 continue
             rows.append((((a, 1), (b, -1)), 0, ("symmetry", src, t)))
 
-    if getattr(ds, "diagonal_rule", True):
+    if ds.diagonal_rule:
         for o in ds.orbits:
             rows.append((((ccol[o.id][o.id], 1),), -1 if o.dim % 2 else 1, ("diagonal", o.id)))
 
-    # each column lies in the block of its anchor, and each row in the block
-    # of its first column
-    col_block = [block[k] for _ in sources for k in range(n)] + \
-        [block[at[a]] for a, _ in cpairs]
-    blocks = [([], []) for _ in roots]
-    for j, b in enumerate(col_block):
-        blocks[b][1].append(j)
-    for i, (coeffs, _, _) in enumerate(rows):
-        blocks[col_block[coeffs[0][0]]][0].append(i)
-    return ConstraintSystem._from_rows(ds, unknowns, rows, blocks, skipped)
+    return ConstraintSystem._from_rows(ds, unknowns, rows, skipped)
 
 
 # ---------------------------------------------------------------- stage 2
@@ -521,8 +487,8 @@ def _cancel(b, pivot, i):
     return out, exact(value - f * pvalue)
 
 
-def _presolve(block):
-    """Solve the rows of one block, or return None if they conflict.
+def _presolve(system):
+    """Solve the rows of a system, and name the rows that contradict it.
 
     Four steps, none of which can change the result, since for a fixed
     column order the RREF is unique:
@@ -537,9 +503,16 @@ def _presolve(block):
          the rows of its column, queueing any row left with one entry;
       4. eliminate whatever rows remain with _eliminate, over the unpinned
          representatives they hold, in column order.
-    Returns {column: (rest, rhs)} for every column that is not free: the
-    column equals rhs - sum(rest[k] * k) over free columns k.  The free
-    columns are the representatives neither pinned nor pivots.
+    Returns (solved, contradicted).  solved is {column: (rest, rhs)} for
+    every column that is not free: the column equals
+    rhs - sum(rest[k] * k) over free columns k.  The free columns are the
+    representatives neither pinned nor pivots.  contradicted lists, in
+    ascending order, the ids of the input rows that a step reduces to
+    0 = nonzero: a row rewritten to empty, a row emptied by a pin, or an
+    empty row that the elimination leaves.  Each such row is dropped and
+    the steps go on, so every inconsistent component of the system (its
+    rows joined through shared columns) holds one; solved is meaningful
+    only when contradicted is empty.
     """
     parent = {}            # column -> a column of its class nearer the representative
 
@@ -552,7 +525,7 @@ def _presolve(block):
         return r
 
     others = []
-    for coeffs, rhs, _ in block:
+    for i, (coeffs, rhs, _) in enumerate(system):
         if len(coeffs) == 2 and rhs == 0:
             (a, x), (b, y) = coeffs
             if x == -y:
@@ -560,14 +533,16 @@ def _presolve(block):
                 if a != b:
                     parent[min(a, b)] = max(a, b)
                 continue
-        others.append((coeffs, rhs))
+        others.append((i, coeffs, rhs))
     rep = {k: find(k) for k in parent}
 
+    ids = []               # the input row of each row below
     rows = []
     rhss = []
     column = {}            # representative -> ids of the rows holding it
     queue = []
-    for coeffs, rhs in others:
+    contradicted = []
+    for i, coeffs, rhs in others:
         new = {}
         for k, x in coeffs:
             r = rep.get(k, k)
@@ -579,18 +554,19 @@ def _presolve(block):
             new[r] = x
         if not new:
             if rhs != 0:
-                return None
+                contradicted.append(i)
             continue
-        i = len(rows)
+        j = len(rows)
+        ids.append(i)
         rows.append(new)
         rhss.append(rhs)
         for k in new:
             if k in column:
-                column[k].append(i)
+                column[k].append(j)
             else:
-                column[k] = [i]
+                column[k] = [j]
         if len(new) == 1:
-            queue.append(i)
+            queue.append(j)
 
     pins = {}
     while queue:
@@ -610,7 +586,7 @@ def _presolve(block):
             rhss[j] = nv = nv if type(nv) is int else exact(nv)
             if not row:
                 if nv:
-                    return None
+                    contradicted.append(ids[j])
                 rows[j] = None
             elif len(row) == 1:
                 queue.append(j)
@@ -619,27 +595,52 @@ def _presolve(block):
                  for row, rhs in zip(rows, rhss) if row is not None]
     pivots, erows, erhss, conflict, _ = _eliminate(remaining, sorted(column))
     if conflict is not None:
-        return None
+        origin = [i for i, row in zip(ids, rows) if row is not None]
+        contradicted += [origin[j] for j, row in enumerate(erows) if not row and erhss[j]]
     out = {k: ({}, value) for k, value in pins.items()}
     for v, i in pivots.items():
         out[v] = ({k: x for k, x in erows[i].items() if k != v}, erhss[i])
     for k, r in rep.items():
         out[k] = out[r] if r in out else ({r: -1}, 0)
-    return out
+    return out, sorted(contradicted)
+
+
+def _conflict(system, seeds):
+    """The tags of a minimal conflicting subset of an inconsistent system.
+
+    seeds are ids of rows that _presolve reduced to 0 = nonzero.  The rows
+    joined to them through shared columns, found by a search over a column
+    index, are eliminated in full, in input order, over their columns in
+    order.  Components share no column and every inconsistent one holds a
+    seed, so this meets the first conflicting row of one elimination of the
+    whole system, by the same merges; the equations combined into it go to
+    _minimal_conflict.
+    """
+    holders = {}           # column -> ids of the rows holding it
+    for i, (coeffs, _, _) in enumerate(system):
+        for k, _ in coeffs:
+            holders.setdefault(k, []).append(i)
+    reached, cols, stack = set(seeds), set(), list(seeds)
+    while stack:
+        for k, _ in system[stack.pop()][0]:
+            if k not in cols:
+                cols.add(k)
+                stack += [j for j in holders[k] if j not in reached]
+                reached.update(holders[k])
+    part = [system[i] for i in sorted(reached)]
+    cols = sorted(cols)
+    _, _, _, c, merges = _eliminate(part, cols)
+    return [part[i][2] for i in _minimal_conflict(part, _combined(merges, c), cols)]
 
 
 def solve(cs):
-    """Presolve and eliminate block by block, name whatever stays free, and
-    assemble the report.
+    """Presolve the system, name whatever stays free, and assemble the report.
 
-    Each block is solved on its own, its columns in the order of cs.unknowns
-    (_presolve): equal pairs are merged, singleton pins propagated, and only
-    the rows left after that go through _eliminate.  Since the RREF for a
-    fixed column order is unique, this gives the pivots, the free columns
-    and every expression of one elimination of the whole system.  A block
-    whose presolve or elimination meets a conflict is eliminated again in
-    full, rows in input order, and on a conflict the block whose conflicting
-    row comes first in the system is reduced to the tags raised.
+    The whole system is presolved once, its columns in the order of
+    cs.unknowns (_presolve), which gives the pivots, the free columns and
+    every expression of one elimination of the whole system.  If the
+    presolve contradicts some rows, the tags raised are those one
+    elimination of the whole system gives (_conflict).
 
     Free c-variables are named p_<row>_<col>.  One of them gets the short
     name "c": the pair (E, top) where E is the dataset's single orbit whose
@@ -648,22 +649,9 @@ def solve(cs):
     named q_<anchor>_<orbit>_<irrep>.
     """
     ds = cs.dataset
-    solved = {}            # column id -> (free column -> coefficient, rhs)
-    conflict = None        # (global row id, block rows, block columns, local row id, merges)
-    for row_ids, cols in cs.blocks:
-        block = [cs.rows[i] for i in row_ids]
-        got = _presolve(block)
-        if got is not None:
-            solved.update(got)
-            continue
-        # the block is inconsistent, so the full elimination finds a conflict
-        _, _, _, c, merges = _eliminate(block, cols)
-        if conflict is None or row_ids[c] < conflict[0]:
-            conflict = (row_ids[c], block, cols, c, merges)
-    if conflict is not None:
-        _, block, cols, c, merges = conflict
-        subset = _minimal_conflict(block, _combined(merges, c), cols)
-        raise InconsistentSystem([block[i][2] for i in subset])
+    solved, contradicted = _presolve(cs.rows)
+    if contradicted:
+        raise InconsistentSystem(_conflict(cs.rows, contradicted))
 
     top = ds.poset.top()
     short_pair = None

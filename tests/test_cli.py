@@ -93,6 +93,18 @@ def test_unknown_parameter_rejected(capsys):
 def test_malformed_set_argument_rejected(capsys):
     assert main(["cc", "--set", "c=two"]) == 2
     assert "error:" in capsys.readouterr().err
+    # only ASCII [+-]?[0-9]+ is a value: int() alone would read 2_0 as 20,
+    # an Arabic-Indic digit as 3, and " 3" as 3
+    for value in ("2_0", "\u0663", " 3", "3 ", "3.0", "+", ""):
+        assert main(["cc", "--set", f"c={value}"]) == 2, value
+        assert capsys.readouterr().err == f"error: --set c: value {value!r} is not an integer\n"
+    # the syntax is checked for every command, also those that solve nothing
+    for command in ("validate", "solve", "cc", "packets", "verify", "report"):
+        assert main([command, "--set", "c="]) == 2, command
+        assert main([command, "--set", "c"]) == 2, command
+        assert capsys.readouterr().err == ("error: --set c: value '' is not an integer\n"
+                                           "error: --set expects name=value, got 'c'\n")
+    assert main(["cc", "--set", "c=+2"]) == main(["cc", "--set", "c=2"]) == 0
 
 
 def test_conflicting_repeated_set_rejected(capsys):

@@ -3,7 +3,8 @@
 Records that nothing changes after construction are frozen: assigning to
 a field raises AttributeError, and the hash is the hash of the tuple of
 their fields.  The stateful classes and the reports compare by value too,
-and the stateful classes have no hash.  Each case builds one instance
+and the stateful classes have no hash; so two loads of one file, with
+their orbit posets, compare equal.  Each case builds one instance
 positionally with the defaults left out, and one by keyword.
 """
 
@@ -22,12 +23,17 @@ from microloc import (
     KLRecord,
     KLTable,
     Orbit,
+    OrbitPoset,
     Packet,
     Representation,
     SkippedExpansion,
     SolveReport,
     Violation,
     WeakUnionReport,
+    build_constraints,
+    euler_matrix,
+    load_bundled_dataset,
+    solve,
 )
 
 Z2 = ComponentGroup("Z2", (("(2)", 1), ("(1^2)", 1)))
@@ -196,3 +202,23 @@ def test_records_of_a_loaded_dataset(dataset, solved):
     assert cc == CharacteristicCycle(("S8", "(1)"), dict(cc.mult))
     assert solved.cmatrix == CMatrix(dict(solved.cmatrix.entries))
     assert solved.bounds == [Bound("c", 2, None, [(("S8", "(1)"), "S4")], [])]
+
+
+def test_two_loads_of_one_file_compare_equal():
+    a, b = load_bundled_dataset(), load_bundled_dataset()
+    assert a.poset is not b.poset
+    assert a.poset == b.poset and not a.poset != b.poset
+    assert a == b
+    assert solve(build_constraints(a, euler_matrix(a))) == \
+        solve(build_constraints(b, euler_matrix(b)))
+    p = a.poset
+    covers = list(p.covers)
+    covers[0] = covers[0][::-1]
+    changed = OrbitPoset(p.ids, p.dim, covers, p.ambient_dim)
+    assert changed != p and not changed == p
+    assert OrbitPoset(p.ids, p.dim, p.covers, p.ambient_dim) == p
+    assert repr(p).startswith(f"OrbitPoset(ids={p.ids!r}, dim=")
+    b.poset = changed
+    assert a != b
+    with pytest.raises(TypeError):
+        hash(p)

@@ -1,12 +1,9 @@
-"""The index system block by block, and a residual certificate for its solution.
+"""Conflicts in the index system, and a residual certificate for its solution.
 
-build_constraints records one block per anchor pair {t, hat(t)}: the row
-ids and column ids of that pair, each in system order.  The blocks must
-partition both the rows and the columns, with every row's columns in its
-own block, and eliminating each block on its own must give exactly the
-pivots, rows and right-hand sides of one elimination of the whole system.
-When several blocks conflict, solve must raise the tags that one
-elimination of the whole system gives: those of its first conflicting row.
+solve presolves the whole system once.  When it is inconsistent, solve
+must raise the tags that one elimination of the whole system gives: those
+of its first conflicting row, reduced by the deletion filter, also when
+several unconnected parts of the system conflict.
 
 The residual certificate puts the solved values back into every tagged
 equation and requires each one to vanish identically in the parameters.
@@ -20,7 +17,7 @@ import pytest
 from microloc import solver
 from microloc.data import load_bundled_dataset, loads_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import CMatrix, ConstraintSystem, Equation, InconsistentSystem, \
+from microloc.solver import CMatrix, InconsistentSystem, \
     _combined, _eliminate, _minimal_conflict, build_constraints, solve
 from chains import chain_doc, middle_corruption, with_kl_value
 from test_constraints import DIAMOND, _without_kl
@@ -54,53 +51,11 @@ CORRUPT_CHAINS = tuple(f"chain{n}-corrupt" for n in CHAIN_SIZES)
 CASES = ("f4a3", "f4a3-fewer-kl", "diamond", *(f"chain{n}" for n in CHAIN_SIZES), *BUMPS)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_blocks_partition_rows_and_columns(systems, name):
-    cs = systems[name]
-    rows = [i for row_ids, _ in cs.blocks for i in row_ids]
-    cols = [j for _, col_ids in cs.blocks for j in col_ids]
-    assert sorted(rows) == list(range(len(cs.rows)))
-    assert sorted(cols) == list(range(len(cs.unknowns)))
-    for row_ids, col_ids in cs.blocks:
-        assert row_ids == sorted(row_ids) and col_ids == sorted(col_ids)
-        own = set(col_ids)
-        assert all(k in own for i in row_ids for k, _ in cs.rows[i][0])
-
-
-def test_block_counts(systems):
-    # F4(a3): five hat pairs and two hat-fixed orbits; a chain of n orbits
-    # pairs Ai with A(n-1-i), the middle orbit of an odd chain with itself
-    assert len(systems["f4a3"].blocks) == 7
-    for n in CHAIN_SIZES:
-        assert len(systems[f"chain{n}"].blocks) == (n + 1) // 2
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_blockwise_elimination_equals_global(systems, name):
-    cs = systems[name]
-    unknowns = cs.unknowns
-    pivots, rows, rhss, conflict, _ = _eliminate(cs.equations, unknowns)
-    got_pivots, got_rows, got_rhss = {}, [None] * len(rows), [None] * len(rows)
-    conflicts = []
-    for row_ids, col_ids in cs.blocks:
-        p, brows, brhss, c, _ = _eliminate([cs.rows[i] for i in row_ids], col_ids)
-        got_pivots.update({unknowns[j]: row_ids[i] for j, i in p.items()})
-        for i, row, rhs in zip(row_ids, brows, brhss):
-            got_rows[i] = [(unknowns[k], type(x), x) for k, x in row.items()]
-            got_rhss[i] = (type(rhs), rhs)
-        if c is not None:
-            conflicts.append(row_ids[c])
-    assert got_pivots == pivots
-    assert got_rows == [[(v, type(x), x) for v, x in row.items()] for row in rows]
-    assert got_rhss == [(type(x), x) for x in rhss]
-    assert min(conflicts, default=None) == conflict
-
-
 @pytest.mark.parametrize("name", BUMPS + CORRUPT_CHAINS)
 def test_conflict_tags_equal_global_elimination(systems, name):
-    # several blocks can conflict (bump 5 conflicts in three, and the first
-    # of them does not hold the lowest conflicting row); solve must reduce
-    # the conflict one elimination of the whole system reports
+    # several unconnected parts can conflict (bump 5 conflicts in three,
+    # and the first of them does not hold the lowest conflicting row); solve
+    # must reduce the conflict one elimination of the whole system reports
     cs = systems[name]
     _, _, _, conflict, merges = _eliminate(cs.equations, cs.unknowns)
     if conflict is None:
@@ -110,13 +65,6 @@ def test_conflict_tags_equal_global_elimination(systems, name):
     with pytest.raises(InconsistentSystem) as e:
         solve(cs)
     assert e.value.tags == [cs.equations[i].tag for i in subset]
-
-
-def test_hand_built_system_is_one_block():
-    x, y = ("x", 0), ("x", 1)
-    cs = ConstraintSystem(None, [x, y], [Equation(((y, 2), (x, 1)), 3, ("eq", 0))], [])
-    assert cs.rows == [(((1, 2), (0, 1)), 3, ("eq", 0))]
-    assert cs.blocks == [([0], [0, 1])]
 
 
 def test_successful_solve_builds_no_equation(systems, monkeypatch):
