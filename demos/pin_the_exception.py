@@ -33,7 +33,7 @@ for cell, terms in localization_check_terms(ds).items():
     print(f"   total: {total}  (zero, as a composition factor count must be)")
 print()
 
-loc = special_cc_localization(ds, sr)
+loc = special_cc_localization(sr)
 top = ds.poset.top()
 print(f"cycle of IC({top}, sign) from localization:")
 for o in ds.orbits:

@@ -107,7 +107,8 @@ def _jvalue(v):
     return v
 
 
-def _cc_doc(ds, sr):
+def _cc_doc(sr):
+    ds = sr.dataset
     rows = []
     top_down = [o.id for o in reversed(ds.orbits)]
     for src in ds.local_systems():
@@ -126,7 +127,8 @@ def _bounds_doc(sr):
     } for b in sr.bounds or []]
 
 
-def _solve_doc(ds, sr):
+def _solve_doc(sr):
+    ds = sr.dataset
     return {
         "dataset": ds.name,
         "orbit_count": len(ds.orbits),
@@ -141,14 +143,14 @@ def _solve_doc(ds, sr):
         "residual": [list(p) for p in sr.residual_unknowns],
         "cmatrix": [{"row": a, "col": b, "value": _jvalue(v)}
                     for (a, b), v in sorted(sr.cmatrix.entries.items())],
-        "cycles": _cc_doc(ds, sr)["cycles"],
+        "cycles": _cc_doc(sr)["cycles"],
     }
 
 
-def _packets(ds, sr):
+def _packets(sr):
     """The micro-packets in anchor order, then the basic and the weak packet."""
     return [*all_micro_packets(sr).values(), basic_arthur_packet(sr),
-            weak_arthur_packet(ds)]
+            weak_arthur_packet(sr.dataset)]
 
 
 def _packet_doc(p):
@@ -188,25 +190,26 @@ def _cmd_validate(ds, cfg):
 
 def _cmd_solve(ds, cfg):
     _require_valid(ds)
-    return 0, _solve_doc(ds, _solution(ds, cfg))
+    return 0, _solve_doc(_solution(ds, cfg))
 
 
 def _cmd_cc(ds, cfg):
     _require_valid(ds)
-    return 0, _cc_doc(ds, _solution(ds, cfg))
+    return 0, _cc_doc(_solution(ds, cfg))
 
 
 def _cmd_packets(ds, cfg):
     _require_valid(ds)
     sr = _solution(ds, cfg)
     with _computing():
-        packets = _packets(ds, sr)
+        packets = _packets(sr)
     return 0, {"dataset": ds.name, **_packets_doc(packets),
                "assumption_notes": _assumption_notes(ds)}
 
 
-def _verify_checks(ds, sr):
+def _verify_checks(sr):
     """(name, ok, detail) triples for the whole battery."""
+    ds = sr.dataset
     checks = []
 
     bad = verify_fourier_symmetry(sr)
@@ -250,26 +253,18 @@ def _verify_checks(ds, sr):
         checks.append(("basic-packet", False, str(e)))
 
     try:
-        loc = special_cc_localization(ds, sr)
+        loc = special_cc_localization(sr)
         at = ", ".join(f"{o}: {loc.mult[o]}" for o in ds.conormal_dense_exceptions)
         checks.append(("localization", True, f"pinned {at}"))
     except ComputationError as e:
         checks.append(("localization", False, str(e)))
 
-    em = euler_matrix(ds)
-    rec = reconstruct_local_euler(sr, list(sr.cc_table.values()))
-    compared = mism = 0
-    for (src, t), v in em.entries.items():
-        if v is UNKNOWN:
-            continue
-        r = rec.entries.get((src, t))
-        if r is UNKNOWN or r is None:
-            continue
-        compared += 1
-        if r != v:
-            mism += 1
+    known = euler_matrix(ds).known_items()
+    rec = reconstruct_local_euler(sr).entries
+    agree = [rec[cell] == v for cell, v in known if rec.get(cell, UNKNOWN) is not UNKNOWN]
+    mism = agree.count(False)
     checks.append(("euler-roundtrip", mism == 0,
-                   f"{compared} cells agree" if mism == 0 else f"{mism} cells disagree"))
+                   f"{len(agree)} cells agree" if mism == 0 else f"{mism} cells disagree"))
 
     ok_b = check_halfinteger_roots(ds.b_function)
     checks.append(("b-function", ok_b,
@@ -283,7 +278,7 @@ def _cmd_verify(ds, cfg):
                "no violations" if not violations
                else "; ".join(str(v) for v in violations))]
     if not violations:
-        checks.extend(_verify_checks(ds, _solution(ds, cfg)))
+        checks.extend(_verify_checks(_solution(ds, cfg)))
     ok = all(c[1] for c in checks)
     return (0 if ok else 1), {"dataset": ds.name, "ok": ok, "checks": _checks_doc(checks)}
 
@@ -292,18 +287,18 @@ def _cmd_report(ds, cfg):
     _require_valid(ds)
     sr = _solution(ds, cfg)
     with _computing():
-        packets = _packets(ds, sr)
+        packets = _packets(sr)
         wu = verify_weak_equals_union(sr)
         arthur = simplified_arthur_parameters(ds)
         loc_terms = localization_check_terms(ds)
     unit = unitarity_report(ds.catalog, packets)
-    checks = _verify_checks(ds, sr)
+    checks = _verify_checks(sr)
     doc = {
         "dataset": ds.name,
         "ambient_dim": ds.ambient_dim,
         "orbits": [{"id": o.id, "dim": o.dim, "group": o.group.name,
                     "irreps": [[lab, d] for lab, d in o.group.irreps]} for o in ds.orbits],
-        "solve": _solve_doc(ds, sr),
+        "solve": _solve_doc(sr),
         "localization": [{"probe": list(probe), "composition_terms": terms}
                          for probe, terms in loc_terms.items()],
         "packets": _packets_doc(packets),

@@ -151,10 +151,10 @@ def euler_matrix(ds):
     sources = ds.local_systems()
     targets = [(o.id, o.group.irreps) for o in ds.orbits]
     entries = {}
-    for src in sources:
-        facts = _source_facts(ds, src)
+    for source in sources:
+        facts = _source_facts(ds, source)
         for t, irreps in targets:
-            entries[(src, t)] = _cell(ds, src, facts, t, irreps)
+            entries[(source, t)] = _cell(ds, source, facts, t, irreps)
     return EulerMatrix(sources, [t for t, _ in targets], entries)
 
 

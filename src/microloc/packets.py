@@ -9,6 +9,9 @@ are kept apart rather than collapsed.
 
 A function that needs the cycles takes the solved report alone and reads
 the catalog and the duality from sr.dataset; members come in catalog order.
+The checks choose their anchors from the dataset: verify_weak_equals_union
+the duals of the special piece, and verify_az_micro_compatibility those
+duals too, or every orbit when the dataset declares no special piece.
 Packet, WeakUnionReport and AZCompatReport are namedtuple subclasses:
 frozen, equal by value, and built once per call.  `rep in packet` asks
 whether rep is a member, definite or indeterminate.
@@ -160,18 +163,17 @@ def verify_weak_equals_union(sr):
     return WeakUnionReport(equal, weak, anchors, per, tuple(union), tuple(maybe))
 
 
-def verify_az_micro_compatibility(sr, anchors=None):
+def verify_az_micro_compatibility(sr):
     """Per anchor S: the dual image of the packet at S equals the packet at hat(S).
 
     Definite members and indeterminate members are compared separately,
     since a parameter-dependent multiplicity stays parameter-dependent on
-    the dual side.  Anchors default to the duals of the special-piece
-    orbits, or every orbit when no special piece is declared.
+    the dual side.  The anchors are the duals of the special-piece orbits,
+    or every orbit when no special piece is declared.
     """
     ds = sr.dataset
     d = ds.duality
-    if anchors is None:
-        anchors = _dual_anchors(ds, ds.special_piece or [o.id for o in ds.orbits])
+    anchors = _dual_anchors(ds, ds.special_piece or [o.id for o in ds.orbits])
     by_id = _by_id(ds.catalog)
     order = _catalog_order(ds.catalog)
 

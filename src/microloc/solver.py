@@ -60,6 +60,11 @@ row; it logs each row update as a (target row, pivot row) pair, and only
 on a conflict is that log replayed backwards for the conflicting row
 (_combined).  A successful solve never runs the full elimination.
 
+Stage 3 takes the solved report alone: characteristic_cycle,
+parameter_bounds, reconstruct_local_euler, special_cc_localization and
+verify_fourier_symmetry read the dataset from sr.dataset and the cycles
+from sr.cc_table, so every check runs against the one table solved.
+
 The record types: Equation, SkippedExpansion and Bound are namedtuple
 subclasses, frozen and equal by value; a Bound's witness lists default to
 fresh empty lists.  CMatrix, CharacteristicCycle and SolveReport are plain
@@ -362,9 +367,10 @@ def _eliminate(equations, var_order):
     it: a conflict is a row left empty with a nonzero right-hand side.
 
     pivots maps variable -> row index; each returned row is fully reduced
-    (no pivot variable of another row appears in it).  merges is the log of row updates, in order: (j, i) when pivot row i was
-    subtracted from row j.  Only a conflict needs the input equations
-    combined into a row, and _combined replays the log for that one row.
+    (no pivot variable of another row appears in it).  merges is the log
+    of row updates, in order: (j, i) when pivot row i was subtracted from
+    row j.  Only a conflict needs the input equations combined into a row,
+    and _combined replays the log for that one row.
 
     A column index (variable -> ids of the rows holding a nonzero entry in
     it) is built from the input and kept current as entries fill in or
@@ -761,9 +767,10 @@ def _plain(v):
     return v.constant if isinstance(v, AffineInt) and not v.coeffs else v
 
 
-def reconstruct_local_euler(sr, published_cc):
-    """Invert the index matrix against a cycle table, column by column.
+def reconstruct_local_euler(sr):
+    """Invert the index matrix against sr.cc_table, source by source.
 
+    The sources, and so the rows of the result, come in the table's order.
     The inversion runs top-down inside each source's closure: the value at a
     target is the target's cycle multiplicity minus contributions of the
     strictly higher targets, divided by the diagonal entry.  Entries where a
@@ -786,10 +793,8 @@ def reconstruct_local_euler(sr, published_cc):
     ups = {o: poset.up_set(o) for o in all_orbits}
     entries = {}
     failures = {}
-    sources = []
-    for cc in published_cc:
-        src = tuple(cc.source)
-        sources.append(src)
+    sources = list(sr.cc_table)
+    for src, cc in sr.cc_table.items():
         s_orb = src[0]
         closure = poset.down_set(s_orb)
         # the closure in stored order, which every interval below follows
@@ -851,7 +856,7 @@ def _pinned(fn, *args):
             f"insufficient KL data for the localization check: {e.pairs}") from None
 
 
-def special_cc_localization(ds, sr):
+def special_cc_localization(sr):
     """Cycle of the open-orbit sign sheaf via the localization recipe.
 
     Multiplicity 1 on every conormal carrying a dense orbit.  Each listed
@@ -863,9 +868,19 @@ def special_cc_localization(ds, sr):
     other orbit of that region must get total 1.  Coefficients outside the
     region cannot be cross-checked from a partial evaluation table and are
     not.
+
+    The dataset is sr.dataset, and the result must equal the sign sheaf's
+    row of sr.cc_table.  The sign sheaf is the top orbit's last local
+    system; a top orbit that carries only the trivial one has none, and
+    raises ComputationError.
     """
+    ds = sr.dataset
     top = ds.poset.top()
     top_labels = ds.orbit(top).group.labels()
+    if len(top_labels) == 1:
+        raise ComputationError(
+            f"top orbit {top} carries one local system; the localization "
+            "recipe needs a sign local system besides the trivial one")
     col, sign = (top, top_labels[0]), top_labels[-1]
     exceptions = ds.conormal_dense_exceptions
     mm = MultiplicityMatrices(ds)

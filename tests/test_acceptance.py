@@ -42,7 +42,7 @@ def test_criterion_01_characteristic_cycle_table(solved):
 
 def test_criterion_02_localization_pins_the_dense_exception(dataset, solved):
     """The open-orbit sign sheaf's cycle is all ones except c on S4."""
-    loc = special_cc_localization(dataset, solved)
+    loc = special_cc_localization(solved)
     for o in dataset.orbits:
         want = AffineInt.parameter("c") if o.id == "S4" else AffineInt(1)
         assert loc.mult[o.id] == want, o.id
@@ -105,7 +105,7 @@ def test_criterion_07_fourier_symmetry_identities(dataset, solved):
 def test_criterion_08_euler_reconstruction_roundtrip(dataset, solved):
     """Inverting the solved cycles reproduces every pinned evaluation."""
     em = euler_matrix(dataset)
-    rec = reconstruct_local_euler(solved, list(solved.cc_table.values()))
+    rec = reconstruct_local_euler(solved)
     for cell, v in em.entries.items():
         if v is not UNKNOWN:
             assert rec.entries[cell] == v, cell

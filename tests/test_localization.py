@@ -7,7 +7,8 @@ parameter and ran a composition check that the construction of mg as the
 inverse of cg makes identically zero.  The copy below keeps that form, and
 the function must give the same cycle or the same ComputationError text on
 the bundled case, on chains, on the bundled case with KL records deleted,
-and on solved reports edited to reach each failure path.
+and on solved reports edited to reach each failure path.  A valid dataset
+whose top orbit carries no sign local system is refused with its own text.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ import pytest
 
 from microloc.affine import AffineInt
 from microloc.cli import main
-from microloc.data import loads_dataset
+from microloc.data import loads_dataset, validate_dataset
 from microloc.euler import InsufficientKLData, MultiplicityMatrices, composition_terms, \
     euler_matrix
 from microloc.solver import CharacteristicCycle, ComputationError, build_constraints, \
@@ -44,9 +45,10 @@ def _copied_composition(mm, probe, column):
     return sum(t["product"] for t in composition_terms(mm, probe, column))
 
 
-def _copied_localization(ds, sr):
+def _copied_localization(sr):
     """Test-only copy of special_cc_localization as it was with an auxiliary
     parameter per exception and a composition check."""
+    ds = sr.dataset
     poset = ds.poset
     top = poset.top()
     exceptions = list(ds.conormal_dense_exceptions)
@@ -117,20 +119,23 @@ def _copied_localization(ds, sr):
     return result
 
 
-def _outcome(fn, ds, sr):
-    """fn(ds, sr) as ("cycle", source, multiplicities) or ("error", text)."""
+def _outcome(fn, sr):
+    """fn(sr) as ("cycle", source, multiplicities) or ("error", text)."""
     try:
-        cc = fn(ds, sr)
+        cc = fn(sr)
     except ComputationError as e:
         return "error", str(e)
     return "cycle", cc.source, cc.mult
 
 
-def _both(ds, sr=None):
-    if sr is None:
-        sr = solve(build_constraints(ds, euler_matrix(ds)))
-    got = _outcome(special_cc_localization, ds, sr)
-    assert got == _outcome(_copied_localization, ds, sr)
+def _solved(doc):
+    ds = loads_dataset(doc)
+    return solve(build_constraints(ds, euler_matrix(ds)))
+
+
+def _both(sr):
+    got = _outcome(special_cc_localization, sr)
+    assert got == _outcome(_copied_localization, sr)
     return got
 
 
@@ -143,21 +148,21 @@ def _without(doc, *indices):
 @pytest.fixture(scope="module")
 def deletion_outcomes(bundled_doc):
     """The outcome after deleting each single KL record, with the full one."""
-    full = _both(loads_dataset(bundled_doc))
-    single = [_both(loads_dataset(_without(bundled_doc, i)))
+    full = _both(_solved(bundled_doc))
+    single = [_both(_solved(_without(bundled_doc, i)))
               for i in range(len(bundled_doc["kl"]))]
     return full, single
 
 
-def test_bundled_case_pins_c(dataset, solved):
-    kind, source, mult = _both(dataset, solved)
+def test_bundled_case_pins_c(solved):
+    kind, source, mult = _both(solved)
     assert (kind, source) == ("cycle", ("S11", "(1^4)"))
     assert mult["S4"] == AffineInt.parameter("c")
 
 
 @pytest.mark.parametrize("n", [5, 6, 9, 12])
 def test_chains(n):
-    kind, source, mult = _both(loads_dataset(chain_doc(n)))
+    kind, source, mult = _both(_solved(chain_doc(n)))
     assert (kind, source) == ("cycle", (f"A{n - 1}", "(1^2)"))
     assert set(mult) == {f"A{i}" for i in range(n)}
 
@@ -175,7 +180,7 @@ def test_every_pair_of_deciding_kl_deletions(deletion_outcomes, bundled_doc):
     deciding = [i for i, o in enumerate(single) if o != full]
     pairs = list(itertools.combinations(deciding, 2))
     assert len(pairs) == 190
-    outcomes = {(i, j): _both(loads_dataset(_without(bundled_doc, i, j))) for i, j in pairs}
+    outcomes = {(i, j): _both(_solved(_without(bundled_doc, i, j))) for i, j in pairs}
     # with P(S10,(1^2) <- S11,(4)) and the S8 sum under (S10,(1)) both gone,
     # the region walk meets the first gap before the exception's own mg
     # entry does; the gap named is the exception's, as it always was
@@ -208,16 +213,17 @@ def _edited(sr, source, orbit, delta):
     (("S11", "(1^4)"), "S4", 1,
      "localization cycle disagrees with the solved table row for (S11,(1^4))"),
 ], ids=["constant-remainder", "parametric-remainder", "table-row"])
-def test_edited_reports_reach_each_failure(dataset, solved, source, orbit, delta, text):
-    assert _both(dataset, _edited(solved, source, orbit, delta)) == ("error", text)
+def test_edited_reports_reach_each_failure(solved, source, orbit, delta, text):
+    assert _both(_edited(solved, source, orbit, delta)) == ("error", text)
 
 
 def test_exception_with_two_local_systems(dataset, solved):
-    ds = copy.copy(dataset)
-    ds.conormal_dense_exceptions = ["S9"]
-    assert _both(ds, solved) == ("error",
-                                 "exception orbit S9 carries 2 local systems; "
-                                 "the pinning step needs exactly one")
+    sr = copy.copy(solved)
+    sr.dataset = copy.copy(dataset)
+    sr.dataset.conormal_dense_exceptions = ["S9"]
+    assert _both(sr) == ("error",
+                         "exception orbit S9 carries 2 local systems; "
+                         "the pinning step needs exactly one")
 
 
 _FOUR_GAPS = """
@@ -233,7 +239,7 @@ for o in ("S7", "S8", "S9", "S10"):
 sr = copy.copy(sr)
 sr.cc_table = {**sr.cc_table, src: CharacteristicCycle(src, mult)}
 try:
-    special_cc_localization(ds, sr)
+    special_cc_localization(sr)
 except ComputationError as e:
     print(e)
 """
@@ -271,3 +277,48 @@ def test_pinning_terms_refuse_an_exception_with_two_local_systems(dataset, bundl
     assert code == 1
     assert "m((S9," not in out.getvalue()
     assert err.getvalue() == f"error: {e.value}\n"
+
+
+# two orbits A < B with trivial groups; hat and fourier swap them and az
+# swaps their representations, so the dataset is valid, but the top orbit
+# has no sign local system for the recipe to pin
+SWAPPED_PAIR = {
+    "schema_version": 1, "name": "swapped-pair", "ambient_dim": 1,
+    "orbits": [
+        {"id": "A", "dim": 0, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
+        {"id": "B", "dim": 1, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
+    ],
+    "covers": [["A", "B"]],
+    "duality": {"hat": [["A", "B"]], "fourier": [[["A", "(1)"], ["B", "(1)"]]]},
+    "kl": [{"target": ["A", "(1)"], "source": ["B", "(1)"], "value": 1,
+            "provenance": "reconstructed"}],
+    "catalog": [
+        {"id": "R0", "param": ["A", "(1)"], "az": "R1",
+         "iwahori_spherical": True, "unitary": True},
+        {"id": "R1", "param": ["B", "(1)"], "az": "R0",
+         "iwahori_spherical": True, "unitary": True},
+    ],
+    "special_piece": ["A", "B"], "arthur_type": [], "b_function": ["-1"],
+}
+
+
+def test_a_top_orbit_with_one_local_system_is_refused(tmp_path):
+    # the only label on B is the trivial sheaf; taking it for the sign sheaf
+    # compared the all-ones cycle with the row [B] and reported a
+    # disagreement that is not in the data
+    want = ("top orbit B carries one local system; the localization recipe "
+            "needs a sign local system besides the trivial one")
+    assert validate_dataset(loads_dataset(SWAPPED_PAIR)) == []
+    with pytest.raises(ComputationError) as e:
+        special_cc_localization(_solved(SWAPPED_PAIR))
+    assert str(e.value) == want
+
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(SWAPPED_PAIR))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--dataset", str(path), "--format", "machine"])
+    assert code == 1
+    failed = [(c["name"], c["detail"]) for c in json.loads(out.getvalue())["checks"]
+              if not c["ok"]]
+    assert failed == [("localization", want)]

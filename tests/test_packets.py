@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from microloc.duality import hat
 from microloc.euler import euler_matrix
 from microloc.packets import (Packet, all_micro_packets, basic_arthur_packet,
                               micro_packet, simplified_arthur_parameters,
@@ -89,11 +90,16 @@ def test_az_compatibility_at_all_anchors(dataset, solved):
         assert set(r.az_image) == set(PACKETS[r.dual_anchor][0])
 
 
-def test_az_compatibility_is_symmetric(dataset, solved):
+def test_az_compatibility_is_symmetric(dataset):
     # running the check from the dual side must succeed as well,
-    # indeterminates included (S4 is self-dual with one indeterminate)
-    anchors = list(dataset.special_piece) + ["S4"]
-    reports = verify_az_micro_compatibility(solved, anchors=anchors)
+    # indeterminates included (S4 is self-dual with one indeterminate): a
+    # special piece of the duals of the bundled one, then S4, puts the
+    # anchors at the bundled special piece, then S4
+    dual_side = copy.copy(dataset)
+    dual_side.special_piece = [hat(dataset.duality, s) for s in dataset.special_piece] + ["S4"]
+    sr = solve(build_constraints(dual_side, euler_matrix(dual_side)))
+    reports = verify_az_micro_compatibility(sr)
+    assert [r.anchor for r in reports] == list(dataset.special_piece) + ["S4"]
     assert all(r.ok for r in reports)
     s4 = reports[-1]
     assert s4.az_indeterminate == ("X8",) and s4.expected_indeterminate == ("X8",)

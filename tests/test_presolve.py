@@ -6,14 +6,15 @@ c- and m-expression solve returns must be the rref's: a pivot column p
 reads x_p = b - sum over free columns f of R[p, f] * x_f, and a free column
 is its own parameter.  The free parameters must be exactly the names of
 the non-pivot columns.  The check runs on every consistent system of
-tests/test_solver_blocks.py and on hand-built systems with equality rows,
+tests/test_solver_conflict.py and on hand-built systems with equality rows,
 singleton rows with non-unit and rational coefficients, chains of
 singletons and explicit zero coefficients, over unknowns shaped like
 build_constraints' own, so that free classes get p_ and q_ names.
 
 A conflict that the presolve finds must raise the tags of one full
-elimination of the system, and what reaches _eliminate on a successful
-solve is pinned row by row and column by column.
+elimination of the system, also when two parts over disjoint unknowns
+conflict at once, and what reaches _eliminate on a successful solve is
+pinned row by row and column by column.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from microloc import solver
 from microloc.affine import AffineInt, exact
 from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _combined, \
     _eliminate, _minimal_conflict, _presolve, solve
-from test_solver_blocks import CASES, _residual_failures, systems  # noqa: F401  (fixture)
+from test_solver_conflict import CASES, _residual_failures, systems  # noqa: F401  (fixture)
 from test_solver_oracle import CHAIN_SIZES, _exact_value, _rref
 
 
@@ -98,14 +99,14 @@ _VALUE = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(5, 3)])
 
 
 @st.composite
-def _hand_built(draw):
-    """A consistent system over a subset of UNKNOWNS, and the point it holds at.
+def _hand_built(draw, pool=UNKNOWNS):
+    """A consistent system over a subset of pool, and the point it holds at.
 
     The rows are equality rows between unknowns of one value, singleton
     rows, two-entry links that chain singletons along, and longer rows;
     any row may carry an explicit zero coefficient.
     """
-    unknowns = [v for v in UNKNOWNS if draw(st.booleans())] or [UNKNOWNS[0]]
+    unknowns = [v for v in pool if draw(st.booleans())] or [pool[0]]
     point = {v: draw(_VALUE) for v in unknowns}
     pick = st.sampled_from(unknowns)
     rows = []
@@ -150,18 +151,33 @@ def test_hand_built_solve_matches_rref(system):
         assert {v: _solved_value(sr, v) for v in point} == point
 
 
+@st.composite
+def _two_parts(draw):
+    """Two systems of _hand_built over disjoint halves of UNKNOWNS, the rows
+    of the second after those of the first, and one row index in each part.
+
+    Returns (unknowns in UNKNOWNS order, equations, the row indices).
+    """
+    unknowns, equations, picked = set(), [], []
+    for half in (UNKNOWNS[::2], UNKNOWNS[1::2]):
+        cs, _ = draw(_hand_built(half))
+        if cs.equations:
+            picked.append(len(equations) + draw(st.integers(0, len(cs.equations) - 1)))
+        unknowns.update(cs.unknowns)
+        equations += cs.equations
+    return [v for v in UNKNOWNS if v in unknowns], equations, picked
+
+
 @settings(max_examples=200, deadline=None)
-@given(_hand_built(), st.lists(st.integers(0, 11), min_size=1, max_size=2),
-       st.sampled_from([1, -1, Fraction(1, 2)]))
-def test_hand_built_conflict_tags_equal_full_elimination(system, ks, shift):
-    # shifting two equations can make unconnected parts of the system
-    # conflict at once
-    equations = list(system[0].equations)
+@given(_two_parts(), st.sampled_from([1, -1, Fraction(1, 2)]))
+def test_hand_built_conflict_tags_equal_full_elimination(system, shift):
+    # the two parts share no unknown, so shifting one equation in each can
+    # make unconnected parts of the system conflict at once
+    unknowns, equations, picked = system
     assume(equations)
-    for k in ks:
-        i = k % len(equations)
-        equations[i] = equations[i]._replace(rhs=equations[i].rhs + shift)
-    cs = ConstraintSystem(DATASET, system[0].unknowns, equations, [])
+    equations = [Equation(e.coeffs, e.rhs + shift if i in picked else e.rhs, ("eq", i))
+                 for i, e in enumerate(equations)]
+    cs = ConstraintSystem(DATASET, unknowns, equations, [])
     cols = list(range(len(cs.unknowns)))
     _, _, _, conflict, merges = _eliminate(cs.rows, cols)
     if conflict is None:

@@ -95,7 +95,7 @@ F4_FAILURES = {
 
 
 def test_f4_failures_are_frozen(solved):
-    rec = reconstruct_local_euler(solved, list(solved.cc_table.values()))
+    rec = reconstruct_local_euler(solved)
     assert list(rec.failures.items()) == list(F4_FAILURES.items())
     assert all(rec.entries[cell] is UNKNOWN for cell in F4_FAILURES)
 
@@ -123,7 +123,7 @@ P, Q = AffineInt.parameter("p"), AffineInt.parameter("q")
 
 
 def _invert(sr):
-    rec = reconstruct_local_euler(sr, list(sr.cc_table.values()))
+    rec = reconstruct_local_euler(sr)
     return [(k[1], v) for k, v in rec.entries.items()], \
         {k[1]: msg for k, msg in rec.failures.items()}
 
@@ -161,7 +161,7 @@ def test_support_zeros_come_first_in_stored_order():
     ds = loads_dataset(chain_doc(3))
     src = ("A0", "(1)")
     sr = _report(ds, {("A0", "A0"): 1}, {src: {"A0": 2}})
-    rec = reconstruct_local_euler(sr, list(sr.cc_table.values()))
+    rec = reconstruct_local_euler(sr)
     assert list(rec.entries.items()) == [((src, "A1"), 0), ((src, "A2"), 0), ((src, "A0"), 2)]
     assert rec.sources == [src] and rec.targets == ["A0", "A1", "A2"]
 
@@ -270,7 +270,7 @@ def _systems(draw):
 @given(system=_systems())
 def test_inversion_matches_the_affine_reference(system):
     sr, rows = system
-    got = reconstruct_local_euler(sr, rows)
+    got = reconstruct_local_euler(sr)
     want = _affine_reconstruct(sr, rows)
     assert list(got.entries.items()) == list(want.entries.items())
     assert [type(v) for v in got.entries.values()] == [type(v) for v in want.entries.values()]

@@ -190,7 +190,7 @@ def test_fourier_symmetry_of_solution(solved):
 
 def test_reconstruction_roundtrip(dataset, solved):
     em = euler_matrix(dataset)
-    rec = reconstruct_local_euler(solved, list(solved.cc_table.values()))
+    rec = reconstruct_local_euler(solved)
     agree = 0
     for cell, v in em.entries.items():
         if v is UNKNOWN:
@@ -217,14 +217,14 @@ def test_reconstruction_keeps_a_non_integral_value():
                          ("A1", "A1"): AffineInt(-1)}),
         cc_table={src: CharacteristicCycle(src, {"A0": AffineInt(1)})},
         free_parameters=[], residual_unknowns=[], skipped=[], bounds=None)
-    rec = reconstruct_local_euler(sr, list(sr.cc_table.values()))
+    rec = reconstruct_local_euler(sr)
     assert rec.entries[(src, "A0")] == Fraction(1, 2)
     assert rec.entries[(src, "A1")] == 0
     assert not rec.failures
 
 
 def test_localization_pins_the_exception(dataset, solved):
-    loc = special_cc_localization(dataset, solved)
+    loc = special_cc_localization(solved)
     assert loc.source == ("S11", "(1^4)")
     assert loc.mult["S4"] == AffineInt.parameter("c")
     for o in dataset.orbits:
