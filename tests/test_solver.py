@@ -188,6 +188,27 @@ def test_fourier_symmetry_of_solution(solved):
     assert verify_fourier_symmetry(solved) == []
 
 
+def test_fourier_symmetry_mismatches_are_frozen(solved):
+    # (S7,(1)) and (S10,(1^2)) are fourier partners and hat fixes S4, swaps
+    # S0 with S11 and S1 with S10.  One edit per kind on the (S7,(1)) row:
+    # an entry added, one dropped and one changed.
+    src, partner = ("S7", "(1)"), ("S10", "(1^2)")
+    c = AffineInt.parameter("c")
+    mult = dict(solved.cc_table[src].mult)
+    mult["S0"] = AffineInt(1)
+    del mult["S1"]
+    mult["S4"] = c + 2
+    sr = copy.copy(solved)
+    sr.cc_table = {**solved.cc_table, src: CharacteristicCycle(src, mult)}
+    got = verify_fourier_symmetry(sr)
+    assert got == [
+        (src, "S0", 1, 0), (src, "S1", 0, 1), (src, "S4", c + 2, c + 1),
+        (partner, "S4", c + 1, c + 2), (partner, "S10", 1, 0), (partner, "S11", 0, 1),
+    ]
+    assert all(type(v) is AffineInt for row in got for v in row[2:])
+    assert verify_fourier_symmetry(solved) == []
+
+
 def test_reconstruction_roundtrip(dataset, solved):
     em = euler_matrix(dataset)
     rec = reconstruct_local_euler(solved)
