@@ -361,7 +361,10 @@ def load_dataset(path):
     result.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"not UTF-8: {e}") from None
     return _parse(text)
 
 
@@ -370,6 +373,11 @@ def _parse(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from None
+    except ValueError as e:
+        # an integer literal past Python's int-conversion digit limit
+        raise SchemaError(f"unreadable JSON number: {e}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply to parse") from None
     return loads_dataset(doc)
 
 

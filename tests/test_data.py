@@ -68,11 +68,40 @@ def test_missing_key_rejected(bundled_doc, tmp_path):
         load_dataset(str(p))
 
 
+# files json cannot turn into a document: bad syntax, a byte that is not
+# UTF-8, an integer literal past Python's 4,300-digit conversion limit, and
+# arrays nested past the recursion limit
+UNREADABLE = {
+    "syntax": b"{not json",
+    "not-utf8": b'{"name": "\xff"}',
+    "long-int": b'{"name": ' + b"1" * 5000 + b"}",
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
 def test_malformed_json_rejected(tmp_path):
-    p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    with pytest.raises(SchemaError):
-        load_dataset(str(p))
+    limits = sys.getrecursionlimit(), getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for name, data in UNREADABLE.items():
+        p = tmp_path / f"{name}.json"
+        p.write_bytes(data)
+        with pytest.raises(SchemaError):
+            load_dataset(str(p))
+    # the loader raises neither limit to get past them
+    assert (sys.getrecursionlimit(),
+            getattr(sys, "get_int_max_str_digits", lambda: None)()) == limits
+
+
+def test_unreadable_files_exit_2_without_traceback(tmp_path):
+    src = str(Path(microloc.__file__).parent.parent)
+    for name in ("not-utf8", "long-int", "deep"):
+        p = tmp_path / f"{name}.json"
+        p.write_bytes(UNREADABLE[name])
+        proc = subprocess.run([sys.executable, "-m", "microloc", "validate", "--dataset", str(p)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), name
+        assert proc.stderr.startswith("error: cannot load dataset: "), name
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, name
 
 
 @pytest.mark.parametrize("path, value", [
