@@ -5,7 +5,10 @@ of its parameter's sheaf meets that orbit's conormal.  With free parameters
 in play, membership is decided over the admissible integer points of the
 derived bounds: identically zero means out, never zero means in, zero at
 some admissible points but not all means indeterminate, and the three cases
-are kept apart rather than collapsed.
+are kept apart rather than collapsed.  A cycle holds its nonzero entries
+only, so an anchor absent from it is out without being classified; an
+explicit zero entry, which hand-built tables may hold, is classified, and
+is out too.
 
 A function that needs the cycles takes the solved report alone and reads
 the catalog and the duality from sr.dataset; members come in catalog order.
@@ -96,7 +99,10 @@ def micro_packet(sr, anchor):
         raise KeyError(f"unknown orbit {anchor}")
     members, maybe = [], []
     for rep_id, param in ds._rep_params:
-        kind = _classify(sr, sr.cc_table[param].at(anchor))
+        value = sr.cc_table[param].mult.get(anchor)
+        if value is None:
+            continue        # absent is ZERO, which is out
+        kind = _classify(sr, value)
         if kind == "in":
             members.append(rep_id)
         elif kind == "indeterminate":
