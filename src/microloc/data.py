@@ -356,8 +356,9 @@ def loads_dataset(doc):
 def load_dataset(path):
     """Parse a dataset file.
 
-    Raises SchemaError for malformed documents and OSError for unreadable
-    paths.  No semantic validation happens here; run validate_dataset on the
+    Raises SchemaError for a file that is not UTF-8 or that json cannot
+    parse within the interpreter's limits, and for malformed documents;
+    OSError for unreadable paths.  No semantic validation happens here; run validate_dataset on the
     result.
     """
     with open(path, "r", encoding="utf-8") as fh:

@@ -815,14 +815,13 @@ def reconstruct_local_euler(sr):
     rank = {o: i for i, o in enumerate(order)}
     linear = len(dims) == len(poset.ids) and all(rank[b] < rank[a] for a, b in poset.covers)
     # the nonzero c(t, u) with u strictly above t, in stored order
+    stored = {o: i for i, o in enumerate(poset.ids)}
     above = {t: [] for t in all_orbits}
-    if linear:
-        stored = {o: i for i, o in enumerate(poset.ids)}
-        for (t, u), c in cm.items():
-            if c and t != u and t in ups and u in ups[t]:
-                above[t].append((u, c))
-        for pairs in above.values():
-            pairs.sort(key=lambda p: stored[p[0]])
+    for (t, u), c in cm.items():
+        if c and t != u and t in ups and u in ups[t]:
+            above[t].append((u, c))
+    for pairs in above.values():
+        pairs.sort(key=lambda p: stored[p[0]])
     entries = {}
     failures = {}
     sources = list(sr.cc_table)
@@ -991,7 +990,6 @@ def verify_fourier_symmetry(sr):
         cc, fcc = sr.cc_table[src], sr.cc_table[fourier_partner(ds.duality, src)]
         mult, fmult = cc.mult, fcc.mult
         for t, dual in duals:
-            # a cell absent on both sides is ZERO on both
             if t in mult or dual in fmult:
                 lhs, rhs = cc.at(t), fcc.at(dual)
                 if lhs != rhs:
