@@ -242,8 +242,7 @@ def _hand_built(draw):
     for src in ds.local_systems():
         mult = {o: draw(_ENTRY) for o in ids}
         rows[src] = CharacteristicCycle(src, {o: v for o, v in mult.items() if v is not None})
-    empty = SolveReport(ds, CMatrix({}), {}, [], [], [], None)
-    return _copy(empty, cmatrix, rows, draw(_BOUNDS))
+    return SolveReport(ds, CMatrix(cmatrix), rows, [], [], [], draw(_BOUNDS))
 
 
 @st.composite
