@@ -24,41 +24,55 @@ The generating rules, tagged on every equation:
   symmetry    m[src, anchor] = m[fourier(src), hat(anchor)].
   diagonal    c(S, S) = (-1)^dim(S)  (dataset can switch this rule off).
 
-solve presolves the whole system once (_presolve), its columns in the
-fixed variable order (m-variables first, then c-variables by falling row
-dimension): it merges the columns of every equality row (the symmetry
-rows) into classes and propagates the pins of singleton rows.  For a
-fixed column order the RREF is unique, so solve may reach it any way it
-likes.  That settles every chain system, and leaves F4(a3) 30 rows over
-21 columns of its 429 x 311.  Only what remains goes through
-deterministic exact Gaussian elimination over the rationals (_eliminate),
-over the unpinned class representatives in column order, its rows in
-input order.  Each variable's pivot there is the unused row holding it
-with the fewest entries, ties to the lowest row index; the rows holding a
-variable are found through a column index that follows fill-in and
-cancellation, not by scanning every row.  So the same dataset always
-yields the same pivots, the same free parameters, and the same names: a
-free parameter is a class representative that is neither pinned nor a
-pivot.  Every value, from the coefficients build_constraints emits
-through the row entries and right-hand sides to the AffineInt results, is
-an int where it is integral and a Fraction otherwise (affine.exact),
-which keeps the common case (every value of the bundled case and of the
-chain family is a small integer) off Fraction arithmetic; every division
-goes through affine.div, since / on two ints would give a float.
-Whatever stays free becomes a named parameter; every downstream quantity
-is an AffineInt over those names.
+Most of the system only ties m-unknowns down: the support, leading and
+symmetry rows are 346 of F4(a3)'s 429 rows, and 63 of its 240 m-columns
+are nonzero in the answer.  So build_constraints keeps that part as
+structure, not rows: the m-classes, the connected components of
+m[src, t] -- m[fourier(src), hat(t)], each represented by its latest
+column, and each class's pins, 0 where a member's anchor lies outside its
+source's closure and the source's rank where a member is a leading cell.
+The full tagged system (ConstraintSystem.rows) is assembled only when
+something reads it, such as the conflict path.
+
+solve presolves once (_presolve), its columns in the fixed variable order
+(m-variables first, then c-variables by falling row dimension), from the
+classes, their pins and the expansion and diagonal rows: it merges the
+columns of every equality row into the classes, and propagates the pins
+and those of singleton rows.  For a fixed column order the RREF is
+unique, so solve may reach it any way it likes.  That settles every chain
+system, and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
+what remains goes through deterministic exact Gaussian elimination over
+the rationals (_eliminate), over the unpinned class representatives in
+column order, its rows in input order.  Each variable's pivot there is
+the unused row holding it with the fewest entries, ties to the lowest row
+index; the rows holding a variable are found through a column index that
+follows fill-in and cancellation, not by scanning every row.  So the same
+dataset always yields the same pivots, the same free parameters, and the
+same names: a free parameter is a class representative that is neither
+pinned nor a pivot.  Every value, from the coefficients build_constraints
+emits through the row entries and right-hand sides to the AffineInt
+results, is an int where it is integral and a Fraction otherwise
+(affine.exact), which keeps the common case (every value of the bundled
+case and of the chain family is a small integer) off Fraction arithmetic;
+every division goes through affine.div, since / on two ints would give a
+float.  Whatever stays free becomes a named parameter; every downstream
+quantity is an AffineInt over those names, built once per class, and for
+the m-variables only where the class is free or nonzero.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
-subset of tags.  The rows joined through shared columns to a row the
-presolve contradicts are eliminated again in full (_conflict), and their
-first conflicting row is reduced: the equations combined into it, reduced
-by a drop-one deletion filter that eliminates them once, each with its
-own unit column, and decides every trial by one elimination step on the
-resulting basis of their left null space (_minimal_conflict).  The
-elimination keeps no per-row record of the equations combined into a
-row; it logs each row update as a (target row, pivot row) pair, and only
-on a conflict is that log replayed backwards for the conflicting row
-(_combined).  A successful solve never runs the full elimination.
+subset of tags.  The presolve names the rows it contradicts by their ids
+in the full system (a class with two pins, or a pin an expansion row
+contradicts, names the row of a pin or that expansion row).  The full
+rows joined through shared columns to those are eliminated again in full
+(_conflict), and their first conflicting row is reduced: the equations
+combined into it, reduced by a drop-one deletion filter that eliminates
+them once, each with its own unit column, and decides every trial by one
+elimination step on the resulting basis of their left null space
+(_minimal_conflict).  The elimination keeps no per-row record of the
+equations combined into a row; it logs each row update as a (target row,
+pivot row) pair, and only on a conflict is that log replayed backwards
+for the conflicting row (_combined).  A successful solve never runs the
+full elimination, nor builds the full rows.
 
 Stage 3 takes the solved report alone: characteristic_cycle,
 parameter_bounds, reconstruct_local_euler, special_cc_localization and
@@ -68,8 +82,8 @@ solved table is sparse (on chain30, 59 of 465 index entries and 60 of 930
 cycle entries are nonzero), and the checks visit what can change their
 answer: verify_fourier_symmetry compares a cell only where one side holds
 an entry, and reconstruct_local_euler subtracts over a target's nonzero
-index entries, falling back to a walk over every orbit above the target
-only below a failed one (see its docstring).
+index entries, up to the first failed orbit above the target (see its
+docstring).
 
 The record types: Equation, SkippedExpansion and Bound are namedtuple
 subclasses, frozen and equal by value; a Bound's witness lists default to
@@ -144,7 +158,19 @@ class ConstraintSystem:
     rows in that form; a system built by hand from Equations, as here, is
     brought into it, repeated columns summed and zero sums dropped.
     equations is the same rows keyed by variable, as Equations, built on
-    first read.
+    first read; equation_count is their number.
+
+    What the presolve reads is kept apart from rows: the rows it takes
+    (presolve_rows), their ids in rows (presolve_ids, None for their own
+    indices), the classes of columns merged beforehand (classes: column ->
+    representative, for every column merged into a later one) and the pins
+    of those classes (pins: (column, value, row id) triples).  A system
+    built by hand hands every row to the presolve, which merges its
+    equality rows and pins its singleton rows itself, with no classes or
+    pins given.  build_constraints gives the m-classes and their pins from
+    the duality and hands on only the expansion and diagonal rows; its
+    rows are assembled on first read (_all_rows), and a successful solve
+    never reads them.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -152,22 +178,26 @@ class ConstraintSystem:
         self.dataset = dataset
         self.unknowns = unknowns
         self.skipped = skipped
-        self.rows = []
+        rows = []
         for eq in equations:
             summed = {}
             for v, x in eq.coeffs:
                 k = col[v]
                 summed[k] = summed.get(k, 0) + x
-            self.rows.append((tuple((k, exact(x)) for k, x in summed.items() if x),
-                              exact(eq.rhs), eq.tag))
+            rows.append((tuple((k, exact(x)) for k, x in summed.items() if x),
+                         exact(eq.rhs), eq.tag))
+        self._rows = self.presolve_rows = rows
+        self.presolve_ids = None
+        self.classes = {}
+        self.pins = []
+        self.equation_count = len(rows)
         self._equations = None
 
-    @classmethod
-    def _from_rows(cls, dataset, unknowns, rows, skipped):
-        cs = cls.__new__(cls)
-        cs.dataset, cs.unknowns, cs.skipped = dataset, unknowns, skipped
-        cs.rows, cs._equations = rows, None
-        return cs
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = _all_rows(self)
+        return self._rows
 
     @property
     def equations(self):
@@ -292,7 +322,17 @@ def build_constraints(ds, em):
 
     The rows come rule by rule: per source, its support, leading and
     expansion rows anchor by anchor, then the symmetry rows, then the
-    diagonal rows.
+    diagonal rows.  Only the expansion and diagonal rows are built here;
+    the rest of the system is kept as structure for the presolve:
+      - the m-classes, the connected components of
+        m[src, t] -- m[fourier(src), hat(t)], each represented by its
+        latest column (classes); the duality need not be an involution;
+      - their pins: 0 for a class holding a cell whose anchor lies outside
+        its source's closure, the source's rank for one holding a leading
+        cell, one pin per class and value, with the id of the first row
+        that gives it (pins).
+    The support, leading and symmetry rows are assembled from these on
+    first read of rows (_all_rows), in the order above.
     """
     poset = ds.poset
     d = ds.duality
@@ -315,8 +355,11 @@ def build_constraints(ds, em):
     for j, (a, b) in enumerate(cpairs, len(mvars)):
         ccol[a][b] = j
 
-    rows = []
+    rows = []              # the expansion rows, then the diagonal rows
+    ids = []               # the id of each in the full system
+    pinned = []            # (column, value, row id) of each support and leading row
     skipped = []
+    i = 0
     for s, src in enumerate(sources):
         s_orb = src[0]
         closure = poset.down_set(s_orb)
@@ -326,10 +369,12 @@ def build_constraints(ds, em):
         for k, t in enumerate(anchors):
             mv = s * n + k
             if t not in closure:
-                rows.append((((mv, 1),), 0, ("support", src, t)))
+                pinned.append((mv, 0, i))
+                i += 1
                 continue
             if t == s_orb:
-                rows.append((((mv, 1),), ds.ls_dim(src), ("leading", src)))
+                pinned.append((mv, ds.ls_dim(src), i))
+                i += 1
             up = ups[t]
             cols = ccol[t]
             coeffs = [(mv, -1)]
@@ -344,22 +389,84 @@ def build_constraints(ds, em):
                 skipped.append(SkippedExpansion(t, src, tuple(missing)))
                 continue
             rows.append((tuple(coeffs), 0, ("expansion", src, t)))
+            ids.append(i)
+            i += 1
 
+    # image[a] is the column m[src, t] is tied to: m[fourier(src), hat(t)];
+    # the first source's partner is looked up before any hat image, so a
+    # dataset that lacks both raises the KeyError of the partner
     source_index = {src: s for s, src in enumerate(sources)}
-    for s, src in enumerate(sources):
+    image = []
+    hats = None
+    for src in sources:
         f = source_index[fourier_partner(d, src)] * n
-        for k, t in enumerate(anchors):
-            a = s * n + k
-            b = f + at[hat(d, t)]
+        if hats is None:
+            hats = [at[hat(d, t)] for t in anchors]
+        image += [f + h for h in hats]
+
+    # the components of a -- image[a] (one symmetry row each) by
+    # union-find, each rooted at its latest column; a pair already joined
+    # from its smaller end is not joined again
+    parent = {}
+    for a, b in enumerate(image):
+        if a == b:
+            continue
+        i += 1
+        if b < a and image[b] == a:
+            continue
+        if a in parent or b in parent:
+            a, b = _find(parent, a), _find(parent, b)
             if a == b:
                 continue
-            rows.append((((a, 1), (b, -1)), 0, ("symmetry", src, t)))
+        parent[min(a, b)] = max(a, b)
+    classes = {k: _find(parent, k) for k in parent}
+    pins = {}
+    for k, value, j in pinned:
+        pins.setdefault((classes.get(k, k), value), j)
 
     if ds.diagonal_rule:
         for o in ds.orbits:
             rows.append((((ccol[o.id][o.id], 1),), -1 if o.dim % 2 else 1, ("diagonal", o.id)))
+            ids.append(i)
+            i += 1
 
-    return ConstraintSystem._from_rows(ds, unknowns, rows, skipped)
+    cs = ConstraintSystem.__new__(ConstraintSystem)
+    cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
+    cs.presolve_rows, cs.presolve_ids, cs.classes = rows, ids, classes
+    cs.pins = [(k, value, j) for (k, value), j in pins.items()]
+    cs.equation_count = i
+    cs._rows = cs._equations = None
+    cs._pinned, cs._image = pinned, image
+    return cs
+
+
+def _find(parent, k):
+    """The root of k in a union-find forest, compressing the path to it."""
+    r = k
+    while r in parent:
+        r = parent[r]
+    while k != r:
+        parent[k], k = r, parent[k]
+    return r
+
+
+def _all_rows(cs):
+    """The full tagged system of a system from build_constraints, in its order.
+
+    The expansion and diagonal rows and the support and leading rows sit at
+    their ids; the symmetry rows, one per column a whose image is another
+    column, fill the slots left, in column order.
+    """
+    u = cs.unknowns
+    rows = [None] * cs.equation_count
+    for k, value, i in cs._pinned:
+        _, src, t = u[k]
+        rows[i] = (((k, 1),), value, ("leading", src) if t == src[0] else ("support", src, t))
+    for i, row in zip(cs.presolve_ids, cs.presolve_rows):
+        rows[i] = row
+    symmetry = ((((a, 1), (b, -1)), 0, ("symmetry",) + u[a][1:])
+                for a, b in enumerate(cs._image) if a != b)
+    return [row if row is not None else next(symmetry) for row in rows]
 
 
 # ---------------------------------------------------------------- stage 2
@@ -499,71 +606,79 @@ def _cancel(b, pivot, i):
     return out, exact(value - f * pvalue)
 
 
-def _presolve(system):
+def _presolve(system, ids=None, classes=None, pins=()):
     """Solve the rows of a system, and name the rows that contradict it.
 
-    Four steps, none of which can change the result, since for a fixed
-    column order the RREF is unique:
+    system is a list of rows in ConstraintSystem's row form, ids the id of
+    each (default: its index), classes maps columns merged beforehand to
+    their class's representative, its latest column, and pins lists
+    (column, value, id) facts: the column's class equals value, as row id
+    says.  A system built by hand gives every row and neither classes nor
+    pins; build_constraints gives the m-classes and their pins, and only
+    the expansion and diagonal rows.  Four steps, none of which can change
+    the result, since for a fixed column order the RREF is unique:
       1. merge the columns of every equality row (two entries, opposite
-         coefficients, rhs 0) by union-find into classes, each represented
-         by its latest column: in the RREF every other member of a class is
-         a pivot, and the class's own value is its representative's;
+         coefficients, rhs 0) by union-find into the given classes, each
+         class represented by its latest column: in the RREF every other
+         member of a class is a pivot, and the class's own value is its
+         representative's;
       2. rewrite every other row onto the representatives, adding the
          coefficients that land on one and dropping those that cancel, so
          the rows keep ConstraintSystem's row form;
-      3. pin the class of each singleton row and substitute the pin into
-         the rows of its column, queueing any row left with one entry;
+      3. pin the class of each given pin and each singleton row, and
+         substitute the pin into the rows of its column, queueing the pin
+         of any row left with one entry;
       4. eliminate whatever rows remain with _eliminate, over the unpinned
          representatives they hold, in column order.
-    Returns (solved, contradicted).  solved is {column: (rest, rhs)} for
-    every column that is not free: the column equals
+    Returns (solved, contradicted, rep).  rep maps every merged column to
+    its representative.  solved is {column: (rest, rhs)} for every
+    representative that is not free: the column equals
     rhs - sum(rest[k] * k) over free columns k.  The free columns are the
     representatives neither pinned nor pivots.  contradicted lists, in
-    ascending order, the ids of the input rows that a step reduces to
-    0 = nonzero: a row rewritten to empty, a row emptied by a pin, or an
-    empty row that the elimination leaves.  Each such row is dropped and
-    the steps go on, so every inconsistent component of the system (its
-    rows joined through shared columns) holds one; solved is meaningful
-    only when contradicted is empty.
+    ascending order, the ids of the rows and pins that a step reduces to
+    0 = nonzero: a row rewritten to empty, a row emptied by a pin, a second
+    pin of one class with another value, or an empty row that the
+    elimination leaves.  Each such row is dropped and the steps go on, so
+    every inconsistent component of the system (its rows joined through
+    shared columns) holds one; solved is meaningful only when contradicted
+    is empty.
     """
-    parent = {}            # column -> a column of its class nearer the representative
-
-    def find(k):
-        r = k
-        while r in parent:
-            r = parent[r]
-        while k != r:
-            parent[k], k = r, parent[k]
-        return r
-
+    parent = dict(classes) if classes else {}
+    if ids is None:
+        ids = range(len(system))
     others = []
-    for i, (coeffs, rhs, _) in enumerate(system):
+    for i, (coeffs, rhs, _) in zip(ids, system):
         if len(coeffs) == 2 and rhs == 0:
             (a, x), (b, y) = coeffs
             if x == -y:
-                a, b = find(a), find(b)
+                a, b = _find(parent, a), _find(parent, b)
                 if a != b:
                     parent[min(a, b)] = max(a, b)
                 continue
         others.append((i, coeffs, rhs))
-    rep = {k: find(k) for k in parent}
+    rep = {k: _find(parent, k) for k in parent}
 
-    ids = []               # the input row of each row below
+    queue = [(rep.get(k, k), value, i) for k, value, i in pins]
+    ids = []               # the id of each row below
     rows = []
     rhss = []
     column = {}            # representative -> ids of the rows holding it
-    queue = []
     contradicted = []
     for i, coeffs, rhs in others:
-        new = {}
-        for k, x in coeffs:
-            r = rep.get(k, k)
+        new = dict(coeffs)
+        for k in rep.keys() & new.keys():
+            x = new.pop(k)
+            r = rep[k]
             if r in new:
                 x = exact(new[r] + x)
                 if not x:
                     del new[r]
                     continue
             new[r] = x
+        if len(new) == 1:
+            (k, a), = new.items()
+            queue.append((k, div(rhs, a), i))
+            continue
         if not new:
             if rhs != 0:
                 contradicted.append(i)
@@ -577,31 +692,30 @@ def _presolve(system):
                 column[k].append(j)
             else:
                 column[k] = [j]
-        if len(new) == 1:
-            queue.append(j)
 
-    pins = {}
+    solved = {}
     while queue:
-        i = queue.pop()
-        row = rows[i]
-        if row is None:
+        k, value, i = queue.pop()
+        if k in solved:
+            if solved[k][1] != value:
+                contradicted.append(i)
             continue
-        (k, a), = row.items()
-        pins[k] = value = div(rhss[i], a)
-        rows[i] = None
-        for j in column.pop(k):
-            if j == i:
-                continue
+        solved[k] = ({}, value)
+        for j in column.pop(k, ()):
             row = rows[j]
+            if row is None:
+                continue
             f = row.pop(k)
             nv = rhss[j] - f * value
             rhss[j] = nv = nv if type(nv) is int else exact(nv)
-            if not row:
+            if len(row) == 1:
+                (r, a), = row.items()
+                queue.append((r, div(nv, a), ids[j]))
+                rows[j] = None
+            elif not row:
                 if nv:
                     contradicted.append(ids[j])
                 rows[j] = None
-            elif len(row) == 1:
-                queue.append(j)
 
     remaining = [(tuple(row.items()), rhs, None)
                  for row, rhs in zip(rows, rhss) if row is not None]
@@ -609,12 +723,9 @@ def _presolve(system):
     if conflict is not None:
         origin = [i for i, row in zip(ids, rows) if row is not None]
         contradicted += [origin[j] for j, row in enumerate(erows) if not row and erhss[j]]
-    out = {k: ({}, value) for k, value in pins.items()}
     for v, i in pivots.items():
-        out[v] = ({k: x for k, x in erows[i].items() if k != v}, erhss[i])
-    for k, r in rep.items():
-        out[k] = out[r] if r in out else ({r: -1}, 0)
-    return out, sorted(contradicted)
+        solved[v] = ({k: x for k, x in erows[i].items() if k != v}, erhss[i])
+    return solved, sorted(contradicted), rep
 
 
 def _conflict(system, seeds):
@@ -648,20 +759,26 @@ def _conflict(system, seeds):
 def solve(cs):
     """Presolve the system, name whatever stays free, and assemble the report.
 
-    The whole system is presolved once, its columns in the order of
-    cs.unknowns (_presolve), which gives the pivots, the free columns and
-    every expression of one elimination of the whole system.  If the
-    presolve contradicts some rows, the tags raised are those one
-    elimination of the whole system gives (_conflict).
+    The system is presolved once, its columns in the order of cs.unknowns
+    (_presolve), from what cs hands the presolve: its classes and pins and
+    the rows left, never cs.rows.  That gives the pivots, the free columns
+    and every expression of one elimination of the whole system.  If the
+    presolve contradicts some rows or pins, the tags raised are those one
+    elimination of the whole system gives (_conflict over cs.rows).
+
+    Values are built once per class representative: for every c-variable,
+    and for an m-variable only when its class is free or nonzero, so an
+    m-cell whose class is zero is absent from its cycle.
 
     Free c-variables are named p_<row>_<col>.  One of them gets the short
     name "c": the pair (E, top) where E is the dataset's single orbit whose
     conormal carries no dense orbit, matching the designation the bundled
     case fixes.  Free m-variables (possible with sparse duality data) are
-    named q_<anchor>_<orbit>_<irrep>.
+    named q_<anchor>_<orbit>_<irrep>, after their class's representative.
     """
     ds = cs.dataset
-    solved, contradicted = _presolve(cs.rows)
+    solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
+                                          cs.classes, cs.pins)
     if contradicted:
         raise InconsistentSystem(_conflict(cs.rows, contradicted))
 
@@ -671,30 +788,39 @@ def solve(cs):
         short_pair = ("c", ds.conormal_dense_exceptions[0], top)
 
     unknowns = cs.unknowns
-    names = {}
-    for j, v in enumerate(unknowns):
-        if j in solved:
-            continue
-        if v[0] == "c":
-            names[j] = "c" if v == short_pair else f"p_{v[1]}_{v[2]}"
-        else:
-            names[j] = f"q_{v[2]}_{v[1][0]}_{v[1][1]}"
+    names = {}             # free column -> its parameter name
 
-    def expression(j):
-        if j not in solved:
-            return AffineInt.parameter(names[j])
-        rest, rhs = solved[j]
-        return AffineInt(rhs, {names[k]: -x for k, x in rest.items()})
+    def name(j):
+        if j not in names:
+            v = unknowns[j]
+            if v[0] == "c":
+                names[j] = "c" if v == short_pair else f"p_{v[1]}_{v[2]}"
+            else:
+                names[j] = f"q_{v[2]}_{v[1][0]}_{v[1][1]}"
+        return names[j]
+
+    values = {}            # representative -> its AffineInt, None when it is zero
+
+    def value(r):
+        if r not in values:
+            if r not in solved:
+                values[r] = AffineInt.parameter(name(r))
+            else:
+                rest, rhs = solved[r]
+                values[r] = AffineInt._make(rhs, {name(k): -x for k, x in rest.items()}) \
+                    if rest or rhs else None
+        return values[r]
 
     centries = {}
     mults = {src: {} for src in ds.local_systems()}
     for j, v in enumerate(unknowns):
+        x = value(rep.get(j, j))
         if v[0] == "c":
-            centries[(v[1], v[2])] = expression(j)
-        else:
-            mults[v[1]][v[2]] = expression(j)
-    params = sorted(set(names.values()), key=lambda n: (n != "c", n.startswith("q_"), n))
-    return _report(ds, centries, mults, params, list(cs.skipped), len(cs.rows))
+            centries[(v[1], v[2])] = ZERO if x is None else x
+        elif x is not None:
+            mults[v[1]][v[2]] = x
+    params = sorted(names.values(), key=lambda n: (n != "c", n.startswith("q_"), n))
+    return _report(ds, centries, mults, params, list(cs.skipped), cs.equation_count)
 
 
 # ---------------------------------------------------------------- stage 3
@@ -790,15 +916,18 @@ def reconstruct_local_euler(sr):
     falling dimension, then id.  When that order is a linear extension of
     the poset (dimension rises along every cover) and no id repeats, every
     orbit above a target has been visited before it, so an orbit above it
-    lacks a value only if it failed.  Unless one did, the contributions
-    come from the target's nonzero index entries c(t, u) alone, listed once
-    per call.  Otherwise the per-orbit walk runs: every closure orbit above
-    the target in stored order, the first one without a value named as the
-    upstream failure.  Either way the subtractions run in stored order, so
+    lacks a value only if it failed, and the first such orbit in stored
+    order is the first failed one above it.  So the contributions come
+    from the target's nonzero index entries c(t, u) alone, listed once per
+    call, and stop before that orbit, which is then named as the upstream
+    failure.  When the order is not a linear extension, the per-orbit walk
+    runs: every closure orbit above the target in stored order, the first
+    one without a value named as the upstream failure.  Either way the subtractions run in stored order, so
     a product that is not affine raises the same ValueError.  A source
     costs O(n) for its zero entries and its targets, and each target
-    O(failed targets so far + nonzero entries above it); on a chain that is
-    O(n) per source where the per-orbit walk took O(n^2).
+    O(failed targets so far + nonzero entries above it, up to the first
+    failed one); on a chain that is O(n) per source where the per-orbit
+    walk took O(n^2).
 
     Index entries, multiplicities and intermediate values are plain ints and
     Fractions wherever they are constant; only a value that really carries a
@@ -843,10 +972,20 @@ def reconstruct_local_euler(sr):
                     raise ComputationError(
                         f"diagonal entry at {t} is {diag}, cannot invert")
                 acc = _plain(cc.at(t))
-                if linear and not (failed and any(f in up for f in failed)):
-                    for u, c in above[t]:
+                if linear:
+                    # the first orbit above t without a value is the first
+                    # failed one in stored order; subtract up to it
+                    pairs = above[t]
+                    first = None
+                    if failed:
+                        first = min((stored[f] for f in failed if f in up), default=None)
+                    if first is not None:
+                        pairs = [p for p in pairs if stored[p[0]] < first]
+                    for u, c in pairs:
                         if u in closure:
                             acc = acc - c * internal[u]
+                    if first is not None:
+                        raise ComputationError(f"upstream failure at {poset.ids[first]}")
                 else:
                     for u in poset.ids:
                         if u == t or u not in up or u not in closure:
