@@ -419,7 +419,7 @@ def build_constraints(ds, em):
             if a == b:
                 continue
         parent[min(a, b)] = max(a, b)
-    classes = {k: _find(parent, k) for k in parent}
+    classes = {k: _find(parent, r) if r in parent else r for k, r in parent.items()}
     pins = {}
     for k, value, j in pinned:
         pins.setdefault((classes.get(k, k), value), j)
