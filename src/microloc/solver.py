@@ -922,12 +922,12 @@ def reconstruct_local_euler(sr):
     call, and stop before that orbit, which is then named as the upstream
     failure.  When the order is not a linear extension, the per-orbit walk
     runs: every closure orbit above the target in stored order, the first
-    one without a value named as the upstream failure.  Either way the subtractions run in stored order, so
-    a product that is not affine raises the same ValueError.  A source
-    costs O(n) for its zero entries and its targets, and each target
-    O(failed targets so far + nonzero entries above it, up to the first
-    failed one); on a chain that is O(n) per source where the per-orbit
-    walk took O(n^2).
+    one without a value named as the upstream failure.  Either way the
+    subtractions run in stored order, so a product that is not affine
+    raises the same ValueError.  A source costs O(n) for its zero entries
+    and its targets, and each target O(failed targets so far + nonzero
+    entries above it, up to the first failed one); on a chain that is O(n)
+    per source where the per-orbit walk took O(n^2).
 
     Index entries, multiplicities and intermediate values are plain ints and
     Fractions wherever they are constant; only a value that really carries a

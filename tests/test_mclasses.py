@@ -277,9 +277,9 @@ def test_successful_solve_builds_no_rows(systems, monkeypatch):  # noqa: F811
 
 # -- hypothesis: edited dualities ------------------------------------------------
 
-BASES = {n: chain_doc(n) for n in (3, 4, 5, 6)}
+BASES = {f"chain{n}": chain_doc(n) for n in (3, 4, 5, 6)}
 with open(os.path.join(os.path.dirname(data.__file__), "data", "f4a3.json")) as fh:
-    BASES[0] = json.load(fh)
+    BASES["f4a3"] = json.load(fh)
 
 
 @st.composite
