@@ -164,13 +164,13 @@ class ConstraintSystem:
     (presolve_rows), their ids in rows (presolve_ids, None for their own
     indices), the classes of columns merged beforehand (classes: column ->
     representative, for every column merged into a later one) and the pins
-    of those classes (pins: (column, value, row id) triples).  A system
-    built by hand hands every row to the presolve, which merges its
-    equality rows and pins its singleton rows itself, with no classes or
-    pins given.  build_constraints gives the m-classes and their pins from
-    the duality and hands on only the expansion and diagonal rows; its
-    rows are assembled on first read (_all_rows), and a successful solve
-    never reads them.
+    (pins: (column, value, row id) triples, the column's class equals value
+    as row id says).  A system built by hand hands every row to the
+    presolve, which merges its equality rows and pins its singleton rows
+    itself, with no classes or pins given.  build_constraints gives the
+    m-classes from the duality, a pin per support and leading row, and
+    only the expansion and diagonal rows; its rows are assembled on first
+    read (_all_rows), and a successful solve never reads them.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -327,10 +327,10 @@ def build_constraints(ds, em):
       - the m-classes, the connected components of
         m[src, t] -- m[fourier(src), hat(t)], each represented by its
         latest column (classes); the duality need not be an involution;
-      - their pins: 0 for a class holding a cell whose anchor lies outside
-        its source's closure, the source's rank for one holding a leading
-        cell, one pin per class and value, with the id of the first row
-        that gives it (pins).
+      - the pins, one per support and leading row, in row order, as
+        (column, value, row id): 0 for a cell whose anchor lies outside
+        its source's closure, the source's rank for a leading cell; the
+        presolve puts each onto its column's class (pins).
     The support, leading and symmetry rows are assembled from these on
     first read of rows (_all_rows), in the order above.
     """
@@ -357,7 +357,7 @@ def build_constraints(ds, em):
 
     rows = []              # the expansion rows, then the diagonal rows
     ids = []               # the id of each in the full system
-    pinned = []            # (column, value, row id) of each support and leading row
+    pins = []              # (column, value, row id) of each support and leading row
     skipped = []
     i = 0
     for s, src in enumerate(sources):
@@ -369,11 +369,11 @@ def build_constraints(ds, em):
         for k, t in enumerate(anchors):
             mv = s * n + k
             if t not in closure:
-                pinned.append((mv, 0, i))
+                pins.append((mv, 0, i))
                 i += 1
                 continue
             if t == s_orb:
-                pinned.append((mv, ds.ls_dim(src), i))
+                pins.append((mv, ds.ls_dim(src), i))
                 i += 1
             up = ups[t]
             cols = ccol[t]
@@ -420,9 +420,6 @@ def build_constraints(ds, em):
                 continue
         parent[min(a, b)] = max(a, b)
     classes = {k: _find(parent, r) if r in parent else r for k, r in parent.items()}
-    pins = {}
-    for k, value, j in pinned:
-        pins.setdefault((classes.get(k, k), value), j)
 
     if ds.diagonal_rule:
         for o in ds.orbits:
@@ -432,11 +429,10 @@ def build_constraints(ds, em):
 
     cs = ConstraintSystem.__new__(ConstraintSystem)
     cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
-    cs.presolve_rows, cs.presolve_ids, cs.classes = rows, ids, classes
-    cs.pins = [(k, value, j) for (k, value), j in pins.items()]
+    cs.presolve_rows, cs.presolve_ids, cs.classes, cs.pins = rows, ids, classes, pins
     cs.equation_count = i
     cs._rows = cs._equations = None
-    cs._pinned, cs._image = pinned, image
+    cs._image = image
     return cs
 
 
@@ -459,7 +455,7 @@ def _all_rows(cs):
     """
     u = cs.unknowns
     rows = [None] * cs.equation_count
-    for k, value, i in cs._pinned:
+    for k, value, i in cs.pins:
         _, src, t = u[k]
         rows[i] = (((k, 1),), value, ("leading", src) if t == src[0] else ("support", src, t))
     for i, row in zip(cs.presolve_ids, cs.presolve_rows):
@@ -899,6 +895,42 @@ def _plain(v):
     return v.constant if isinstance(v, AffineInt) and not v.coeffs else v
 
 
+def _minus_products(acc, pairs, values, closure):
+    """acc - sum(c * values[u]) over the pairs (u, c) with u in closure, in order.
+
+    acc, the c and the values are exact constants or AffineInts that carry
+    a parameter, as _plain leaves them, and so is the result.  The sum goes
+    into one constant and one coefficient map, not through an AffineInt per
+    product; the first product of two forms that both carry a parameter
+    raises AffineInt's ValueError.
+    """
+    if isinstance(acc, AffineInt):
+        const, co = acc.constant, dict(acc.coeffs)
+    else:
+        const, co = acc, None
+    for u, c in pairs:
+        if u not in closure:
+            continue
+        v = values[u]
+        if type(c) is AffineInt:
+            if type(v) is AffineInt:
+                raise ValueError(f"product of {c} and {v} is not affine")
+            c, v = v, c
+        if type(v) is AffineInt:
+            const -= c * v.constant
+            if co is None:
+                co = {}
+            for n, x in v.coeffs.items():
+                co[n] = co.get(n, 0) - c * x
+        else:
+            const -= c * v
+    if co:
+        co = {n: exact(x) for n, x in co.items() if x}
+        if co:
+            return AffineInt._make(exact(const), co)
+    return exact(const)
+
+
 def reconstruct_local_euler(sr):
     """Invert the index matrix against sr.cc_table, source by source.
 
@@ -916,23 +948,20 @@ def reconstruct_local_euler(sr):
     falling dimension, then id.  When that order is a linear extension of
     the poset (dimension rises along every cover) and no id repeats, every
     orbit above a target has been visited before it, so an orbit above it
-    lacks a value only if it failed, and the first such orbit in stored
-    order is the first failed one above it.  So the contributions come
-    from the target's nonzero index entries c(t, u) alone, listed once per
-    call, and stop before that orbit, which is then named as the upstream
-    failure.  When the order is not a linear extension, the per-orbit walk
-    runs: every closure orbit above the target in stored order, the first
-    one without a value named as the upstream failure.  Either way the
-    subtractions run in stored order, so a product that is not affine
-    raises the same ValueError.  A source costs O(n) for its zero entries
-    and its targets, and each target O(failed targets so far + nonzero
-    entries above it, up to the first failed one); on a chain that is O(n)
-    per source where the per-orbit walk took O(n^2).
+    lacks a value only if it failed.  Unless one did, the contributions
+    come from the target's nonzero index entries c(t, u) alone, listed once
+    per call.  Otherwise the per-orbit walk runs: every closure orbit above
+    the target in stored order, the first one without a value named as the
+    upstream failure.  Either way the subtractions run in stored order, so
+    a product that is not affine raises the same ValueError.  A source
+    costs O(n) for its zero entries and its targets, and each target
+    O(failed targets so far + nonzero entries above it); on a chain that is
+    O(n) per source where the per-orbit walk took O(n^2).
 
     Index entries, multiplicities and intermediate values are plain ints and
     Fractions wherever they are constant; only a value that really carries a
-    parameter stays an AffineInt, so the chain family, where every entry is
-    constant, never builds one.
+    parameter is an AffineInt, and a target's contributions are summed
+    without building one per product (_minus_products).
     """
     ds = sr.dataset
     poset = ds.poset
@@ -971,33 +1000,24 @@ def reconstruct_local_euler(sr):
                 if isinstance(diag, AffineInt) or diag == 0:
                     raise ComputationError(
                         f"diagonal entry at {t} is {diag}, cannot invert")
-                acc = _plain(cc.at(t))
-                if linear:
-                    # the first orbit above t without a value is the first
-                    # failed one in stored order; subtract up to it
+                missing = None
+                if linear and not (failed and any(f in up for f in failed)):
                     pairs = above[t]
-                    first = None
-                    if failed:
-                        first = min((stored[f] for f in failed if f in up), default=None)
-                    if first is not None:
-                        pairs = [p for p in pairs if stored[p[0]] < first]
-                    for u, c in pairs:
-                        if u in closure:
-                            acc = acc - c * internal[u]
-                    if first is not None:
-                        raise ComputationError(f"upstream failure at {poset.ids[first]}")
                 else:
+                    pairs = []
                     for u in poset.ids:
                         if u == t or u not in up or u not in closure:
                             continue
-                        ev = internal.get(u)
-                        if ev is None:
-                            raise ComputationError(f"upstream failure at {u}")
+                        if internal.get(u) is None:
+                            missing = u
+                            break
                         c = cm.get((t, u), 0)
                         if c:
-                            acc = acc - c * ev
-                acc = _plain(acc)
-                val = acc / diag if isinstance(acc, AffineInt) else div(exact(acc), diag)
+                            pairs.append((u, c))
+                acc = _minus_products(_plain(cc.at(t)), pairs, internal, closure)
+                if missing is not None:
+                    raise ComputationError(f"upstream failure at {missing}")
+                val = acc / diag if isinstance(acc, AffineInt) else div(acc, diag)
             except (ComputationError, ValueError) as e:
                 entries[(src, t)] = UNKNOWN
                 failures[(src, t)] = str(e)

@@ -136,10 +136,12 @@ def _check_classes(ds):
     rows, skipped = _copied_rows(ds, em)
     classes, pins = _union_find_classes(rows)
     assert cs.classes == classes
+    # one pin per support and leading row, at its id, put onto its class
+    assert [(coeffs[0][0], rhs, i) for i, (coeffs, rhs, tag) in enumerate(rows)
+            if tag[0] in ("support", "leading")] == cs.pins
     got = {}
     for k, value, i in cs.pins:
-        assert value not in got.setdefault(k, {})
-        got[k][value] = i
+        got.setdefault(cs.classes.get(k, k), {}).setdefault(value, i)
     assert got == pins
     assert cs.equation_count == len(rows)
     assert cs.skipped == skipped
@@ -219,8 +221,10 @@ FROZEN = {"leading-joined-to-support": _leading_joined_to_support,
 def test_frozen_conflict_tags_equal_full_elimination(name, monkeypatch):
     ds = loads_dataset(FROZEN[name]())
     cs = _check_classes(ds)
-    clashing = [k for k in {k for k, _, _ in cs.pins}
-                if sum(k == j for j, _, _ in cs.pins) > 1]
+    values = {}
+    for k, value, _ in cs.pins:
+        values.setdefault(cs.classes.get(k, k), set()).add(value)
+    clashing = [r for r, vs in values.items() if len(vs) > 1]
     assert bool(clashing) == (name == "leading-joined-to-support")
 
     calls = []
