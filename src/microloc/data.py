@@ -205,7 +205,7 @@ def _pair(raw, where):
 
 def _ls(raw, where):
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2
-            and all(isinstance(x, str) for x in raw)):
+            and isinstance(raw[0], str) and isinstance(raw[1], str)):
         raise SchemaError(f"{where}: local system must be [orbit, irrep], got {raw!r}")
     return (raw[0], raw[1])
 
@@ -331,7 +331,9 @@ def loads_dataset(doc):
         if not (_is_int(raw) or isinstance(raw, str) and _ROOT.fullmatch(raw)):
             raise SchemaError(f"bad b-function root {raw!r}: not a fraction string")
         try:
-            roots.append(Fraction(raw))
+            # the pattern has checked the string; Fraction need not parse it again
+            num, _, den = raw.partition("/") if isinstance(raw, str) else (raw, "", "")
+            roots.append(Fraction(int(num), int(den or 1)))
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"bad b-function root {raw!r}: {e}") from None
 
