@@ -82,8 +82,8 @@ solved table is sparse (on chain30, 59 of 465 index entries and 60 of 930
 cycle entries are nonzero), and the checks visit what can change their
 answer: verify_fourier_symmetry compares a cell only where one side holds
 an entry, and reconstruct_local_euler subtracts over a target's nonzero
-index entries, up to the first failed orbit above the target (see its
-docstring).
+index entries, falling back to a walk over every orbit above the target
+only below a failed one (see its docstring).
 
 The record types: Equation, SkippedExpansion and Bound are namedtuple
 subclasses, frozen and equal by value; a Bound's witness lists default to
