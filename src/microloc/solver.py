@@ -27,18 +27,19 @@ The generating rules, tagged on every equation:
 Most of the system only ties m-unknowns down: the support, leading and
 symmetry rows are 346 of F4(a3)'s 429 rows, and 63 of its 240 m-columns
 are nonzero in the answer.  So build_constraints keeps that part as
-structure, not rows: the m-classes, the connected components of
-m[src, t] -- m[fourier(src), hat(t)], each represented by its latest
-column, and each class's pins, 0 where a member's anchor lies outside its
-source's closure and the source's rank where a member is a leading cell.
+structure, not rows: the duality image, which ties m[src, t] to
+m[fourier(src), hat(t)], and the pins, 0 for a cell whose anchor lies
+outside its source's closure and the source's rank for a leading cell.
 The full tagged system (ConstraintSystem.rows) is assembled only when
 something reads it, such as the conflict path.
 
 solve presolves once (_presolve), its columns in the fixed variable order
 (m-variables first, then c-variables by falling row dimension), from the
-classes, their pins and the expansion and diagonal rows: it merges the
-columns of every equality row into the classes, and propagates the pins
-and those of singleton rows.  For a fixed column order the RREF is
+image, the pins and the expansion and diagonal rows.  The presolve derives
+the classes itself: one union-find merges every column with its image and
+the columns of every equality row, each class represented by its latest
+column; then it propagates the pins and those of singleton rows.  For a
+fixed column order the RREF is
 unique, so solve may reach it any way it likes.  That settles every chain
 system, and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
 what remains goes through deterministic exact Gaussian elimination over
@@ -162,15 +163,16 @@ class ConstraintSystem:
 
     What the presolve reads is kept apart from rows: the rows it takes
     (presolve_rows), their ids in rows (presolve_ids, None for their own
-    indices), the classes of columns merged beforehand (classes: column ->
-    representative, for every column merged into a later one) and the pins
-    (pins: (column, value, row id) triples, the column's class equals value
-    as row id says).  A system built by hand hands every row to the
-    presolve, which merges its equality rows and pins its singleton rows
-    itself, with no classes or pins given.  build_constraints gives the
-    m-classes from the duality, a pin per support and leading row, and
-    only the expansion and diagonal rows; its rows are assembled on first
-    read (_all_rows), and a successful solve never reads them.
+    indices), the duality image (image: column a is tied to image[a], as a
+    symmetry row would tie it, wherever the two differ) and the pins (pins:
+    (column, value, row id) triples, the column's class equals value as
+    row id says).  The presolve derives the classes from the image and the
+    equality rows.  A system built by hand hands every row to the
+    presolve, with an empty image and no pins.  build_constraints gives
+    the image of m[src, t] under the duality, a pin per support and
+    leading row, and only the expansion and diagonal rows; its rows are
+    assembled on first read (_all_rows), and a successful solve never
+    reads them.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -188,7 +190,7 @@ class ConstraintSystem:
                          exact(eq.rhs), eq.tag))
         self._rows = self.presolve_rows = rows
         self.presolve_ids = None
-        self.classes = {}
+        self.image = ()
         self.pins = []
         self.equation_count = len(rows)
         self._equations = None
@@ -323,10 +325,10 @@ def build_constraints(ds, em):
     The rows come rule by rule: per source, its support, leading and
     expansion rows anchor by anchor, then the symmetry rows, then the
     diagonal rows.  Only the expansion and diagonal rows are built here;
-    the rest of the system is kept as structure for the presolve:
-      - the m-classes, the connected components of
-        m[src, t] -- m[fourier(src), hat(t)], each represented by its
-        latest column (classes); the duality need not be an involution;
+    the rest of the system is kept as structure for the presolve, which
+    derives the m-classes from it:
+      - the duality image, the column m[fourier(src), hat(t)] of each
+        m[src, t] (image); the duality need not be an involution;
       - the pins, one per support and leading row, in row order, as
         (column, value, row id): 0 for a cell whose anchor lies outside
         its source's closure, the source's rank for a leading cell; the
@@ -392,9 +394,10 @@ def build_constraints(ds, em):
             ids.append(i)
             i += 1
 
-    # image[a] is the column m[src, t] is tied to: m[fourier(src), hat(t)];
-    # the first source's partner is looked up before any hat image, so a
-    # dataset that lacks both raises the KeyError of the partner
+    # image[a] is the column m[src, t] is tied to: m[fourier(src), hat(t)],
+    # one symmetry row for each a it differs from; the first source's
+    # partner is looked up before any hat image, so a dataset that lacks
+    # both raises the KeyError of the partner
     source_index = {src: s for s, src in enumerate(sources)}
     image = []
     hats = None
@@ -403,23 +406,7 @@ def build_constraints(ds, em):
         if hats is None:
             hats = [at[hat(d, t)] for t in anchors]
         image += [f + h for h in hats]
-
-    # the components of a -- image[a] (one symmetry row each) by
-    # union-find, each rooted at its latest column; a pair already joined
-    # from its smaller end is not joined again
-    parent = {}
-    for a, b in enumerate(image):
-        if a == b:
-            continue
-        i += 1
-        if b < a and image[b] == a:
-            continue
-        if a in parent or b in parent:
-            a, b = _find(parent, a), _find(parent, b)
-            if a == b:
-                continue
-        parent[min(a, b)] = max(a, b)
-    classes = {k: _find(parent, r) if r in parent else r for k, r in parent.items()}
+    i += sum(a != b for a, b in enumerate(image))
 
     if ds.diagonal_rule:
         for o in ds.orbits:
@@ -429,10 +416,9 @@ def build_constraints(ds, em):
 
     cs = ConstraintSystem.__new__(ConstraintSystem)
     cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
-    cs.presolve_rows, cs.presolve_ids, cs.classes, cs.pins = rows, ids, classes, pins
+    cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins = rows, ids, image, pins
     cs.equation_count = i
     cs._rows = cs._equations = None
-    cs._image = image
     return cs
 
 
@@ -461,7 +447,7 @@ def _all_rows(cs):
     for i, row in zip(cs.presolve_ids, cs.presolve_rows):
         rows[i] = row
     symmetry = ((((a, 1), (b, -1)), 0, ("symmetry",) + u[a][1:])
-                for a, b in enumerate(cs._image) if a != b)
+                for a, b in enumerate(cs.image) if a != b)
     return [row if row is not None else next(symmetry) for row in rows]
 
 
@@ -602,22 +588,23 @@ def _cancel(b, pivot, i):
     return out, exact(value - f * pvalue)
 
 
-def _presolve(system, ids=None, classes=None, pins=()):
+def _presolve(system, ids=None, image=(), pins=()):
     """Solve the rows of a system, and name the rows that contradict it.
 
-    system is a list of rows in ConstraintSystem's row form, ids the id of
-    each (default: its index), classes maps columns merged beforehand to
-    their class's representative, its latest column, and pins lists
-    (column, value, id) facts: the column's class equals value, as row id
-    says.  A system built by hand gives every row and neither classes nor
-    pins; build_constraints gives the m-classes and their pins, and only
-    the expansion and diagonal rows.  Four steps, none of which can change
-    the result, since for a fixed column order the RREF is unique:
-      1. merge the columns of every equality row (two entries, opposite
-         coefficients, rhs 0) by union-find into the given classes, each
-         class represented by its latest column: in the RREF every other
-         member of a class is a pivot, and the class's own value is its
-         representative's;
+    system is a list of rows in ConstraintSystem's row form and ids the id
+    of each (default: its index).  image ties column a to column image[a],
+    as a symmetry row a - image[a] = 0 would, for every a it differs from,
+    and pins lists (column, value, id) facts: the column's class equals
+    value, as row id says.  A system built by hand gives every row, an
+    empty image and no pins; build_constraints gives the duality image,
+    the pins of the support and leading rows, and only the expansion and
+    diagonal rows.  Four steps, none of which can change the result, since
+    for a fixed column order the RREF is unique:
+      1. merge every column with its image, and the columns of every
+         equality row (two entries, opposite coefficients, rhs 0), by one
+         union-find, each class represented by its latest column: in the
+         RREF every other member of a class is a pivot, and the class's own
+         value is its representative's;
       2. rewrite every other row onto the representatives, adding the
          coefficients that land on one and dropping those that cancel, so
          the rows keep ConstraintSystem's row form;
@@ -632,14 +619,23 @@ def _presolve(system, ids=None, classes=None, pins=()):
     rhs - sum(rest[k] * k) over free columns k.  The free columns are the
     representatives neither pinned nor pivots.  contradicted lists, in
     ascending order, the ids of the rows and pins that a step reduces to
-    0 = nonzero: a row rewritten to empty, a row emptied by a pin, a second
-    pin of one class with another value, or an empty row that the
-    elimination leaves.  Each such row is dropped and the steps go on, so
-    every inconsistent component of the system (its rows joined through
-    shared columns) holds one; solved is meaningful only when contradicted
-    is empty.
+    0 = nonzero: a row rewritten to empty, a second pin of one class with
+    another value, or an empty row that the elimination leaves.  Each such
+    row is dropped and the steps go on, so every inconsistent component of
+    the system (its rows joined through shared columns) holds one; solved
+    is meaningful only when contradicted is empty.
     """
-    parent = dict(classes) if classes else {}
+    # a pair already joined from its smaller end is not joined again, and
+    # two columns that are both roots need no find
+    parent = {}
+    for a, b in enumerate(image):
+        if a == b or b < a and image[b] == a:
+            continue
+        if a in parent or b in parent:
+            a, b = _find(parent, a), _find(parent, b)
+            if a == b:
+                continue
+        parent[min(a, b)] = max(a, b)
     if ids is None:
         ids = range(len(system))
     others = []
@@ -704,13 +700,11 @@ def _presolve(system, ids=None, classes=None, pins=()):
             f = row.pop(k)
             nv = rhss[j] - f * value
             rhss[j] = nv = nv if type(nv) is int else exact(nv)
+            # a kept row holds two entries or more and each pin takes one,
+            # so a row leaves here at one and is never emptied
             if len(row) == 1:
                 (r, a), = row.items()
                 queue.append((r, div(nv, a), ids[j]))
-                rows[j] = None
-            elif not row:
-                if nv:
-                    contradicted.append(ids[j])
                 rows[j] = None
 
     remaining = [(tuple(row.items()), rhs, None)
@@ -756,8 +750,8 @@ def solve(cs):
     """Presolve the system, name whatever stays free, and assemble the report.
 
     The system is presolved once, its columns in the order of cs.unknowns
-    (_presolve), from what cs hands the presolve: its classes and pins and
-    the rows left, never cs.rows.  That gives the pivots, the free columns
+    (_presolve), from what cs hands the presolve: its duality image, its
+    pins and the rows left, never cs.rows.  That gives the pivots, the free columns
     and every expression of one elimination of the whole system.  If the
     presolve contradicts some rows or pins, the tags raised are those one
     elimination of the whole system gives (_conflict over cs.rows).
@@ -774,7 +768,7 @@ def solve(cs):
     """
     ds = cs.dataset
     solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
-                                          cs.classes, cs.pins)
+                                          cs.image, cs.pins)
     if contradicted:
         raise InconsistentSystem(_conflict(cs.rows, contradicted))
 

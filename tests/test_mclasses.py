@@ -1,14 +1,17 @@
-"""The m-classes and their pins, computed from the duality, against the rows.
+"""The duality image and the pins, kept as structure, against the rows.
 
-build_constraints no longer emits the support, leading and symmetry rows
-for the presolve.  It computes the m-classes (the connected components of
-m[src, t] -- m[fourier(src), hat(t)]) with the latest column of each as its
-representative, and each class's pins: 0 for a member outside its source's
-closure, the source's rank for a leading member.  Those must be what a
-union-find over the symmetry rows of the full system, plus the singleton
-support and leading rows, gives.  The full system is a test-only copy of
-build_constraints as it was when it emitted every row, and cs.rows, built
-on first read, must equal it.
+build_constraints does not emit the support, leading and symmetry rows for
+the presolve.  It keeps the duality image (m[src, t] is tied to
+m[fourier(src), hat(t)]) and one pin per support and leading row: 0 for a
+cell outside its source's closure, the source's rank for a leading cell.
+The presolve derives the m-classes itself.  Presolving that structure with
+the expansion and diagonal rows must give the classes (rep) of presolving
+the full system, the c-columns merged by equality expansion rows
+included, and the same solution when neither run finds a contradiction;
+the pins, put onto the classes of a union-find over the symmetry rows,
+must be what the full system's support and leading rows give.  The full
+system is a test-only copy of build_constraints as it was when it
+emitted every row, and cs.rows, built on first read, must equal it.
 
 The inputs are the bundled case, chains 6 to 30, every system of
 tests/test_solver_conflict.py, two frozen conflicting edits of chain4 and
@@ -32,7 +35,7 @@ from microloc.data import loads_dataset
 from microloc.duality import fourier_partner, hat
 from microloc.euler import UNKNOWN, euler_matrix
 from microloc.solver import InconsistentSystem, SkippedExpansion, _combined, _cvar_key, \
-    _eliminate, _minimal_conflict, build_constraints, solve
+    _eliminate, _minimal_conflict, _presolve, build_constraints, solve
 from chains import SIGN, chain_doc, orbit_id
 from test_presolve import _check_solve_against_rref
 from test_solver_conflict import CASES, BUMPS, CORRUPT_CHAINS, _residual_failures, \
@@ -135,13 +138,21 @@ def _check_classes(ds):
     cs = build_constraints(ds, em)
     rows, skipped = _copied_rows(ds, em)
     classes, pins = _union_find_classes(rows)
-    assert cs.classes == classes
+    # the presolve of the structure merges what the presolve of the full
+    # rows merges, and solves it alike
+    solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
+                                          cs.pins)
+    want_solved, want_contradicted, want_rep = _presolve(rows)
+    assert rep == want_rep
+    assert bool(contradicted) == bool(want_contradicted)
+    if not contradicted:
+        assert solved == want_solved
     # one pin per support and leading row, at its id, put onto its class
     assert [(coeffs[0][0], rhs, i) for i, (coeffs, rhs, tag) in enumerate(rows)
             if tag[0] in ("support", "leading")] == cs.pins
     got = {}
     for k, value, i in cs.pins:
-        got.setdefault(cs.classes.get(k, k), {}).setdefault(value, i)
+        got.setdefault(classes.get(k, k), {}).setdefault(value, i)
     assert got == pins
     assert cs.equation_count == len(rows)
     assert cs.skipped == skipped
@@ -221,9 +232,10 @@ FROZEN = {"leading-joined-to-support": _leading_joined_to_support,
 def test_frozen_conflict_tags_equal_full_elimination(name, monkeypatch):
     ds = loads_dataset(FROZEN[name]())
     cs = _check_classes(ds)
+    classes, _ = _union_find_classes(cs.rows)
     values = {}
     for k, value, _ in cs.pins:
-        values.setdefault(cs.classes.get(k, k), set()).add(value)
+        values.setdefault(classes.get(k, k), set()).add(value)
     clashing = [r for r, vs in values.items() if len(vs) > 1]
     assert bool(clashing) == (name == "leading-joined-to-support")
 
