@@ -416,8 +416,6 @@ def _bound_lines(solve_doc):
             pieces.append(f"{b['parameter']} >= {b['lower']}")
         if b["upper"] is not None:
             pieces.append(f"{b['parameter']} <= {b['upper']}")
-        if not pieces:
-            pieces.append(f"{b['parameter']} unconstrained")
         wit = ""
         if b["tight_lower_witnesses"]:
             src, orb = b["tight_lower_witnesses"][0]

@@ -164,6 +164,31 @@ def test_out_file_writing(tmp_path, capsys):
     assert "b-function" in target.read_text()
 
 
+def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    assert main(["verify", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_negative_multiplicities_named_by_verify(bundled_doc, tmp_path, capsys):
+    # KL value 3 for S7 <- (S8,(1)) still solves, with three negative cells
+    doc = copy.deepcopy(bundled_doc)
+    (rec,) = [r for r in doc["kl"] if r["target"] == ["S7", None]
+              and r["source"] == ["S8", "(1)"]]
+    rec["value"] = 3
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", "--dataset", str(p), "--format", "machine"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["multiplicities-admissible"] == {
+        "name": "multiplicities-admissible", "ok": False,
+        "detail": "negative at [(('S8', '(1)'), 'S5'), (('S8', '(1)'), 'S6'), "
+                  "(('S8', '(1)'), 'S7')]"}
+
+
 def test_report_text_sections(capsys):
     assert main(["report"]) == 0
     out = capsys.readouterr().out

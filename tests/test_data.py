@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import microloc
 from microloc.cli import main
-from microloc.data import SchemaError, bundled_dataset_path, load_dataset, loads_dataset, \
-    validate_dataset
+from microloc.data import Dataset, DualityData, SchemaError, bundled_dataset_path, \
+    load_dataset, loads_dataset, validate_dataset
+from microloc.poset import OrbitPoset
 
 
 def test_bundled_shape(dataset):
@@ -119,10 +120,17 @@ def test_unreadable_files_exit_2_without_traceback(tmp_path):
     (("b_function",), ["1e3000000"]),
     (("b_function",), ["1.5"]),
     (("name",), [1]),
+    (("orbits", 1, "id"), "S0"),
+    (("orbits", 0, "group", "irreps", 0, 1), 0),
+    (("orbits", 2, "group", "irreps", 1, 0), "(1)"),
+    (("kl", 0, "provenance"), "guessed"),
+    (("kl", 0, "target"), "S9"),
+    (("b_function",), ["1/0"]),
 ], ids=["irrep-entry-short", "cover-short", "dim-string", "kl-value-bool",
         "orbit-bare-string", "orbits-int", "kl-int", "special-piece-int", "orbit-id-list",
         "catalog-id-list", "b-function-bool", "b-function-exponent", "b-function-decimal",
-        "name-list"])
+        "name-list", "duplicate-orbit-id", "irrep-dim-zero", "duplicate-irrep-label",
+        "provenance-guessed", "kl-target-not-pair", "b-function-zero-denominator"])
 def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, value):
     doc = copy.deepcopy(bundled_doc)
     *parents, last = path
@@ -361,3 +369,78 @@ def test_arthur_orbit_without_hat_flagged(mutate):
 def test_chain_toy_fails_order_reversal_only(chain):
     msgs = [f"{v.code}: {v.detail}" for v in validate_dataset(chain)]
     assert msgs == ["hat-not-order-reversing: order-reversal broken at (A,B)"]
+
+
+# -- one case per violation code no other test names ----------------------
+
+def _rebuilt(ds, **fields):
+    """ds with some fields replaced, for inputs the loader would reject."""
+    return Dataset(**dict({f: getattr(ds, f) for f in Dataset._fields}, **fields))
+
+
+def _kl_add(*records):
+    """A mutation appending KL records (target, source, value), transcribed."""
+    def add(doc):
+        doc["kl"].extend({"target": t, "source": s, "value": v, "provenance": "transcribed"}
+                         for t, s, v in records)
+    return add
+
+
+def _hat_pair_s5_s7(doc):
+    # S5 is paired with S6 already, and S7 with itself
+    doc["duality"]["hat"].append(["S5", "S7"])
+
+
+# each mutation of the bundled document, or rebuild of the loaded dataset,
+# and every violation of the code it is named after
+VIOLATIONS = {
+    "az-unknown-id": (
+        lambda doc: doc["catalog"][0].__setitem__("az", "X99"),
+        [("az partner X99 of X1 not in catalog", ("X1",))]),
+    "fourier-not-involutive": (
+        # (S11,(4)) -- (S0,(1)) stands, and (S11,(4)) -- (S1,(1)) is added
+        lambda doc: doc["duality"]["fourier"].append([["S11", "(4)"], ["S1", "(1)"]]),
+        [("fourier(fourier(('S0', '(1)'))) = ('S1', '(1)')", ("S0", "(1)")),
+         ("fourier(fourier(('S11', '(31)'))) = ('S11', '(4)')", ("S11", "(31)"))]),
+    "fourier-not-total": (
+        lambda doc: doc["duality"]["fourier"].pop(0),
+        [("local systems without a fourier partner: [('S0', '(1)'), ('S11', '(4)')]", ())]),
+    "hat-conflict": (
+        _hat_pair_s5_s7,
+        [("orbit S5 paired with both S6 and S7", ("S5",)),
+         ("orbit S7 paired with both S7 and S5", ("S7",))]),
+    "hat-not-involutive": (
+        _hat_pair_s5_s7,
+        [("hat(hat(S6)) = S7 != S6", ("S6",))]),
+    "kl-exceeds-sum": (
+        # the stored sum at S9 <- (S11,(31)) is 1
+        _kl_add((["S9", "(1)"], ["S11", "(31)"], 2)),
+        [("per-irrep value 2 at (S9,(1)) <- ('S11', '(31)') exceeds the stored orbit sum 1",
+          ("S9", "(1)", "S11", "(31)"))]),
+    "kl-sum-mismatch": (
+        _kl_add((["S9", "(1)"], ["S11", "(31)"], 0), (["S9", "(1^2)"], ["S11", "(31)"], 0)),
+        [("stored sum 1 at (S9 <- ('S11', '(31)')) disagrees with per-irrep total 0",
+          ("S9", "S11", "(31)"))]),
+    "duplicate-orbit": (
+        lambda ds: _rebuilt(ds, poset=OrbitPoset(ds.poset.ids + ["S0"], ds.poset.dim,
+                                                 ds.poset.covers, ds.poset.ambient_dim)),
+        [("orbit id S0 repeated", ("S0",))]),
+    "special-unknown": (
+        lambda ds: _rebuilt(ds, special_piece=["S11", "S99"]),
+        [("unknown orbit S99 in special_piece", ())]),
+    "fourier-unknown": (
+        lambda ds: _rebuilt(ds, duality=DualityData(
+            ds.duality.hat_pairs,
+            ds.duality.fourier_pairs + [(("S3", "(1)"), ("S3", "(9)"))])),
+        [("fourier(('S3', '(1)')) = ('S3', '(9)') is not a local system", ("S3", "(1)"))]),
+}
+# the loader checks every orbit id, special-piece orbit and fourier local
+# system, so these three datasets are rebuilt from the loaded one
+REBUILT = {"duplicate-orbit", "special-unknown", "fourier-unknown"}
+
+
+@pytest.mark.parametrize("code", VIOLATIONS)
+def test_violation_code_flagged(dataset, mutate, code):
+    fn, want = VIOLATIONS[code]
+    ds = fn(dataset) if code in REBUILT else mutate(fn)
+    assert [(v.detail, v.subject) for v in validate_dataset(ds) if v.code == code] == want

@@ -11,7 +11,7 @@ from microloc.affine import AffineInt, ZERO
 from microloc.data import loads_dataset, validate_dataset
 from microloc.euler import UNKNOWN, MultiplicityMatrices, euler_matrix
 from microloc.packets import _classify
-from microloc.solver import (CMatrix, CharacteristicCycle, ComputationError,
+from microloc.solver import (Bound, CMatrix, CharacteristicCycle, ComputationError,
                              InadmissibleAssignment, InconsistentSystem,
                              MultiParameterMultiplicity,
                              SolveReport, admissible_assignment,
@@ -182,6 +182,19 @@ def test_admissible_assignment_complaints(solved):
     assert admissible_assignment(solved, {"c": 1}) == ["c = 1 violates c >= 2"]
     assert admissible_assignment(solved, {"zz": 3}) == ["unknown parameter 'zz'"]
     assert admissible_assignment(solved, {"p_S0_S1": 12}) == []
+
+
+def test_upper_bound_complaint(dataset, solved):
+    # one cell 2 - c: the bound c <= 2
+    src = ("S11", "(4)")
+    fake = SolveReport(
+        dataset=dataset, cmatrix=solved.cmatrix,
+        cc_table={src: CharacteristicCycle(src, {"S4": AffineInt(2, {"c": -1})})},
+        free_parameters=["c"], residual_unknowns=[], skipped=[], bounds=None)
+    fake.bounds = parameter_bounds(fake)
+    assert fake.bounds == [Bound("c", None, 2, [], [(src, "S4")])]
+    assert admissible_assignment(fake, {"c": 2}) == []
+    assert admissible_assignment(fake, {"c": 3}) == ["c = 3 violates c <= 2"]
 
 
 def test_fourier_symmetry_of_solution(solved):
