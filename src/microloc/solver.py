@@ -36,10 +36,9 @@ something reads it, such as the conflict path.
 solve presolves once (_presolve), its columns in the fixed variable order
 (m-variables first, then c-variables by falling row dimension), from the
 image, the pins and the expansion and diagonal rows.  The presolve derives
-the classes itself: one union-find merges every column with its image and
-the columns of every equality row, each class represented by its latest
-column; then it propagates the pins and those of singleton rows.  For a
-fixed column order the RREF is
+the classes itself, by one union-find over the image and the equality
+rows, each class represented by its latest column, and propagates the
+pins and those of singleton rows.  For a fixed column order the RREF is
 unique, so solve may reach it any way it likes.  That settles every chain
 system, and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
 what remains goes through deterministic exact Gaussian elimination over
@@ -751,10 +750,10 @@ def solve(cs):
 
     The system is presolved once, its columns in the order of cs.unknowns
     (_presolve), from what cs hands the presolve: its duality image, its
-    pins and the rows left, never cs.rows.  That gives the pivots, the free columns
-    and every expression of one elimination of the whole system.  If the
-    presolve contradicts some rows or pins, the tags raised are those one
-    elimination of the whole system gives (_conflict over cs.rows).
+    pins and the rows left, never cs.rows.  That gives the pivots, the free
+    columns and every expression of one elimination of the whole system.  If
+    the presolve contradicts some rows or pins, the tags raised are those
+    one elimination of the whole system gives (_conflict over cs.rows).
 
     Values are built once per class representative: for every c-variable,
     and for an m-variable only when its class is free or nonzero, so an

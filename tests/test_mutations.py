@@ -120,7 +120,7 @@ def test_mutant(bundled_doc, tmp_path, capsys, data):
     try:
         sr = solve(cs)
     except InconsistentSystem:
-        _check_minimal_conflict(build_constraints(ds, euler_matrix(ds)))
+        _check_minimal_conflict(cs)
         return
     assert _residual_failures(cs, sr) == []
 
@@ -133,4 +133,4 @@ def test_mutant(bundled_doc, tmp_path, capsys, data):
 
     if any(p.startswith("q_") for p in sr.free_parameters) or \
             next(_solved) % RREF_EVERY == 0:
-        _check_solve_against_rref(build_constraints(ds, euler_matrix(ds)))
+        _check_solve_against_rref(cs)
