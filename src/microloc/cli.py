@@ -232,7 +232,9 @@ def _verify_checks(sr):
         checks.append(("weak-equals-union", wu.equal,
                        f"{len(wu.weak.members)} members over anchors {', '.join(wu.anchors)}"
                        if wu.equal else
-                       f"weak {list(wu.weak.members)} vs union {list(wu.union_members)}"))
+                       f"weak {list(wu.weak.members)} vs union {list(wu.union_members)}"
+                       + (f", indeterminate {list(wu.union_indeterminate)}"
+                          if wu.union_indeterminate else "")))
     except (ComputationError, KeyError, ValueError) as e:
         checks.append(("weak-equals-union", False, str(e)))
 

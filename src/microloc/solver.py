@@ -30,17 +30,36 @@ are nonzero in the answer.  So build_constraints keeps that part as
 structure, not rows: the duality image, which ties m[src, t] to
 m[fourier(src), hat(t)], and the pins, 0 for a cell whose anchor lies
 outside its source's closure and the source's rank for a leading cell.
-The full tagged system (ConstraintSystem.rows) is assembled only when
-something reads it, such as the conflict path.
+
+The expansion rows hold about n^3/6 nonzeros on a chain of n orbits, yet
+their answer is sparse too (on chain30, 59 of 465 index entries are
+nonzero), and build_constraints solves most of them itself by forward
+substitution (_substitute).  For an anchor t it walks the orbits u above
+t by rising dimension and fixes each c(t, u) from a row whose m-class has
+a known value, subtracting only the nonzero c(t, v) found before; each
+other row at t then fixes its m-class or checks it.  The values go to the
+presolve as pins, and a failed check is a contradicted row.  An anchor
+falls back to the presolve, its expansion rows built as rows, when one of
+its expansions is skipped or some c(t, u) has no row to fix it; every
+anchor falls back when the duality image is not an involution or
+dimension does not rise along every cover.  Every chain anchor is
+settled; on F4(a3), 3 of the 12 are, 5 have skipped expansions and 4 an
+unfixed c-entry, so 51 of its 71 expansion rows reach the presolve.  The
+full tagged system (ConstraintSystem.rows), the expansion rows of the
+settled anchors included, is assembled only when something reads it,
+such as the conflict path.
 
 solve presolves once (_presolve), its columns in the fixed variable order
 (m-variables first, then c-variables by falling row dimension), from the
-image, the pins and the expansion and diagonal rows.  The presolve derives
-the classes itself, by one union-find over the image and the equality
-rows, each class represented by its latest column, and propagates the
-pins and those of singleton rows.  For a fixed column order the RREF is
-unique, so solve may reach it any way it likes.  That settles every chain
-system, and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
+image, the pins, the substituted values and the rows left: the expansion
+rows of the anchors that fall back and the diagonal rows.  The presolve
+derives the classes itself, by one union-find over the image and the
+equality rows, each class represented by its latest column, and
+propagates the pins and those of singleton rows.  For a fixed column
+order the RREF is unique, so solve may reach it any way it likes; a
+substituted value is constant on the whole solution set, a pivot with an
+empty remainder.  That settles every chain system with no elimination,
+and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
 what remains goes through deterministic exact Gaussian elimination over
 the rationals (_eliminate), over the unpinned class representatives in
 column order, its rows in input order.  Each variable's pivot there is
@@ -62,7 +81,8 @@ the m-variables only where the class is free or nonzero.
 An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags.  The presolve names the rows it contradicts by their ids
 in the full system (a class with two pins, or a pin an expansion row
-contradicts, names the row of a pin or that expansion row).  The full
+contradicts, names the row of a pin or that expansion row), and the
+substitution names the rows whose check failed.  The full
 rows joined through shared columns to those are eliminated again in full
 (_conflict), and their first conflicting row is reduced: the equations
 combined into it, reduced by a drop-one deletion filter that eliminates
@@ -163,15 +183,19 @@ class ConstraintSystem:
     What the presolve reads is kept apart from rows: the rows it takes
     (presolve_rows), their ids in rows (presolve_ids, None for their own
     indices), the duality image (image: column a is tied to image[a], as a
-    symmetry row would tie it, wherever the two differ) and the pins (pins:
+    symmetry row would tie it, wherever the two differ), the pins (pins:
     (column, value, row id) triples, the column's class equals value as
-    row id says).  The presolve derives the classes from the image and the
-    equality rows.  A system built by hand hands every row to the
-    presolve, with an empty image and no pins.  build_constraints gives
+    row id says), the values forward substitution fixed, as pins of the
+    same form (substituted), and the ids of the rows whose check failed
+    (contradicted), which the presolve would contradict.  The presolve
+    derives the classes from the image and the equality rows.  A system
+    built by hand hands every row to the presolve, with an empty image and
+    no pins, substituted values or failed checks.  build_constraints gives
     the image of m[src, t] under the duality, a pin per support and
-    leading row, and only the expansion and diagonal rows; its rows are
-    assembled on first read (_all_rows), and a successful solve never
-    reads them.
+    leading row, the values that settle the c-columns of every anchor it
+    does not let fall back, and only the expansion rows of the anchors
+    that fall back and the diagonal rows; its rows are assembled on first
+    read (_all_rows), and a successful solve never reads them.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -191,6 +215,8 @@ class ConstraintSystem:
         self.presolve_ids = None
         self.image = ()
         self.pins = []
+        self.substituted = []
+        self.contradicted = []
         self.equation_count = len(rows)
         self._equations = None
 
@@ -323,17 +349,26 @@ def build_constraints(ds, em):
 
     The rows come rule by rule: per source, its support, leading and
     expansion rows anchor by anchor, then the symmetry rows, then the
-    diagonal rows.  Only the expansion and diagonal rows are built here;
-    the rest of the system is kept as structure for the presolve, which
-    derives the m-classes from it:
+    diagonal rows.  Most of the system is kept as structure for the
+    presolve, not as rows:
       - the duality image, the column m[fourier(src), hat(t)] of each
         m[src, t] (image); the duality need not be an involution;
       - the pins, one per support and leading row, in row order, as
         (column, value, row id): 0 for a cell whose anchor lies outside
         its source's closure, the source's rank for a leading cell; the
-        presolve puts each onto its column's class (pins).
-    The support, leading and symmetry rows are assembled from these on
-    first read of rows (_all_rows), in the order above.
+        presolve puts each onto its column's class (pins);
+      - the values that forward substitution fixes on the expansion rows
+        of each anchor it settles, as pins of the same form
+        (substituted), and the ids of the rows of those anchors that the
+        values contradict (contradicted); see _substitute.
+    The rows the presolve takes are the expansion rows of the anchors that
+    fall back, each walking its anchor's interval in stored order, and the
+    diagonal rows.  An anchor falls back when one of its expansions is
+    skipped or when _substitute cannot settle it, and every anchor does
+    when the image is not an involution, when dimension does not rise
+    along every cover, or when an orbit id repeats.  The support, leading
+    and symmetry rows, and the expansion rows of the settled anchors, are
+    assembled on first read of rows (_all_rows), in the order above.
     """
     poset = ds.poset
     d = ds.duality
@@ -356,17 +391,18 @@ def build_constraints(ds, em):
     for j, (a, b) in enumerate(cpairs, len(mvars)):
         ccol[a][b] = j
 
-    rows = []              # the expansion rows, then the diagonal rows
-    ids = []               # the id of each in the full system
+    chis = []              # each source's chi_loc cells over its closure, in stored order
+    expansions = {}        # m-column -> id of its expansion row, for each row not skipped
+    fallback = set()       # the indices of the anchors that fall back
     pins = []              # (column, value, row id) of each support and leading row
     skipped = []
     i = 0
     for s, src in enumerate(sources):
         s_orb = src[0]
         closure = poset.down_set(s_orb)
-        # the source's chi_loc row over its closure, in stored order; the
-        # interval [t, s_orb] is this list cut down to the up-set of t
-        row = [(u, em.value(src, u)) for u in poset.ids if u in closure]
+        chi = {u: em.value(src, u) for u in poset.ids if u in closure}
+        chis.append(chi)
+        unknown = [u for u, v in chi.items() if v is UNKNOWN]
         for k, t in enumerate(anchors):
             mv = s * n + k
             if t not in closure:
@@ -376,21 +412,14 @@ def build_constraints(ds, em):
             if t == s_orb:
                 pins.append((mv, ds.ls_dim(src), i))
                 i += 1
-            up = ups[t]
-            cols = ccol[t]
-            coeffs = [(mv, -1)]
-            missing = []
-            for u, v in row:
-                if u in up:
-                    if v is UNKNOWN:
-                        missing.append((u, src))
-                    elif v:
-                        coeffs.append((cols[u], v))
-            if missing:
-                skipped.append(SkippedExpansion(t, src, tuple(missing)))
-                continue
-            rows.append((tuple(coeffs), 0, ("expansion", src, t)))
-            ids.append(i)
+            if unknown:
+                up = ups[t]
+                missing = [(u, src) for u in unknown if u in up]
+                if missing:
+                    skipped.append(SkippedExpansion(t, src, tuple(missing)))
+                    fallback.add(k)
+                    continue
+            expansions[mv] = i
             i += 1
 
     # image[a] is the column m[src, t] is tied to: m[fourier(src), hat(t)],
@@ -398,14 +427,51 @@ def build_constraints(ds, em):
     # partner is looked up before any hat image, so a dataset that lacks
     # both raises the KeyError of the partner
     source_index = {src: s for s, src in enumerate(sources)}
+    partners = []
     image = []
-    hats = None
+    hats = ()
     for src in sources:
-        f = source_index[fourier_partner(d, src)] * n
-        if hats is None:
+        f = source_index[fourier_partner(d, src)]
+        partners.append(f)
+        if not hats:
             hats = [at[hat(d, t)] for t in anchors]
-        image += [f + h for h in hats]
+        image += [f * n + h for h in hats]
     i += sum(a != b for a, b in enumerate(image))
+
+    # image[image[a]] is a for every a exactly when both maps are involutions
+    substituted, contradicted = [], []
+    if len(dims) == n and all(dims[a] < dims[b] for a, b in poset.covers) and \
+            all(partners[f] == s for s, f in enumerate(partners)) and \
+            all(hats[h] == k for k, h in enumerate(hats)):
+        substituted, contradicted = _substitute(anchors, dims, ups, sources, chis, ccol,
+                                                expansions, image, pins, fallback)
+    else:
+        fallback = set(range(n))
+
+    upper = {}             # anchor -> its up-set in stored order
+
+    def expansion(mv):
+        # the expansion row of column mv: the anchor's up-set in stored
+        # order, cut to the source's closure, is the interval [t, orb(src)]
+        s, k = divmod(mv, n)
+        src, t = sources[s], anchors[k]
+        if t not in upper:
+            upper[t] = [u for u in poset.ids if u in ups[t]]
+        chi, cols = chis[s], ccol[t]
+        coeffs = [(mv, -1)]
+        for u in upper[t]:
+            v = chi.get(u)
+            if v:
+                coeffs.append((cols[u], v))
+        return tuple(coeffs), 0, ("expansion", src, t)
+
+    rows = []              # the expansion rows of the anchors that fall back, the diagonal rows
+    ids = []               # the id of each in the full system
+    if fallback:
+        for mv, j in expansions.items():
+            if mv % n in fallback:
+                rows.append(expansion(mv))
+                ids.append(j)
 
     if ds.diagonal_rule:
         for o in ds.orbits:
@@ -416,9 +482,97 @@ def build_constraints(ds, em):
     cs = ConstraintSystem.__new__(ConstraintSystem)
     cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
     cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins = rows, ids, image, pins
+    cs.substituted, cs.contradicted = substituted, contradicted
     cs.equation_count = i
     cs._rows = cs._equations = None
+    cs._expansions = expansion, expansions
     return cs
+
+
+def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins, fallback):
+    """Fix the c-columns of each anchor not in fallback by forward substitution.
+
+    For anchor t, the expansion row of source s reads
+    m[s, t] = sum over u in [t, orb(s)] of c(t, u) * chi_loc(s, u).  The
+    orbits u above t are walked by rising dimension, which, with dimension
+    rising along every cover, is a linear extension, so when u is reached
+    every c(t, v) with v below u is fixed.  The first source s on u with
+    chi_loc(s, u) != 0 (its rank up to sign) whose m-class holds a known
+    value fixes c(t, u), subtracting only the nonzero c(t, v) found so
+    far; every other row on u then fixes its m-class, when no value is
+    known for it, or checks it.  A class is {a, image[a]}, the image being
+    an involution here; its value is known from a pin or from a row of an
+    anchor walked before.  An anchor with an orbit u on which no source's
+    class is known falls back: it is added to fallback and its values are
+    not pinned, its rows going to the presolve; the classes it fixed stay
+    known, since they follow from those rows.
+
+    Returns (substituted, contradicted): each fixed value, c-column or
+    m-column, as a pin (column, value, row id) and, in ascending order,
+    the ids of the rows whose check failed.  Every value is a consequence
+    of the rows, so it is a pivot with an empty remainder in the RREF;
+    with the pins, the rows of the settled anchors add nothing but the
+    failed checks, and each of those lies in an inconsistent part of the
+    system, as a contradicted row of _presolve does.
+    """
+    n = len(anchors)
+    known = {}             # m-class (its larger column) -> its value
+    for a, value, _ in pins:
+        known.setdefault(max(a, image[a]), value)
+    on = {}                # orbit -> (m-column at the 0th anchor, chi_loc cells) of its sources
+    for s, src in enumerate(sources):
+        on.setdefault(src[0], []).append((s * n, chis[s]))
+    rank = {t: r for r, t in enumerate(sorted(anchors, key=dims.__getitem__))}
+
+    def total(nonzero, chi):
+        # the sum of c(t, v) * chi_loc(s, v) over the nonzero c(t, v)
+        acc = 0
+        for v, c in nonzero:
+            x = chi.get(v)
+            if x:
+                acc += c * x
+        return acc if type(acc) is int else exact(acc)
+
+    def settle(k, t):
+        # (fixed, failed) of anchor t, or None when it falls back
+        cols = ccol[t]
+        nonzero = []       # (v, c(t, v)) for each nonzero c(t, v) fixed so far
+        fixed, failed = [], []
+        for u in sorted(ups[t], key=rank.__getitem__):
+            here = []      # (m-column, class, chi_loc cells) of each source on u
+            pivot = None
+            for b, chi in on.get(u, ()):
+                a = b + k
+                r = max(a, image[a])
+                if pivot is None and r in known and chi[u]:
+                    pivot = a
+                    c = div(exact(known[r] - total(nonzero, chi)), chi[u])
+                    fixed.append((cols[u], c, expansions[a]))
+                else:
+                    here.append((a, r, chi))
+            if pivot is None:
+                return None
+            if c:
+                nonzero.append((u, c))
+            for a, r, chi in here:
+                x = total(nonzero, chi)
+                if r not in known:
+                    known[r] = x
+                    fixed.append((a, x, expansions[a]))
+                elif known[r] != x:
+                    failed.append(expansions[a])
+        return fixed, failed
+
+    substituted, contradicted = [], []
+    for k, t in enumerate(anchors):
+        if k not in fallback:
+            out = settle(k, t)
+            if out is None:
+                fallback.add(k)
+            else:
+                substituted += out[0]
+                contradicted += out[1]
+    return substituted, sorted(contradicted)
 
 
 def _find(parent, k):
@@ -434,8 +588,9 @@ def _find(parent, k):
 def _all_rows(cs):
     """The full tagged system of a system from build_constraints, in its order.
 
-    The expansion and diagonal rows and the support and leading rows sit at
-    their ids; the symmetry rows, one per column a whose image is another
+    The rows the presolve takes and the support and leading rows sit at
+    their ids; the expansion rows of the settled anchors are built here, at
+    theirs; the symmetry rows, one per column a whose image is another
     column, fill the slots left, in column order.
     """
     u = cs.unknowns
@@ -445,6 +600,10 @@ def _all_rows(cs):
         rows[i] = (((k, 1),), value, ("leading", src) if t == src[0] else ("support", src, t))
     for i, row in zip(cs.presolve_ids, cs.presolve_rows):
         rows[i] = row
+    expansion, expansions = cs._expansions
+    for mv, i in expansions.items():
+        if rows[i] is None:
+            rows[i] = expansion(mv)
     symmetry = ((((a, 1), (b, -1)), 0, ("symmetry",) + u[a][1:])
                 for a, b in enumerate(cs.image) if a != b)
     return [row if row is not None else next(symmetry) for row in rows]
@@ -596,9 +755,15 @@ def _presolve(system, ids=None, image=(), pins=()):
     and pins lists (column, value, id) facts: the column's class equals
     value, as row id says.  A system built by hand gives every row, an
     empty image and no pins; build_constraints gives the duality image,
-    the pins of the support and leading rows, and only the expansion and
-    diagonal rows.  Four steps, none of which can change the result, since
-    for a fixed column order the RREF is unique:
+    the pins of the support and leading rows followed by the values its
+    forward substitution fixed (a c-column of a settled anchor, or an
+    m-column one of its rows fixed, each with the id of the row that fixed
+    it), and only the expansion rows of the anchors that fall back and the
+    diagonal rows.  A substituted value is constant on the whole solution
+    set, so it pins its column as any pin does, and the rows it came from
+    add nothing but the checks that build_constraints has made.  Four
+    steps, none of which can change the result, since for a fixed column
+    order the RREF is unique:
       1. merge every column with its image, and the columns of every
          equality row (two entries, opposite coefficients, rhs 0), by one
          union-find, each class represented by its latest column: in the
@@ -621,8 +786,9 @@ def _presolve(system, ids=None, image=(), pins=()):
     0 = nonzero: a row rewritten to empty, a second pin of one class with
     another value, or an empty row that the elimination leaves.  Each such
     row is dropped and the steps go on, so every inconsistent component of
-    the system (its rows joined through shared columns) holds one; solved
-    is meaningful only when contradicted is empty.
+    the system (its rows joined through shared columns) that the failed
+    checks of the substitution miss holds one; solved is meaningful only
+    when neither names a row.
     """
     # a pair already joined from its smaller end is not joined again, and
     # two columns that are both roots need no find
@@ -750,10 +916,12 @@ def solve(cs):
 
     The system is presolved once, its columns in the order of cs.unknowns
     (_presolve), from what cs hands the presolve: its duality image, its
-    pins and the rows left, never cs.rows.  That gives the pivots, the free
-    columns and every expression of one elimination of the whole system.  If
-    the presolve contradicts some rows or pins, the tags raised are those
-    one elimination of the whole system gives (_conflict over cs.rows).
+    pins, its substituted values and the rows left, never cs.rows.  That
+    gives the pivots, the free columns and every expression of one
+    elimination of the whole system.  If the presolve contradicts some rows
+    or pins, or a check of the substitution failed, the tags raised are
+    those one elimination of the whole system gives (_conflict over
+    cs.rows, from those rows).
 
     Values are built once per class representative: for every c-variable,
     and for an m-variable only when its class is free or nonzero, so an
@@ -767,9 +935,9 @@ def solve(cs):
     """
     ds = cs.dataset
     solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
-                                          cs.image, cs.pins)
-    if contradicted:
-        raise InconsistentSystem(_conflict(cs.rows, contradicted))
+                                          cs.image, cs.pins + cs.substituted)
+    if contradicted or cs.contradicted:
+        raise InconsistentSystem(_conflict(cs.rows, contradicted + cs.contradicted))
 
     top = ds.poset.top()
     short_pair = None

@@ -189,6 +189,24 @@ def test_negative_multiplicities_named_by_verify(bundled_doc, tmp_path, capsys):
                   "(('S8', '(1)'), 'S7')]"}
 
 
+def test_failed_weak_equals_union_names_the_indeterminate_members(bundled_doc, tmp_path,
+                                                                  capsys):
+    # without the diagonal rule and the KL record S9 <- (S11,(1^4)), X5
+    # depends on a parameter: the two lists agree and the check still fails
+    doc = copy.deepcopy(bundled_doc)
+    doc["diagonal_rule"] = False
+    doc["kl"] = [r for r in doc["kl"]
+                 if (r["target"], r["source"]) != (["S9", None], ["S11", "(1^4)"])]
+    p = tmp_path / "indeterminate.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", "--dataset", str(p), "--format", "machine"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    members = "['X5', 'X7', 'X8', 'X9', 'X11', 'X13', 'X15', 'X17', 'X18', 'X19', 'X20']"
+    assert checks["weak-equals-union"] == {
+        "name": "weak-equals-union", "ok": False,
+        "detail": f"weak {members} vs union {members}, indeterminate ['X5']"}
+
+
 def test_report_text_sections(capsys):
     assert main(["report"]) == 0
     out = capsys.readouterr().out

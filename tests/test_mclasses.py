@@ -1,16 +1,20 @@
-"""The duality image and the pins, kept as structure, against the rows.
+"""The duality image, the pins and the substituted values, against the rows.
 
 build_constraints does not emit the support, leading and symmetry rows for
 the presolve.  It keeps the duality image (m[src, t] is tied to
 m[fourier(src), hat(t)]) and one pin per support and leading row: 0 for a
 cell outside its source's closure, the source's rank for a leading cell.
-The presolve derives the m-classes itself.  Presolving that structure with
-the expansion and diagonal rows must give the classes (rep) of presolving
-the full system, the c-columns merged by equality expansion rows
-included, and the same solution when neither run finds a contradiction;
-the pins, put onto the classes of a union-find over the symmetry rows,
-must be what the full system's support and leading rows give.  The full
-system is a test-only copy of build_constraints as it was when it
+The presolve derives the m-classes itself.  It also fixes the c-columns of
+most anchors by forward substitution, handing the values on as pins with
+the ids of the rows whose check failed, and emits only the expansion rows
+of the anchors that fall back.  Presolving that structure with the rows
+left must give the contradiction status of presolving the full system
+and, when there is none, the same expression for every column (its
+representative's, or the representative itself when free), though the
+classes differ where an equality expansion row is substituted instead of
+merged; the pins, put onto the classes of a union-find over the symmetry
+rows, must be what the full system's support and leading rows give.  The
+full system is a test-only copy of build_constraints as it was when it
 emitted every row, and cs.rows, built on first read, must equal it.
 
 The inputs are the bundled case, chains 6 to 30, every system of
@@ -132,21 +136,32 @@ def _union_find_classes(rows):
     return classes, pins
 
 
+def _expressions(presolved, ncols):
+    """What a _presolve result assigns to each column: its representative's
+    (rest, rhs), or the representative itself when that is free."""
+    solved, _, rep = presolved
+    return [solved.get(r, r) for r in (rep.get(j, j) for j in range(ncols))]
+
+
+def _check_against_full_rows(cs, rows):
+    """The presolve of cs's structure, its substituted values and failed
+    checks against the presolve of the full rows: the same contradiction
+    status and, without one, the same expression for every column."""
+    got = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins + cs.substituted)
+    want = _presolve(rows)
+    assert bool(got[1] or cs.contradicted) == bool(want[1])
+    if not want[1]:
+        ncols = len(cs.unknowns)
+        assert _expressions(got, ncols) == _expressions(want, ncols)
+
+
 def _check_classes(ds):
-    """Build ds's system and check its classes, pins and rows against the copy."""
+    """Build ds's system and check its structure and rows against the copy."""
     em = euler_matrix(ds)
     cs = build_constraints(ds, em)
     rows, skipped = _copied_rows(ds, em)
     classes, pins = _union_find_classes(rows)
-    # the presolve of the structure merges what the presolve of the full
-    # rows merges, and solves it alike
-    solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
-                                          cs.pins)
-    want_solved, want_contradicted, want_rep = _presolve(rows)
-    assert rep == want_rep
-    assert bool(contradicted) == bool(want_contradicted)
-    if not contradicted:
-        assert solved == want_solved
+    _check_against_full_rows(cs, rows)
     # one pin per support and leading row, at its id, put onto its class
     assert [(coeffs[0][0], rhs, i) for i, (coeffs, rhs, tag) in enumerate(rows)
             if tag[0] in ("support", "leading")] == cs.pins
@@ -156,10 +171,24 @@ def _check_classes(ds):
     assert got == pins
     assert cs.equation_count == len(rows)
     assert cs.skipped == skipped
-    # the rows the presolve takes are the full system's expansion and
-    # diagonal rows, at their ids
+    # each substituted value pins a column of the expansion row at its id;
+    # the anchors it settles skip no expansion and have every c-column
+    # fixed once, and the presolve takes the full system's expansion rows
+    # of every other anchor and its diagonal rows, at their ids
+    settled = set()
+    for k, value, i in cs.substituted:
+        coeffs, _, tag = rows[i]
+        assert tag[0] == "expansion" and k in dict(coeffs)
+        if cs.unknowns[k][0] == "c":
+            settled.add(tag[2])
+    assert sorted(k for k, _, _ in cs.substituted if cs.unknowns[k][0] == "c") == \
+        [j for j, v in enumerate(cs.unknowns) if v[0] == "c" and v[1] in settled]
+    assert not settled & {s.anchor for s in cs.skipped}
+    assert all(rows[i][2][0] == "expansion" and rows[i][2][2] in settled
+               for i in cs.contradicted)
     assert [rows[i] for i in cs.presolve_ids] == cs.presolve_rows
-    assert [row for row in rows if row[2][0] in ("expansion", "diagonal")] == cs.presolve_rows
+    assert [row for row in rows if row[2][0] == "diagonal" or
+            row[2][0] == "expansion" and row[2][2] not in settled] == cs.presolve_rows
     assert cs.rows == rows
     return cs
 

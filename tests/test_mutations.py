@@ -10,12 +10,15 @@ neither the bundled case nor the chains reach.
 
 For every mutant, every command of the CLI ends in-process with exit 0, 1
 or 2 and no traceback.  When the mutant is valid and solves, the solved
-values satisfy every tagged equation, and the machine report is
+values satisfy every tagged equation, the values forward substitution
+fixes and the presolve of the rest give every column the expression the
+presolve of the full rows gives it, and the machine report is
 byte-identical after the KL records and the covers are shuffled; the
 mutants with a free m-class, and a few others, are also checked against
 sympy's rref, which fixes their q_ names to the latest column of each
 class.  When it is valid and does not solve, the tags raised are
-inconsistent under sympy and consistent after any one is dropped.
+inconsistent under sympy and consistent after any one is dropped, and are
+what _conflict gives from the seeds of the presolve of the full rows.
 
 The examples are derandomized, so a run draws the same mutants whatever
 the string hash seed; CI runs this file under two seeds.
@@ -31,7 +34,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from microloc.cli import main
 from microloc.data import loads_dataset, validate_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import InconsistentSystem, build_constraints, solve
+from microloc.solver import InconsistentSystem, _conflict, _presolve, build_constraints, solve
+from test_mclasses import _check_against_full_rows
 from test_presolve import _check_solve_against_rref
 from test_solver_conflict import _residual_failures
 from test_solver_oracle import _check_minimal_conflict
@@ -119,10 +123,17 @@ def test_mutant(bundled_doc, tmp_path, capsys, data):
     cs = build_constraints(ds, euler_matrix(ds))
     try:
         sr = solve(cs)
-    except InconsistentSystem:
+    except InconsistentSystem as e:
         _check_minimal_conflict(cs)
+        # the failed checks and the presolve of the rest reach the conflict
+        # that the presolve of the full rows reaches
+        seeds = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
+                          cs.pins + cs.substituted)[1] + cs.contradicted
+        assert _conflict(cs.rows, seeds) == _conflict(cs.rows, _presolve(cs.rows)[1]) == \
+            e.tags
         return
     assert _residual_failures(cs, sr) == []
+    _check_against_full_rows(cs, cs.rows)
 
     reports = []
     for d in (doc, shuffled):
