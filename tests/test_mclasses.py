@@ -176,7 +176,7 @@ def _check_classes(ds):
     # fixed once, and the presolve takes the full system's expansion rows
     # of every other anchor and its diagonal rows, at their ids
     settled = set()
-    for k, value, i in cs.substituted:
+    for k, _, i in cs.substituted:
         coeffs, _, tag = rows[i]
         assert tag[0] == "expansion" and k in dict(coeffs)
         if cs.unknowns[k][0] == "c":
