@@ -20,8 +20,9 @@ class.  When it is valid and does not solve, the tags raised are
 inconsistent under sympy and consistent after any one is dropped, and are
 what _conflict gives from the seeds of the presolve of the full rows.
 
-The examples are derandomized, so a run draws the same mutants whatever
-the string hash seed; CI runs this file under two seeds.
+The draw is pinned by a fixed hypothesis seed, with the example database
+off, so a run draws the same mutants whatever the string hash seed (CI
+runs this file under two seeds) and whatever checks the test body makes.
 """
 
 import copy
@@ -29,7 +30,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from microloc.cli import main
 from microloc.data import loads_dataset, validate_dataset
@@ -106,7 +107,8 @@ RREF_EVERY = 10
 _solved = itertools.count()
 
 
-@settings(max_examples=80, deadline=2000, derandomize=True,
+@seed(2301)
+@settings(max_examples=80, deadline=2000, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutant(bundled_doc, tmp_path, capsys, data):
