@@ -46,8 +46,8 @@ dimension does not rise along every cover.  Every chain anchor is
 settled; on F4(a3), 3 of the 12 are, 5 have skipped expansions and 4 an
 unfixed c-entry, so 51 of its 71 expansion rows reach the presolve.  The
 full tagged system (ConstraintSystem.rows), the expansion rows of the
-settled anchors included, is assembled only when something reads it,
-such as the conflict path.
+settled anchors included, is assembled only when something reads it; no
+solve does.
 
 solve presolves once (_presolve), its columns in the fixed variable order
 (m-variables first, then c-variables by falling row dimension), from the
@@ -82,9 +82,13 @@ An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags.  The presolve names the rows it contradicts by their ids
 in the full system (a class with two pins, or a pin an expansion row
 contradicts, names the row of a pin or that expansion row), and the
-substitution names the rows whose check failed.  The full
-rows joined through shared columns to those are eliminated again in full
-(_conflict), and their first conflicting row is reduced: the equations
+substitution names the rows whose check failed.  Each of those rows lies
+in one anchor, and the rows joined to it through shared columns lie in
+the anchors that the duality's links t -- hat(t) reach from it; only
+those anchors' rows are built, at their ids in the full system
+(_seed_rows: 38 of F4(a3)'s 429 rows when one KL value is wrong, 496 of
+chain60's 7,441).  The rows joined to the seeds are eliminated again in
+full (_conflict), and their first conflicting row is reduced: the equations
 combined into it, reduced by a drop-one deletion filter that eliminates
 them once, each with its own unit column, and decides every trial by one
 elimination step on the resulting basis of their left null space
@@ -92,7 +96,7 @@ elimination step on the resulting basis of their left null space
 equations combined into a row; it logs each row update as a (target row,
 pivot row) pair, and only on a conflict is that log replayed backwards
 for the conflicting row (_combined).  A successful solve never runs the
-full elimination, nor builds the full rows.
+full elimination, and no solve builds the full rows.
 
 Stage 3 takes the solved report alone: characteristic_cycle,
 parameter_bounds, reconstruct_local_euler, special_cc_localization and
@@ -112,8 +116,10 @@ classes whose fields may be assigned (_report fills in the bounds after
 construction); they compare by their fields and have no hash.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from ._record import Record
 from .affine import AffineInt, ZERO, div, exact
@@ -195,7 +201,9 @@ class ConstraintSystem:
     leading row, the values that settle the c-columns of every anchor it
     does not let fall back, and only the expansion rows of the anchors
     that fall back and the diagonal rows; its rows are assembled on first
-    read (_all_rows), and a successful solve never reads them.
+    read (_all_rows), and solve never reads them: on a conflict it builds
+    only the rows its seeds can reach (_seed_rows).  The tests, and
+    perfbench's size counts, read rows and equations.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -368,7 +376,10 @@ def build_constraints(ds, em):
     when the image is not an involution, when dimension does not rise
     along every cover, or when an orbit id repeats.  The support, leading
     and symmetry rows, and the expansion rows of the settled anchors, are
-    assembled on first read of rows (_all_rows), in the order above.
+    assembled on first read of rows (_all_rows), in the order above, or,
+    on a conflict, for the anchors its seeds reach (_seed_rows), from what
+    the system keeps of the layout: the expansion row builder and ids, the
+    anchors' hat images and the id of the first symmetry row.
     """
     poset = ds.poset
     d = ds.duality
@@ -436,6 +447,7 @@ def build_constraints(ds, em):
         if not hats:
             hats = [at[hat(d, t)] for t in anchors]
         image += [f * n + h for h in hats]
+    sym0 = i               # the id of the first symmetry row
     i += sum(a != b for a, b in enumerate(image))
 
     # image[image[a]] is a for every a exactly when both maps are involutions
@@ -485,7 +497,7 @@ def build_constraints(ds, em):
     cs.substituted, cs.contradicted = substituted, contradicted
     cs.equation_count = i
     cs._rows = cs._equations = None
-    cs._expansions = expansion, expansions
+    cs._layout = expansion, expansions, hats, sym0
     return cs
 
 
@@ -588,25 +600,95 @@ def _find(parent, k):
 def _all_rows(cs):
     """The full tagged system of a system from build_constraints, in its order.
 
-    The rows the presolve takes and the support and leading rows sit at
-    their ids; the expansion rows of the settled anchors are built here, at
-    theirs; the symmetry rows, one per column a whose image is another
-    column, fill the slots left, in column order.
+    It is the rows of every anchor (_anchor_rows).  Only the tests, and
+    perfbench's size counts, read it: a conflicting solve builds the rows
+    its seeds reach (_seed_rows).
     """
-    u = cs.unknowns
-    rows = [None] * cs.equation_count
-    for k, value, i in cs.pins:
-        _, src, t = u[k]
-        rows[i] = (((k, 1),), value, ("leading", src) if t == src[0] else ("support", src, t))
-    for i, row in zip(cs.presolve_ids, cs.presolve_rows):
-        rows[i] = row
-    expansion, expansions = cs._expansions
-    for mv, i in expansions.items():
-        if rows[i] is None:
-            rows[i] = expansion(mv)
-    symmetry = ((((a, 1), (b, -1)), 0, ("symmetry",) + u[a][1:])
-                for a, b in enumerate(cs.image) if a != b)
-    return [row if row is not None else next(symmetry) for row in rows]
+    return _anchor_rows(cs, range(len(cs.dataset.orbits)))[1]
+
+
+def _seed_rows(cs, seeds):
+    """The ids, ascending, and the rows of the part of cs's full system the seeds reach.
+
+    A system built by hand gives all its rows.  Every row of a system from
+    build_constraints holds only columns of one anchor t, m[src, t] and
+    c(t, u), but a symmetry row, which ties m[src, t] to
+    m[fourier(src), hat(t)].  So the rows joined to a seed through shared
+    columns lie in the anchors that the links t -- hat(t), taken both
+    ways, reach from the seed's anchor, and this gives the rows of those
+    anchors (_anchor_rows).  A seed is a pin, an expansion row or a
+    diagonal row; the presolve takes no symmetry row.  Two anchors of one
+    orbit id share c-columns, and their hat image, so the links join them.
+    """
+    if cs.presolve_ids is None:
+        return range(len(cs.rows)), cs.rows
+    expansions, hats, sym0 = cs._layout[1:]
+    pins, n = cs.pins, len(hats)
+
+    def anchor(i):
+        # pins and expansion rows come source by source, anchor by anchor,
+        # so their columns rise with their ids; diagonal rows come last
+        if i >= sym0:
+            return i - cs.equation_count + n
+        p = bisect_right(pins, i, key=itemgetter(2)) - 1
+        a = pins[p][0] if p >= 0 else 0
+        if p < 0 or pins[p][2] != i:
+            while expansions.get(a) != i:
+                a += 1
+        return a % n
+
+    linked = [[] for _ in hats]
+    for k, h in enumerate(hats):
+        linked[k].append(h)
+        linked[h].append(k)
+    reach, stack = set(), [anchor(i) for i in seeds]
+    while stack:
+        k = stack.pop()
+        if k not in reach:
+            reach.add(k)
+            stack += linked[k]
+    return _anchor_rows(cs, reach)
+
+
+def _anchor_rows(cs, reach):
+    """The ids, ascending, and the rows of these anchors (by index) of a
+    system from build_constraints, each as it stands in the full system.
+
+    An anchor t's rows are the pins and the expansion rows of its columns
+    m[src, t], the symmetry rows of those columns whose image is another
+    column, and its diagonal row.  Pins and expansion rows are found by
+    column; the symmetry rows come in column order from id sym0 on, one
+    per column that is not its own image, and the diagonal rows last, in
+    orbit order.
+    """
+    expansion, expansions, hats, sym0 = cs._layout
+    pins, image, u = cs.pins, cs.image, cs.unknowns
+    n = len(cs.dataset.orbits)
+    out = [(cs.equation_count - n + k, cs.presolve_rows[k - n]) for k in reach] \
+        if cs.dataset.diagonal_rule else []
+    # column s * n + k is its own image when fourier fixes source s and hat
+    # anchor k; fixed[k] counts the anchors below k that hat fixes
+    fixed, none = [0], [0] * (n + 1)
+    for k, h in enumerate(hats):
+        fixed.append(fixed[-1] + (h == k))
+    j = sym0               # the id of the first symmetry row of source s
+    for s in range(len(image) // n if n else 0):
+        own = fixed if image[s * n] // n == s else none
+        for k in reach:
+            a = s * n + k
+            p = bisect_left(pins, a, key=itemgetter(0))
+            if p < len(pins) and pins[p][0] == a:
+                _, src, t = u[a]
+                out.append((pins[p][2], (((a, 1),), pins[p][1], ("leading", src)
+                                         if t == src[0] else ("support", src, t))))
+            if a in expansions:
+                out.append((expansions[a], expansion(a)))
+            if image[a] != a:
+                out.append((j + k - own[k], (((a, 1), (image[a], -1)), 0,
+                                             ("symmetry",) + u[a][1:])))
+        j += n - own[n]
+    out.sort(key=itemgetter(0))
+    return [i for i, _ in out], [row for _, row in out]
 
 
 # ---------------------------------------------------------------- stage 2
@@ -886,7 +968,10 @@ def _presolve(system, ids=None, image=(), pins=()):
 def _conflict(system, seeds):
     """The tags of a minimal conflicting subset of an inconsistent system.
 
-    seeds are ids of rows that _presolve reduced to 0 = nonzero.  The rows
+    system is a list of rows in ascending order of their ids in the full
+    system, every row joined to a seed included (_seed_rows gives them),
+    and seeds are the positions in it of rows that _presolve reduced to
+    0 = nonzero or whose check the forward substitution failed.  The rows
     joined to them through shared columns, found by a search over a column
     index, are eliminated in full, in input order, over their columns in
     order.  Components share no column and every inconsistent one holds a
@@ -920,8 +1005,9 @@ def solve(cs):
     gives the pivots, the free columns and every expression of one
     elimination of the whole system.  If the presolve contradicts some rows
     or pins, or a check of the substitution failed, the tags raised are
-    those one elimination of the whole system gives (_conflict over
-    cs.rows, from those rows).
+    those one elimination of the whole system gives: _conflict from those
+    rows, over the rows of the anchors they reach (_seed_rows), so no solve
+    builds cs.rows.
 
     Values are built once per class representative: for every c-variable,
     and for an m-variable only when its class is free or nonzero, so an
@@ -937,7 +1023,9 @@ def solve(cs):
     solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
                                           cs.image, cs.pins + cs.substituted)
     if contradicted or cs.contradicted:
-        raise InconsistentSystem(_conflict(cs.rows, contradicted + cs.contradicted))
+        seeds = contradicted + cs.contradicted
+        ids, rows = _seed_rows(cs, seeds)
+        raise InconsistentSystem(_conflict(rows, [bisect_left(ids, i) for i in seeds]))
 
     top = ds.poset.top()
     short_pair = None

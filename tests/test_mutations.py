@@ -18,7 +18,9 @@ mutants with a free m-class, and a few others, are also checked against
 sympy's rref, which fixes their q_ names to the latest column of each
 class.  When it is valid and does not solve, the tags raised are
 inconsistent under sympy and consistent after any one is dropped, and are
-what _conflict gives from the seeds of the presolve of the full rows.
+what the search over the full rows gives from the seeds of the presolve of
+the full rows; the rows the conflict path builds are checked as in
+tests/test_conflict_rows.py.
 
 The draw is pinned by a fixed hypothesis seed, with the example database
 off, so a run draws the same mutants whatever the string hash seed (CI
@@ -35,7 +37,8 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 from microloc.cli import main
 from microloc.data import loads_dataset, validate_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import InconsistentSystem, _conflict, _presolve, build_constraints, solve
+from microloc.solver import InconsistentSystem, _presolve, build_constraints, solve
+from test_conflict_rows import _full_conflict, check_seed_rows
 from test_mclasses import _check_against_full_rows
 from test_presolve import _check_solve_against_rref
 from test_solver_conflict import _residual_failures
@@ -127,12 +130,11 @@ def test_mutant(bundled_doc, tmp_path, capsys, data):
         sr = solve(cs)
     except InconsistentSystem as e:
         _check_minimal_conflict(cs)
-        # the failed checks and the presolve of the rest reach the conflict
-        # that the presolve of the full rows reaches
-        seeds = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
-                          cs.pins + cs.substituted)[1] + cs.contradicted
-        assert _conflict(cs.rows, seeds) == _conflict(cs.rows, _presolve(cs.rows)[1]) == \
-            e.tags
+        # the rows the conflict path builds are the full rows at their ids,
+        # and the failed checks and the presolve of the rest reach the
+        # conflict that the presolve of the full rows reaches
+        check_seed_rows(cs, e.tags)
+        assert _full_conflict(cs.rows, _presolve(cs.rows)[1]) == e.tags
         return
     assert _residual_failures(cs, sr) == []
     _check_against_full_rows(cs, cs.rows)
