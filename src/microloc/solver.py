@@ -623,7 +623,7 @@ def _seed_rows(cs, seeds):
     if cs.presolve_ids is None:
         return range(len(cs.rows)), cs.rows
     expansions, hats, sym0 = cs._layout[1:]
-    pins, n = cs.pins, len(hats)
+    pins, n = cs.pins, len(cs.dataset.orbits)
 
     def anchor(i):
         # pins and expansion rows come source by source, anchor by anchor,
