@@ -27,13 +27,13 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 
 from microloc import solver
-from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
 from microloc.solver import InconsistentSystem, _combined, _eliminate, _minimal_conflict, \
     _presolve, _seed_rows, build_constraints, solve
 from chains import chain_doc, middle_corruption, with_kl_value
 from test_mclasses import FROZEN, _copied_rows, _edited_duality
 from test_solver_conflict import systems  # noqa: F401  (fixture)
+from test_solver_oracle import _system
 
 
 def _reached(system, seeds):
@@ -88,11 +88,6 @@ def _raised(cs):
     with pytest.raises(InconsistentSystem) as e:
         solve(cs)
     return e.value.tags
-
-
-def _system(doc):
-    ds = loads_dataset(doc)
-    return build_constraints(ds, euler_matrix(ds))
 
 
 def _f4a3_corrupt(doc):
