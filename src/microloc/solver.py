@@ -86,8 +86,8 @@ substitution names the rows whose check failed.  Each of those rows lies
 in one anchor, and the rows joined to it through shared columns lie in
 the anchors that the duality's links t -- hat(t) reach from it; only
 those anchors' rows are built, at their ids in the full system
-(_seed_rows: 38 of F4(a3)'s 429 rows when one KL value is wrong, 496 of
-chain60's 7,441).  The rows joined to the seeds are eliminated again in
+(_seed_rows: 38 of F4(a3)'s 429 rows with P(S9 <- S10) raised to 5, 496
+of 7,441 on chain60 with its middle KL value raised).  The rows joined to the seeds are eliminated again in
 full (_conflict), and their first conflicting row is reduced: the equations
 combined into it, reduced by a drop-one deletion filter that eliminates
 them once, each with its own unit column, and decides every trial by one
