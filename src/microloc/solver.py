@@ -79,16 +79,18 @@ quantity is an AffineInt over those names, built once per class, and for
 the m-variables only where the class is free or nonzero.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
-subset of tags.  The presolve names the rows it contradicts by their ids
-in the full system (a class with two pins, or a pin an expansion row
-contradicts, names the row of a pin or that expansion row), and the
-substitution names the rows whose check failed.  Each of those rows lies
-in one anchor, and the rows joined to it through shared columns lie in
-the anchors that the duality's links t -- hat(t) reach from it; only
-those anchors' rows are built, at their ids in the full system
-(_seed_rows: 38 of F4(a3)'s 429 rows with P(S9 <- S10) raised to 5, 496
-of 7,441 on chain60 with its middle KL value raised).  The rows joined to the seeds are eliminated again in
-full (_conflict), and their first conflicting row is reduced: the equations
+subset of tags.  Its seeds are the rows the presolve contradicts, named by
+their ids in the full system (a class with two pins, or a pin an expansion
+row contradicts, names the row of a pin or that expansion row), and the
+rows whose check the substitution failed.  Each seed lies in one anchor,
+and the rows joined to it through shared columns lie in the anchors that
+the duality's links t -- hat(t) reach from it; only those anchors' rows
+are built, at their ids in the full system (_seed_rows: 38 of F4(a3)'s
+429 rows with P(S9 <- S10) raised to 5, 496 of 7,441 on chain60 with its
+middle KL value raised).  Every row built is eliminated again in full
+(_conflict); the rows joined to no seed are consistent and share no
+column with a seed, so the first conflicting row is the one an
+elimination of the whole system meets.  That row is reduced: the equations
 combined into it, reduced by a drop-one deletion filter that eliminates
 them once, each with its own unit column, and decides every trial by one
 elimination step on the resulting basis of their left null space
@@ -106,8 +108,8 @@ solved table is sparse (on chain30, 59 of 465 index entries and 60 of 930
 cycle entries are nonzero), and the checks visit what can change their
 answer: verify_fourier_symmetry compares a cell only where one side holds
 an entry, and reconstruct_local_euler subtracts over a target's nonzero
-index entries, falling back to a walk over every orbit above the target
-only below a failed one (see its docstring).
+index entries, up to the first orbit above the target that has no value
+(see its docstring).
 
 The record types: Equation, SkippedExpansion and Bound are namedtuple
 subclasses, frozen and equal by value; a Bound's witness lists default to
@@ -501,6 +503,45 @@ def build_constraints(ds, em):
     return cs
 
 
+def _residual(acc, pairs, values, closure):
+    """acc - sum(c * values[u]) over the pairs (u, c) with u in closure, in order.
+
+    The residual of the expansion identity m[s, t] - sum over u of
+    c(t, u) * chi_loc(s, u): acc is m[s, t], the pairs are the nonzero
+    index entries c(t, u), values holds chi_loc(s, u) and closure is the
+    source's closure.  acc, the c and the values are exact constants or
+    AffineInts that carry a parameter, as _plain leaves them, and so is the
+    result.  The sum goes into one constant and one coefficient map, not
+    through an AffineInt per product; the first product of two forms that
+    both carry a parameter raises AffineInt's ValueError.
+    """
+    if isinstance(acc, AffineInt):
+        const, co = acc.constant, dict(acc.coeffs)
+    else:
+        const, co = acc, None
+    for u, c in pairs:
+        if u not in closure:
+            continue
+        v = values[u]
+        if type(c) is AffineInt:
+            if type(v) is AffineInt:
+                raise ValueError(f"product of {c} and {v} is not affine")
+            c, v = v, c
+        if type(v) is AffineInt:
+            const -= c * v.constant
+            if co is None:
+                co = {}
+            for n, x in v.coeffs.items():
+                co[n] = co.get(n, 0) - c * x
+        else:
+            const -= c * v
+    if co:
+        co = {n: exact(x) for n, x in co.items() if x}
+        if co:
+            return AffineInt._make(exact(const), co)
+    return exact(const)
+
+
 def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins, fallback):
     """Fix the c-columns of each anchor not in fallback by forward substitution.
 
@@ -510,8 +551,9 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
     rising along every cover, is a linear extension, so when u is reached
     every c(t, v) with v below u is fixed.  The first source s on u with
     chi_loc(s, u) != 0 (its rank up to sign) whose m-class holds a known
-    value fixes c(t, u), subtracting only the nonzero c(t, v) found so
-    far; every other row on u then fixes its m-class, when no value is
+    value fixes c(t, u) from its row's residual over the nonzero c(t, v)
+    found so far (_residual, chi_loc(s, .) as values and closure); every
+    other row on u then fixes its m-class from that sum, when no value is
     known for it, or checks it.  A class is {a, image[a]}, the image being
     an involution here; its value is known from a pin or from a row of an
     anchor walked before.  An anchor with an orbit u on which no source's
@@ -536,15 +578,6 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
         on.setdefault(src[0], []).append((s * n, chis[s]))
     rank = {t: r for r, t in enumerate(sorted(anchors, key=dims.__getitem__))}
 
-    def total(nonzero, chi):
-        # the sum of c(t, v) * chi_loc(s, v) over the nonzero c(t, v)
-        acc = 0
-        for v, c in nonzero:
-            x = chi.get(v)
-            if x:
-                acc += c * x
-        return acc if type(acc) is int else exact(acc)
-
     def settle(k, t):
         # (fixed, failed) of anchor t, or None when it falls back
         cols = ccol[t]
@@ -558,7 +591,7 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
                 r = max(a, image[a])
                 if pivot is None and r in known and chi[u]:
                     pivot = a
-                    c = div(exact(known[r] - total(nonzero, chi)), chi[u])
+                    c = div(_residual(known[r], nonzero, chi, chi), chi[u])
                     fixed.append((cols[u], c, expansions[a]))
                 else:
                     here.append((a, r, chi))
@@ -567,7 +600,7 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
             if c:
                 nonzero.append((u, c))
             for a, r, chi in here:
-                x = total(nonzero, chi)
+                x = -_residual(0, nonzero, chi, chi)
                 if r not in known:
                     known[r] = x
                     fixed.append((a, x, expansions[a]))
@@ -965,35 +998,23 @@ def _presolve(system, ids=None, image=(), pins=()):
     return solved, sorted(contradicted), rep
 
 
-def _conflict(system, seeds):
+def _conflict(system):
     """The tags of a minimal conflicting subset of an inconsistent system.
 
     system is a list of rows in ascending order of their ids in the full
-    system, every row joined to a seed included (_seed_rows gives them),
-    and seeds are the positions in it of rows that _presolve reduced to
-    0 = nonzero or whose check the forward substitution failed.  The rows
-    joined to them through shared columns, found by a search over a column
-    index, are eliminated in full, in input order, over their columns in
-    order.  Components share no column and every inconsistent one holds a
-    seed, so this meets the first conflicting row of one elimination of the
-    whole system, by the same merges; the equations combined into it go to
-    _minimal_conflict.
+    system, every row joined to a seed included (_seed_rows gives them): a
+    seed is a row that _presolve reduced to 0 = nonzero or whose check the
+    forward substitution failed.  Every row is eliminated in full, in input
+    order, over the columns in order.  The rows joined to no seed form
+    components that share no column with the seeds' and are consistent,
+    since every inconsistent component holds a seed, so they leave the
+    pivots and merges of the seeds' components as they are, and this meets
+    the first conflicting row of one elimination of the whole system; the
+    equations combined into it go to _minimal_conflict.
     """
-    holders = {}           # column -> ids of the rows holding it
-    for i, (coeffs, _, _) in enumerate(system):
-        for k, _ in coeffs:
-            holders.setdefault(k, []).append(i)
-    reached, cols, stack = set(seeds), set(), list(seeds)
-    while stack:
-        for k, _ in system[stack.pop()][0]:
-            if k not in cols:
-                cols.add(k)
-                stack += [j for j in holders[k] if j not in reached]
-                reached.update(holders[k])
-    part = [system[i] for i in sorted(reached)]
-    cols = sorted(cols)
-    _, _, _, c, merges = _eliminate(part, cols)
-    return [part[i][2] for i in _minimal_conflict(part, _combined(merges, c), cols)]
+    cols = sorted({k for coeffs, _, _ in system for k, _ in coeffs})
+    _, _, _, c, merges = _eliminate(system, cols)
+    return [system[i][2] for i in _minimal_conflict(system, _combined(merges, c), cols)]
 
 
 def solve(cs):
@@ -1005,9 +1026,9 @@ def solve(cs):
     gives the pivots, the free columns and every expression of one
     elimination of the whole system.  If the presolve contradicts some rows
     or pins, or a check of the substitution failed, the tags raised are
-    those one elimination of the whole system gives: _conflict from those
-    rows, over the rows of the anchors they reach (_seed_rows), so no solve
-    builds cs.rows.
+    those one elimination of the whole system gives: _conflict over the
+    rows of the anchors those rows reach (_seed_rows), so no solve builds
+    cs.rows.
 
     Values are built once per class representative: for every c-variable,
     and for an m-variable only when its class is free or nonzero, so an
@@ -1023,9 +1044,7 @@ def solve(cs):
     solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
                                           cs.image, cs.pins + cs.substituted)
     if contradicted or cs.contradicted:
-        seeds = contradicted + cs.contradicted
-        ids, rows = _seed_rows(cs, seeds)
-        raise InconsistentSystem(_conflict(rows, [bisect_left(ids, i) for i in seeds]))
+        raise InconsistentSystem(_conflict(_seed_rows(cs, contradicted + cs.contradicted)[1]))
 
     top = ds.poset.top()
     short_pair = None
@@ -1144,42 +1163,6 @@ def _plain(v):
     return v.constant if isinstance(v, AffineInt) and not v.coeffs else v
 
 
-def _minus_products(acc, pairs, values, closure):
-    """acc - sum(c * values[u]) over the pairs (u, c) with u in closure, in order.
-
-    acc, the c and the values are exact constants or AffineInts that carry
-    a parameter, as _plain leaves them, and so is the result.  The sum goes
-    into one constant and one coefficient map, not through an AffineInt per
-    product; the first product of two forms that both carry a parameter
-    raises AffineInt's ValueError.
-    """
-    if isinstance(acc, AffineInt):
-        const, co = acc.constant, dict(acc.coeffs)
-    else:
-        const, co = acc, None
-    for u, c in pairs:
-        if u not in closure:
-            continue
-        v = values[u]
-        if type(c) is AffineInt:
-            if type(v) is AffineInt:
-                raise ValueError(f"product of {c} and {v} is not affine")
-            c, v = v, c
-        if type(v) is AffineInt:
-            const -= c * v.constant
-            if co is None:
-                co = {}
-            for n, x in v.coeffs.items():
-                co[n] = co.get(n, 0) - c * x
-        else:
-            const -= c * v
-    if co:
-        co = {n: exact(x) for n, x in co.items() if x}
-        if co:
-            return AffineInt._make(exact(const), co)
-    return exact(const)
-
-
 def reconstruct_local_euler(sr):
     """Invert the index matrix against sr.cc_table, source by source.
 
@@ -1194,23 +1177,21 @@ def reconstruct_local_euler(sr):
     a non-integral value that disagrees with any evaluation table.
 
     Every source visits its closure in one order fixed for the call, by
-    falling dimension, then id.  When that order is a linear extension of
-    the poset (dimension rises along every cover) and no id repeats, every
-    orbit above a target has been visited before it, so an orbit above it
-    lacks a value only if it failed.  Unless one did, the contributions
-    come from the target's nonzero index entries c(t, u) alone, listed once
-    per call.  Otherwise the per-orbit walk runs: every closure orbit above
-    the target in stored order, the first one without a value named as the
-    upstream failure.  Either way the subtractions run in stored order, so
-    a product that is not affine raises the same ValueError.  A source
-    costs O(n) for its zero entries and its targets, and each target
-    O(failed targets so far + nonzero entries above it); on a chain that is
-    O(n) per source where the per-orbit walk took O(n^2).
+    falling dimension, then id.  The contributions come from the target's
+    nonzero index entries c(t, u) above it, in stored order (_residual), up
+    to the stored position of the first orbit above the target that has no
+    value; the target then fails with an upstream failure at that orbit.
+    An orbit lacks a value when it failed or, unless the order is a linear
+    extension of the poset (dimension rises along every cover), when it is
+    not visited yet.  The products before it are summed first, so one that
+    is not affine raises its ValueError instead.  A source costs O(n) for
+    its zero entries and its targets, and each target O(failed orbits so
+    far + nonzero entries above it) under a linear order; with nothing
+    failed, as on a chain, no target looks further than its own entries.
 
     Index entries, multiplicities and intermediate values are plain ints and
     Fractions wherever they are constant; only a value that really carries a
-    parameter is an AffineInt, and a target's contributions are summed
-    without building one per product (_minus_products).
+    parameter is an AffineInt.
     """
     ds = sr.dataset
     poset = ds.poset
@@ -1220,15 +1201,19 @@ def reconstruct_local_euler(sr):
     ups = {o: poset.up_set(o) for o in all_orbits}
     order = sorted(dims, key=lambda o: (-dims[o], o))
     rank = {o: i for i, o in enumerate(order)}
-    linear = len(dims) == len(poset.ids) and all(rank[b] < rank[a] for a, b in poset.covers)
-    # the nonzero c(t, u) with u strictly above t, in stored order
+    linear = all(rank[b] < rank[a] for a, b in poset.covers)
     stored = {o: i for i, o in enumerate(poset.ids)}
+
+    def place(pair):
+        return stored[pair[0]]
+
+    # the nonzero c(t, u) with u strictly above t, in stored order
     above = {t: [] for t in all_orbits}
     for (t, u), c in cm.items():
         if c and t != u and t in ups and u in ups[t]:
             above[t].append((u, c))
     for pairs in above.values():
-        pairs.sort(key=lambda p: stored[p[0]])
+        pairs.sort(key=place)
     entries = {}
     failures = {}
     sources = list(sr.cc_table)
@@ -1236,42 +1221,33 @@ def reconstruct_local_euler(sr):
         s_orb = src[0]
         closure = poset.down_set(s_orb)
         internal = {}
-        failed = []
+        # the closure's orbits without a value: those failed and, unless the
+        # order is linear, those not visited yet
+        pending = set() if linear else set(closure)
         for t in all_orbits:
             if t not in closure:
                 entries[(src, t)] = 0
         for t in order:
             if t not in closure:
                 continue
+            pending.discard(t)
             diag = cm.get((t, t), 0)
-            up = ups[t]
             try:
                 if isinstance(diag, AffineInt) or diag == 0:
                     raise ComputationError(
                         f"diagonal entry at {t} is {diag}, cannot invert")
-                missing = None
-                if linear and not (failed and any(f in up for f in failed)):
-                    pairs = above[t]
-                else:
-                    pairs = []
-                    for u in poset.ids:
-                        if u == t or u not in up or u not in closure:
-                            continue
-                        if internal.get(u) is None:
-                            missing = u
-                            break
-                        c = cm.get((t, u), 0)
-                        if c:
-                            pairs.append((u, c))
-                acc = _minus_products(_plain(cc.at(t)), pairs, internal, closure)
-                if missing is not None:
-                    raise ComputationError(f"upstream failure at {missing}")
+                stop = min(map(stored.get, pending & ups[t]), default=None) \
+                    if pending else None
+                pairs = above[t] if stop is None else \
+                    above[t][:bisect_left(above[t], stop, key=place)]
+                acc = _residual(_plain(cc.at(t)), pairs, internal, closure)
+                if stop is not None:
+                    raise ComputationError(f"upstream failure at {poset.ids[stop]}")
                 val = acc / diag if isinstance(acc, AffineInt) else div(acc, diag)
             except (ComputationError, ValueError) as e:
                 entries[(src, t)] = UNKNOWN
                 failures[(src, t)] = str(e)
-                internal[t] = None
-                failed.append(t)
+                pending.add(t)
                 continue
             internal[t] = val
             if isinstance(val, AffineInt):

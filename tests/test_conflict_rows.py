@@ -3,14 +3,18 @@
 When solve finds the system inconsistent, its seeds are the ids of the
 rows the presolve contradicts and of the failed checks of the forward
 substitution.  It builds the rows of the anchors joined to the seeds
-(solver._seed_rows) and hands them to _conflict in id order, the seeds
-mapped to positions.  Every row built must equal the full system's row at
-its id, the ids ascending, and the tags raised must be those of the search
-over every row of the full system from the same seeds (_full_conflict, a
-test-only copy of _conflict as solve called it when it read cs.rows).
-cs.rows is built by the same code (_anchor_rows, over every anchor), so
-the full system is the test-only copy of the builder that emitted every
-row (tests/test_mclasses.py), and cs.rows must equal it too.
+(solver._seed_rows) and hands them to _conflict in id order, which
+eliminates every one of them.  Every row built must equal the full
+system's row at its id, the ids ascending, and the tags raised must be
+those of the search over every row of the full system from the same seeds
+(_full_conflict, a test-only copy of _conflict as solve called it when it
+read cs.rows, with the search over a column index that kept only the rows
+joined to the seeds).  _conflict over every row of the full system must
+raise them too: the rows joined to no seed are consistent, which is what
+lets _conflict eliminate all the rows it is given.  cs.rows is built by
+the same code (_anchor_rows, over every anchor), so the full system is the
+test-only copy of the builder that emitted every row
+(tests/test_mclasses.py), and cs.rows must equal it too.
 
 The inputs: the bundled case with P(S9 <- S10) set to 5 (f4a3-corrupt),
 each of its 54 KL values raised by one, every inconsistent system of
@@ -28,8 +32,8 @@ from hypothesis import HealthCheck, given, seed, settings
 
 from microloc import solver
 from microloc.euler import euler_matrix
-from microloc.solver import InconsistentSystem, _combined, _eliminate, _minimal_conflict, \
-    _presolve, _seed_rows, build_constraints, solve
+from microloc.solver import InconsistentSystem, _combined, _conflict, _eliminate, \
+    _minimal_conflict, _presolve, _seed_rows, build_constraints, solve
 from chains import chain_doc, middle_corruption, with_kl_value
 from test_mclasses import FROZEN, _copied_rows, _edited_duality
 from test_solver_conflict import systems  # noqa: F401  (fixture)
@@ -82,6 +86,8 @@ def check_seed_rows(cs, tags):
     # every row the search over the full rows reaches is built
     assert _reached(full, seeds)[0] <= set(ids)
     assert tags == _full_conflict(full, seeds)
+    # the rows joined to no seed leave the tags as they are
+    assert _conflict(full) == tags
 
 
 def _raised(cs):
