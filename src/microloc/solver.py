@@ -85,7 +85,7 @@ row contradicts, names the row of a pin or that expansion row), and the
 rows whose check the substitution failed.  Each seed lies in one anchor,
 and the rows joined to it through shared columns lie in the anchors that
 the duality's links t -- hat(t) reach from it; only those anchors' rows
-are built, at their ids in the full system (_seed_rows: 38 of F4(a3)'s
+are built, in the full system's order (_seed_rows: 38 of F4(a3)'s
 429 rows with P(S9 <- S10) raised to 5, 496 of 7,441 on chain60 with its
 middle KL value raised).  Every row built is eliminated again in full
 (_conflict); the rows joined to no seed are consistent and share no
@@ -118,10 +118,9 @@ classes whose fields may be assigned (_report fills in the bounds after
 construction); they compare by their fields and have no hash.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 
 from ._record import Record
 from .affine import AffineInt, ZERO, div, exact
@@ -380,8 +379,8 @@ def build_constraints(ds, em):
     and symmetry rows, and the expansion rows of the settled anchors, are
     assembled on first read of rows (_all_rows), in the order above, or,
     on a conflict, for the anchors its seeds reach (_seed_rows), from what
-    the system keeps of the layout: the expansion row builder and ids, the
-    anchors' hat images and the id of the first symmetry row.
+    the system keeps of the layout: the expansion row builder and ids and
+    the anchors' hat images.
     """
     poset = ds.poset
     d = ds.duality
@@ -449,7 +448,6 @@ def build_constraints(ds, em):
         if not hats:
             hats = [at[hat(d, t)] for t in anchors]
         image += [f * n + h for h in hats]
-    sym0 = i               # the id of the first symmetry row
     i += sum(a != b for a, b in enumerate(image))
 
     # image[image[a]] is a for every a exactly when both maps are involutions
@@ -499,7 +497,7 @@ def build_constraints(ds, em):
     cs.substituted, cs.contradicted = substituted, contradicted
     cs.equation_count = i
     cs._rows = cs._equations = None
-    cs._layout = expansion, expansions, hats, sym0
+    cs._layout = expansion, expansions, hats
     return cs
 
 
@@ -637,11 +635,11 @@ def _all_rows(cs):
     perfbench's size counts, read it: a conflicting solve builds the rows
     its seeds reach (_seed_rows).
     """
-    return _anchor_rows(cs, range(len(cs.dataset.orbits)))[1]
+    return _anchor_rows(cs, range(len(cs.dataset.orbits)))
 
 
 def _seed_rows(cs, seeds):
-    """The ids, ascending, and the rows of the part of cs's full system the seeds reach.
+    """The rows of the part of cs's full system the seeds reach, in its order.
 
     A system built by hand gives all its rows.  Every row of a system from
     build_constraints holds only columns of one anchor t, m[src, t] and
@@ -649,32 +647,22 @@ def _seed_rows(cs, seeds):
     m[fourier(src), hat(t)].  So the rows joined to a seed through shared
     columns lie in the anchors that the links t -- hat(t), taken both
     ways, reach from the seed's anchor, and this gives the rows of those
-    anchors (_anchor_rows).  A seed is a pin, an expansion row or a
-    diagonal row; the presolve takes no symmetry row.  Two anchors of one
+    anchors (_anchor_rows).  A seed is a pin or an expansion row, whose
+    column names its anchor, or a diagonal row, one of the last n rows in
+    orbit order; the presolve takes no symmetry row.  Two anchors of one
     orbit id share c-columns, and their hat image, so the links join them.
     """
     if cs.presolve_ids is None:
-        return range(len(cs.rows)), cs.rows
-    expansions, hats, sym0 = cs._layout[1:]
-    pins, n = cs.pins, len(cs.dataset.orbits)
-
-    def anchor(i):
-        # pins and expansion rows come source by source, anchor by anchor,
-        # so their columns rise with their ids; diagonal rows come last
-        if i >= sym0:
-            return i - cs.equation_count + n
-        p = bisect_right(pins, i, key=itemgetter(2)) - 1
-        a = pins[p][0] if p >= 0 else 0
-        if p < 0 or pins[p][2] != i:
-            while expansions.get(a) != i:
-                a += 1
-        return a % n
-
+        return cs.rows
+    expansions, hats = cs._layout[1:]
+    n = len(cs.dataset.orbits)
+    anchor = {i: a % n for a, _, i in cs.pins}
+    anchor.update((i, a % n) for a, i in expansions.items())
     linked = [[] for _ in hats]
     for k, h in enumerate(hats):
         linked[k].append(h)
         linked[h].append(k)
-    reach, stack = set(), [anchor(i) for i in seeds]
+    reach, stack = set(), [anchor.get(i, i - cs.equation_count + n) for i in seeds]
     while stack:
         k = stack.pop()
         if k not in reach:
@@ -684,44 +672,36 @@ def _seed_rows(cs, seeds):
 
 
 def _anchor_rows(cs, reach):
-    """The ids, ascending, and the rows of these anchors (by index) of a
-    system from build_constraints, each as it stands in the full system.
+    """The rows of these anchors (by index) of a system from build_constraints,
+    in the full system's order.
 
     An anchor t's rows are the pins and the expansion rows of its columns
     m[src, t], the symmetry rows of those columns whose image is another
-    column, and its diagonal row.  Pins and expansion rows are found by
-    column; the symmetry rows come in column order from id sym0 on, one
-    per column that is not its own image, and the diagonal rows last, in
-    orbit order.
+    column, and its diagonal row.  The full system holds, over the
+    m-columns in ascending order, each column's pin and then its expansion
+    row; then the symmetry rows, in column order; then the diagonal rows,
+    in orbit order.  So the columns of the anchors, taken in ascending
+    order, give the rows in that order.
     """
-    expansion, expansions, hats, sym0 = cs._layout
-    pins, image, u = cs.pins, cs.image, cs.unknowns
+    expansion, expansions = cs._layout[:2]
+    image, u = cs.image, cs.unknowns
     n = len(cs.dataset.orbits)
-    out = [(cs.equation_count - n + k, cs.presolve_rows[k - n]) for k in reach] \
-        if cs.dataset.diagonal_rule else []
-    # column s * n + k is its own image when fourier fixes source s and hat
-    # anchor k; fixed[k] counts the anchors below k that hat fixes
-    fixed, none = [0], [0] * (n + 1)
-    for k, h in enumerate(hats):
-        fixed.append(fixed[-1] + (h == k))
-    j = sym0               # the id of the first symmetry row of source s
-    for s in range(len(image) // n if n else 0):
-        own = fixed if image[s * n] // n == s else none
-        for k in reach:
-            a = s * n + k
-            p = bisect_left(pins, a, key=itemgetter(0))
-            if p < len(pins) and pins[p][0] == a:
-                _, src, t = u[a]
-                out.append((pins[p][2], (((a, 1),), pins[p][1], ("leading", src)
-                                         if t == src[0] else ("support", src, t))))
-            if a in expansions:
-                out.append((expansions[a], expansion(a)))
-            if image[a] != a:
-                out.append((j + k - own[k], (((a, 1), (image[a], -1)), 0,
-                                             ("symmetry",) + u[a][1:])))
-        j += n - own[n]
-    out.sort(key=itemgetter(0))
-    return [i for i, _ in out], [row for _, row in out]
+    pins = {a: x for a, x, _ in cs.pins}
+    reach = sorted(reach)
+    cols = [s * n + k for s in range(len(image) // n if n else 0) for k in reach]
+    out = []
+    for a in cols:
+        if a in pins:
+            _, src, t = u[a]
+            out.append((((a, 1),), pins[a], ("leading", src) if t == src[0]
+                        else ("support", src, t)))
+        if a in expansions:
+            out.append(expansion(a))
+    out += [(((a, 1), (image[a], -1)), 0, ("symmetry",) + u[a][1:])
+            for a in cols if image[a] != a]
+    if cs.dataset.diagonal_rule:
+        out += [cs.presolve_rows[k - n] for k in reach]
+    return out
 
 
 # ---------------------------------------------------------------- stage 2
@@ -1001,10 +981,10 @@ def _presolve(system, ids=None, image=(), pins=()):
 def _conflict(system):
     """The tags of a minimal conflicting subset of an inconsistent system.
 
-    system is a list of rows in ascending order of their ids in the full
-    system, every row joined to a seed included (_seed_rows gives them): a
-    seed is a row that _presolve reduced to 0 = nonzero or whose check the
-    forward substitution failed.  Every row is eliminated in full, in input
+    system is a list of rows in the full system's order, every row joined
+    to a seed included (_seed_rows gives them): a seed is a row that
+    _presolve reduced to 0 = nonzero or whose check the forward
+    substitution failed.  Every row is eliminated in full, in input
     order, over the columns in order.  The rows joined to no seed form
     components that share no column with the seeds' and are consistent,
     since every inconsistent component holds a seed, so they leave the
@@ -1044,7 +1024,7 @@ def solve(cs):
     solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
                                           cs.image, cs.pins + cs.substituted)
     if contradicted or cs.contradicted:
-        raise InconsistentSystem(_conflict(_seed_rows(cs, contradicted + cs.contradicted)[1]))
+        raise InconsistentSystem(_conflict(_seed_rows(cs, contradicted + cs.contradicted)))
 
     top = ds.poset.top()
     short_pair = None

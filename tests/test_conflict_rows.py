@@ -3,18 +3,20 @@
 When solve finds the system inconsistent, its seeds are the ids of the
 rows the presolve contradicts and of the failed checks of the forward
 substitution.  It builds the rows of the anchors joined to the seeds
-(solver._seed_rows) and hands them to _conflict in id order, which
-eliminates every one of them.  Every row built must equal the full
-system's row at its id, the ids ascending, and the tags raised must be
-those of the search over every row of the full system from the same seeds
-(_full_conflict, a test-only copy of _conflict as solve called it when it
-read cs.rows, with the search over a column index that kept only the rows
-joined to the seeds).  _conflict over every row of the full system must
-raise them too: the rows joined to no seed are consistent, which is what
-lets _conflict eliminate all the rows it is given.  cs.rows is built by
-the same code (_anchor_rows, over every anchor), so the full system is the
-test-only copy of the builder that emitted every row
-(tests/test_mclasses.py), and cs.rows must equal it too.
+(solver._seed_rows) and hands them to _conflict in the full system's
+order, which eliminates every one of them.  The rows built must be rows of
+the full system, in its order, and hold every row of it that shares a
+column with one of them: rows come in whole anchors, and a symmetry row
+joins hat-linked anchors.  The tags raised must be those of the search
+over every row of the full system from the same seeds (_full_conflict, a
+test-only copy of _conflict as solve called it when it read cs.rows, with
+the search over a column index that kept only the rows joined to the
+seeds).  _conflict over every row of the full system must raise them too:
+the rows joined to no seed are consistent, which is what lets _conflict
+eliminate all the rows it is given.  cs.rows is built by the same code
+(_anchor_rows, over every anchor), so the full system is the test-only
+copy of the builder that emitted every row (tests/test_mclasses.py), and
+cs.rows must equal it too.
 
 The inputs: the bundled case with P(S9 <- S10) set to 5 (f4a3-corrupt),
 each of its 54 KL values raised by one, every inconsistent system of
@@ -23,6 +25,8 @@ conflicts of tests/test_mclasses.py and its hypothesis edits of the hat and
 fourier pairs, whose maps need not be involutions.  The rows built must
 also hold every row the search over the full rows reaches.  A conflicting
 solve never builds cs.rows, and the rows built on three inputs are pinned.
+Every pin, expansion row and diagonal row of the bundled case, chain6 and
+chain9, taken as a seed alone, must reach its own row.
 """
 
 import copy
@@ -79,12 +83,20 @@ def check_seed_rows(cs, tags):
     assert cs.rows == full
     seeds = _seeds(cs)
     assert seeds
-    ids, rows = _seed_rows(cs, seeds)
-    ids = list(ids)
-    assert all(a < b for a, b in zip(ids, ids[1:]))
-    assert rows == [full[i] for i in ids]
+    rows = _seed_rows(cs, seeds)
+    # the rows built are rows of the full system, in its order
+    ids, j = set(), 0
+    for row in rows:
+        j = full.index(row, j)
+        ids.add(j)
+        j += 1
+    # rows come in whole anchors, and a symmetry row joins hat-linked
+    # anchors, so every row sharing a column with a built row is built
+    cols = {k for coeffs, _, _ in rows for k, _ in coeffs}
+    assert all(i in ids for i, (coeffs, _, _) in enumerate(full)
+               if any(k in cols for k, _ in coeffs))
     # every row the search over the full rows reaches is built
-    assert _reached(full, seeds)[0] <= set(ids)
+    assert _reached(full, seeds)[0] <= ids
     assert tags == _full_conflict(full, seeds)
     # the rows joined to no seed leave the tags as they are
     assert _conflict(full) == tags
@@ -177,7 +189,7 @@ def test_conflicting_solve_builds_no_full_rows(bundled_doc, monkeypatch):
 
     def seed_rows(cs, seeds):
         out = seed_rows_once(cs, seeds)
-        built.append((len(out[1]), cs.equation_count))
+        built.append((len(out), cs.equation_count))
         return out
 
     seed_rows_once = solver._seed_rows
@@ -190,3 +202,14 @@ def test_conflicting_solve_builds_no_full_rows(bundled_doc, monkeypatch):
     # the rows of the anchor S7 of F4(a3), its own hat image, of A13-A16 of
     # chain30 and of A28-A31 of chain60, of 429, 1,921 and 7,441 rows
     assert built == [(38, 429), (256, 1921), (496, 7441)]
+
+
+@pytest.mark.parametrize("n", [0, 6, 9], ids=["bundled", "chain6", "chain9"])
+def test_every_seed_kind_reaches_its_own_row(bundled_doc, n):
+    # a seed is a pin, an expansion row or a diagonal row; each must be
+    # mapped to its own anchor, whose rows hold it
+    cs = _system(chain_doc(n) if n else bundled_doc)
+    ids = [i for i, (_, _, tag) in enumerate(cs.rows) if tag[0] != "symmetry"]
+    assert ids
+    for i in ids:
+        assert cs.rows[i] in _seed_rows(cs, [i])

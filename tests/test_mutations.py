@@ -130,7 +130,7 @@ def test_mutant(bundled_doc, tmp_path, capsys, data):
         sr = solve(cs)
     except InconsistentSystem as e:
         _check_minimal_conflict(cs)
-        # the rows the conflict path builds are the full rows at their ids,
+        # the rows the conflict path builds are the full rows in their order,
         # and the failed checks and the presolve of the rest reach the
         # conflict that the presolve of the full rows reaches
         check_seed_rows(cs, e.tags)
