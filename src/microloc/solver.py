@@ -33,72 +33,59 @@ outside its source's closure and the source's rank for a leading cell.
 
 The expansion rows hold about n^3/6 nonzeros on a chain of n orbits, yet
 their answer is sparse too (on chain30, 59 of 465 index entries are
-nonzero), and build_constraints solves most of them itself by forward
-substitution (_substitute).  For an anchor t it walks the orbits u above
-t by rising dimension and fixes each c(t, u) from a row whose m-class has
-a known value, subtracting only the nonzero c(t, v) found before; each
-other row at t then fixes its m-class or checks it.  The values go to the
-presolve as pins, and a failed check is a contradicted row.  An anchor
-falls back to the presolve, its expansion rows built as rows, when one of
-its expansions is skipped or some c(t, u) has no row to fix it; every
-anchor falls back when the duality image is not an involution or
-dimension does not rise along every cover.  Every chain anchor is
-settled; on F4(a3), 3 of the 12 are, 5 have skipped expansions and 4 an
-unfixed c-entry, so 51 of its 71 expansion rows reach the presolve.  The
-full tagged system (ConstraintSystem.rows), the expansion rows of the
-settled anchors included, is assembled only when something reads it; no
+nonzero), and build_constraints solves most of them itself, anchor by
+anchor, by forward substitution (_substitute), whose values go to the
+presolve as pins; a failed check is a contradicted row.  An anchor it
+cannot settle falls back, its expansion rows built as rows.  Every chain
+anchor is settled; on F4(a3), 3 of the 12 are, so 51 of its 71
+expansion rows reach the presolve.  The full tagged system
+(ConstraintSystem.rows) is assembled only when something reads it; no
 solve does.
 
 solve presolves once (_presolve), its columns in the fixed variable order
 (m-variables first, then c-variables by falling row dimension), from the
 image, the pins, the substituted values and the rows left: the expansion
 rows of the anchors that fall back and the diagonal rows.  The presolve
-derives the classes itself, by one union-find over the image and the
-equality rows, each class represented by its latest column, and
-propagates the pins and those of singleton rows.  For a fixed column
-order the RREF is unique, so solve may reach it any way it likes; a
-substituted value is constant on the whole solution set, a pivot with an
-empty remainder.  That settles every chain system with no elimination,
-and leaves F4(a3) 30 rows over 21 columns of its 429 x 311.  Only
-what remains goes through deterministic exact Gaussian elimination over
-the rationals (_eliminate), over the unpinned class representatives in
-column order, its rows in input order.  Each variable's pivot there is
-the unused row holding it with the fewest entries, ties to the lowest row
-index; the rows holding a variable are found through a column index that
-follows fill-in and cancellation, not by scanning every row.  So the same
-dataset always yields the same pivots, the same free parameters, and the
-same names: a free parameter is a class representative that is neither
-pinned nor a pivot.  Every value, from the coefficients build_constraints
-emits through the row entries and right-hand sides to the AffineInt
-results, is an int where it is integral and a Fraction otherwise
-(affine.exact), which keeps the common case (every value of the bundled
-case and of the chain family is a small integer) off Fraction arithmetic;
-every division goes through affine.div, since / on two ints would give a
-float.  Whatever stays free becomes a named parameter; every downstream
-quantity is an AffineInt over those names, built once per class, and for
-the m-variables only where the class is free or nonzero.
+derives the classes itself, each represented by its latest column, and
+propagates the pins and those of singleton rows.  Whenever the image is
+an involution, a class no row holds is a pair {a, image[a]} that takes
+its pin directly, and only the columns the rows hold and their images
+reach the union-find and the propagation: 90 of chain90's 12,285
+columns, 113 of F4(a3)'s 311.  For a fixed column order the RREF is
+unique, so solve may reach it any way it likes; a substituted value is
+constant on the whole solution set, a pivot with an empty remainder.
+That settles every chain system with no elimination, and leaves F4(a3)
+30 rows over 21 columns of its 429 x 311.  Only what remains goes
+through deterministic exact Gaussian elimination over the rationals
+(_eliminate), over the unpinned class representatives in column order,
+its rows in input order, with a pivot rule that depends on nothing else.
+So the same dataset always yields the same pivots, the same free
+parameters, and the same names: a free parameter is a class
+representative that is neither pinned nor a pivot.  Every value, from
+the coefficients build_constraints emits through the row entries and
+right-hand sides to the AffineInt results, is an int where it is
+integral and a Fraction otherwise (affine.exact), which keeps the common
+case (every value of the bundled case and of the chain family is a small
+integer) off Fraction arithmetic; every division goes through
+affine.div, since / on two ints would give a float.  Every downstream
+quantity is an AffineInt over the free names, built once per class and
+handed to the columns of its class only where it is not zero.
 
 An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags.  Its seeds are the rows the presolve contradicts, named by
-their ids in the full system (a class with two pins, or a pin an expansion
-row contradicts, names the row of a pin or that expansion row), and the
-rows whose check the substitution failed.  Each seed lies in one anchor,
-and the rows joined to it through shared columns lie in the anchors that
-the duality's links t -- hat(t) reach from it; only those anchors' rows
-are built, in the full system's order (_seed_rows: 38 of F4(a3)'s
-429 rows with P(S9 <- S10) raised to 5, 496 of 7,441 on chain60 with its
-middle KL value raised).  Every row built is eliminated again in full
-(_conflict); the rows joined to no seed are consistent and share no
-column with a seed, so the first conflicting row is the one an
-elimination of the whole system meets.  That row is reduced: the equations
-combined into it, reduced by a drop-one deletion filter that eliminates
-them once, each with its own unit column, and decides every trial by one
-elimination step on the resulting basis of their left null space
-(_minimal_conflict).  The elimination keeps no per-row record of the
-equations combined into a row; it logs each row update as a (target row,
-pivot row) pair, and only on a conflict is that log replayed backwards
-for the conflicting row (_combined).  A successful solve never runs the
-full elimination, and no solve builds the full rows.
+their ids in the full system, and the rows whose check the substitution
+failed.  Only the rows of the anchors that the duality's links
+t -- hat(t) reach from the seeds are built, in the full system's order
+(_seed_rows: 38 of F4(a3)'s 429 rows with P(S9 <- S10) raised to 5, 496
+of 7,441 on chain60 with its middle KL value raised), and eliminated
+again in full (_conflict).  The rows joined to no seed are consistent
+and share no column with a seed, so the first conflicting row is the one
+an elimination of the whole system meets.  The equations combined into
+it, replayed from the elimination's log of row updates (_combined), are
+reduced by a drop-one deletion filter that decides every trial by one
+elimination step on a basis of their left null space
+(_minimal_conflict).  A successful solve never runs the full
+elimination, and no solve builds the full rows.
 
 Stage 3 takes the solved report alone: characteristic_cycle,
 parameter_bounds, reconstruct_local_euler, special_cc_localization and
@@ -178,33 +165,26 @@ class ConstraintSystem:
     """The tagged system over unknowns.
 
     rows holds each equation once as a (coeffs, rhs, tag) tuple whose
-    coefficients are keyed by column id, the variable's index in unknowns.
-    Every row is in the one row form the solver relies on: each column
-    appears once, every coefficient is nonzero, and coefficients and
-    right-hand side are exact (affine.exact).  build_constraints emits its
-    rows in that form; a system built by hand from Equations, as here, is
-    brought into it, repeated columns summed and zero sums dropped.
-    equations is the same rows keyed by variable, as Equations, built on
-    first read; equation_count is their number.
+    coefficients are keyed by column id, the variable's index in unknowns,
+    in the one row form the solver relies on: each column appears once,
+    every coefficient is nonzero, and coefficients and right-hand side are
+    exact (affine.exact).  A system built by hand from Equations, as here,
+    is brought into that form, repeated columns summed and zero sums
+    dropped; equations is the same rows keyed by variable, as Equations,
+    built on first read, and equation_count is their number.
 
     What the presolve reads is kept apart from rows: the rows it takes
-    (presolve_rows), their ids in rows (presolve_ids, None for their own
+    (presolve_rows) and their ids in rows (presolve_ids, None for their own
     indices), the duality image (image: column a is tied to image[a], as a
-    symmetry row would tie it, wherever the two differ), the pins (pins:
-    (column, value, row id) triples, the column's class equals value as
-    row id says), the values forward substitution fixed, as pins of the
-    same form (substituted), and the ids of the rows whose check failed
-    (contradicted), which the presolve would contradict.  The presolve
-    derives the classes from the image and the equality rows.  A system
-    built by hand hands every row to the presolve, with an empty image and
-    no pins, substituted values or failed checks.  build_constraints gives
-    the image of m[src, t] under the duality, a pin per support and
-    leading row, the values that settle the c-columns of every anchor it
-    does not let fall back, and only the expansion rows of the anchors
-    that fall back and the diagonal rows; its rows are assembled on first
-    read (_all_rows), and solve never reads them: on a conflict it builds
-    only the rows its seeds can reach (_seed_rows).  The tests, and
-    perfbench's size counts, read rows and equations.
+    symmetry row would tie it, wherever the two differ) and whether it is
+    an involution (involutive), the pins (pins: (column, value, row id),
+    the column's class equals value as row id says), the values forward
+    substitution fixed, as pins of the same form (substituted), and the
+    ids of the rows whose check failed (contradicted).  A system built by
+    hand hands every row to the presolve, with an empty image and no pins;
+    one from build_constraints assembles its rows on first read
+    (_all_rows), and solve never reads them.  The tests, and perfbench's
+    size counts, read rows and equations.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -223,6 +203,7 @@ class ConstraintSystem:
         self._rows = self.presolve_rows = rows
         self.presolve_ids = None
         self.image = ()
+        self.involutive = False
         self.pins = []
         self.substituted = []
         self.contradicted = []
@@ -361,7 +342,7 @@ def build_constraints(ds, em):
     diagonal rows.  Most of the system is kept as structure for the
     presolve, not as rows:
       - the duality image, the column m[fourier(src), hat(t)] of each
-        m[src, t] (image); the duality need not be an involution;
+        m[src, t] (image), and whether it is an involution (involutive);
       - the pins, one per support and leading row, in row order, as
         (column, value, row id): 0 for a cell whose anchor lies outside
         its source's closure, the source's rank for a leading cell; the
@@ -379,8 +360,9 @@ def build_constraints(ds, em):
     and symmetry rows, and the expansion rows of the settled anchors, are
     assembled on first read of rows (_all_rows), in the order above, or,
     on a conflict, for the anchors its seeds reach (_seed_rows), from what
-    the system keeps of the layout: the expansion row builder and ids and
-    the anchors' hat images.
+    the system keeps of the layout: the expansion row builder and ids, the
+    anchors' hat images, the pins' values by column and the m-column of
+    each pin and expansion row by id.
     """
     poset = ds.poset
     d = ds.duality
@@ -407,8 +389,8 @@ def build_constraints(ds, em):
     expansions = {}        # m-column -> id of its expansion row, for each row not skipped
     fallback = set()       # the indices of the anchors that fall back
     pins = []              # (column, value, row id) of each support and leading row
+    owner = []             # the m-column of each support, leading and expansion row, by id
     skipped = []
-    i = 0
     for s, src in enumerate(sources):
         s_orb = src[0]
         closure = poset.down_set(s_orb)
@@ -418,12 +400,12 @@ def build_constraints(ds, em):
         for k, t in enumerate(anchors):
             mv = s * n + k
             if t not in closure:
-                pins.append((mv, 0, i))
-                i += 1
+                pins.append((mv, 0, len(owner)))
+                owner.append(mv)
                 continue
             if t == s_orb:
-                pins.append((mv, ds.ls_dim(src), i))
-                i += 1
+                pins.append((mv, ds.ls_dim(src), len(owner)))
+                owner.append(mv)
             if unknown:
                 up = ups[t]
                 missing = [(u, src) for u in unknown if u in up]
@@ -431,8 +413,9 @@ def build_constraints(ds, em):
                     skipped.append(SkippedExpansion(t, src, tuple(missing)))
                     fallback.add(k)
                     continue
-            expansions[mv] = i
-            i += 1
+            expansions[mv] = len(owner)
+            owner.append(mv)
+    i = len(owner)
 
     # image[a] is the column m[src, t] is tied to: m[fourier(src), hat(t)],
     # one symmetry row for each a it differs from; the first source's
@@ -451,10 +434,10 @@ def build_constraints(ds, em):
     i += sum(a != b for a, b in enumerate(image))
 
     # image[image[a]] is a for every a exactly when both maps are involutions
+    involutive = all(partners[f] == s for s, f in enumerate(partners)) and \
+        all(hats[h] == k for k, h in enumerate(hats))
     substituted, contradicted = [], []
-    if len(dims) == n and all(dims[a] < dims[b] for a, b in poset.covers) and \
-            all(partners[f] == s for s, f in enumerate(partners)) and \
-            all(hats[h] == k for k, h in enumerate(hats)):
+    if involutive and len(dims) == n and all(dims[a] < dims[b] for a, b in poset.covers):
         substituted, contradicted = _substitute(anchors, dims, ups, sources, chis, ccol,
                                                 expansions, image, pins, fallback)
     else:
@@ -494,10 +477,10 @@ def build_constraints(ds, em):
     cs = ConstraintSystem.__new__(ConstraintSystem)
     cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
     cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins = rows, ids, image, pins
-    cs.substituted, cs.contradicted = substituted, contradicted
+    cs.substituted, cs.contradicted, cs.involutive = substituted, contradicted, involutive
     cs.equation_count = i
     cs._rows = cs._equations = None
-    cs._layout = expansion, expansions, hats
+    cs._layout = expansion, expansions, hats, {a: x for a, x, _ in pins}, owner
     return cs
 
 
@@ -629,12 +612,9 @@ def _find(parent, k):
 
 
 def _all_rows(cs):
-    """The full tagged system of a system from build_constraints, in its order.
-
-    It is the rows of every anchor (_anchor_rows).  Only the tests, and
-    perfbench's size counts, read it: a conflicting solve builds the rows
-    its seeds reach (_seed_rows).
-    """
+    """The full tagged system of a system from build_constraints, in its order:
+    the rows of every anchor (_anchor_rows), which only the tests and
+    perfbench's size counts read."""
     return _anchor_rows(cs, range(len(cs.dataset.orbits)))
 
 
@@ -648,21 +628,20 @@ def _seed_rows(cs, seeds):
     columns lie in the anchors that the links t -- hat(t), taken both
     ways, reach from the seed's anchor, and this gives the rows of those
     anchors (_anchor_rows).  A seed is a pin or an expansion row, whose
-    column names its anchor, or a diagonal row, one of the last n rows in
-    orbit order; the presolve takes no symmetry row.  Two anchors of one
-    orbit id share c-columns, and their hat image, so the links join them.
+    m-column the layout keeps by id, or a diagonal row, one of the last n
+    rows in orbit order; the presolve takes no symmetry row.  Two anchors
+    of one orbit id share c-columns, and their hat image, so links join them.
     """
     if cs.presolve_ids is None:
         return cs.rows
-    expansions, hats = cs._layout[1:]
+    hats, owner = cs._layout[2], cs._layout[4]
     n = len(cs.dataset.orbits)
-    anchor = {i: a % n for a, _, i in cs.pins}
-    anchor.update((i, a % n) for a, i in expansions.items())
     linked = [[] for _ in hats]
     for k, h in enumerate(hats):
         linked[k].append(h)
         linked[h].append(k)
-    reach, stack = set(), [anchor.get(i, i - cs.equation_count + n) for i in seeds]
+    reach, stack = set(), [owner[i] % n if i < len(owner) else i - cs.equation_count + n
+                           for i in seeds]
     while stack:
         k = stack.pop()
         if k not in reach:
@@ -681,12 +660,12 @@ def _anchor_rows(cs, reach):
     m-columns in ascending order, each column's pin and then its expansion
     row; then the symmetry rows, in column order; then the diagonal rows,
     in orbit order.  So the columns of the anchors, taken in ascending
-    order, give the rows in that order.
+    order, give the rows in that order; a column's pin value comes from
+    the layout's map by column, so only the pins of these anchors are read.
     """
-    expansion, expansions = cs._layout[:2]
+    expansion, expansions, _, pins, _ = cs._layout
     image, u = cs.image, cs.unknowns
     n = len(cs.dataset.orbits)
-    pins = {a: x for a, x, _ in cs.pins}
     reach = sorted(reach)
     cols = [s * n + k for s in range(len(image) // n if n else 0) for k in reach]
     out = []
@@ -841,54 +820,73 @@ def _cancel(b, pivot, i):
     return out, exact(value - f * pvalue)
 
 
-def _presolve(system, ids=None, image=(), pins=()):
+def _presolve(system, ids=None, image=(), pins=(), involutive=False):
     """Solve the rows of a system, and name the rows that contradict it.
 
     system is a list of rows in ConstraintSystem's row form and ids the id
     of each (default: its index).  image ties column a to column image[a],
     as a symmetry row a - image[a] = 0 would, for every a it differs from,
-    and pins lists (column, value, id) facts: the column's class equals
-    value, as row id says.  A system built by hand gives every row, an
-    empty image and no pins; build_constraints gives the duality image,
-    the pins of the support and leading rows followed by the values its
-    forward substitution fixed (a c-column of a settled anchor, or an
-    m-column one of its rows fixed, each with the id of the row that fixed
-    it), and only the expansion rows of the anchors that fall back and the
-    diagonal rows.  A substituted value is constant on the whole solution
-    set, so it pins its column as any pin does, and the rows it came from
-    add nothing but the checks that build_constraints has made.  Four
-    steps, none of which can change the result, since for a fixed column
-    order the RREF is unique:
+    and involutive says it is an involution.  pins lists (column, value,
+    id) facts: the column's class equals value, as row id says; a value
+    forward substitution fixed is constant on the whole solution set, so
+    it pins its column as any pin does.  A system built by hand gives every
+    row, an empty image and no pins; build_constraints says what it gives.
+    Four steps, none of which can change the result, since for a fixed
+    column order the RREF is unique:
       1. merge every column with its image, and the columns of every
          equality row (two entries, opposite coefficients, rhs 0), by one
          union-find, each class represented by its latest column: in the
          RREF every other member of a class is a pivot, and the class's own
-         value is its representative's;
+         value is its representative's.  When the image is an involution,
+         a class no row holds is the pair {a, image[a]}, so the union-find
+         sees only the columns the rows hold and their images, and a pin
+         on any other column goes straight into solved, onto the larger
+         column of its pair;
       2. rewrite every other row onto the representatives, adding the
          coefficients that land on one and dropping those that cancel, so
          the rows keep ConstraintSystem's row form;
-      3. pin the class of each given pin and each singleton row, and
-         substitute the pin into the rows of its column, queueing the pin
-         of any row left with one entry;
+      3. queue the other pins and those of the singleton rows, and take
+         them last first: pin the class, and substitute the pin into the
+         rows of its column, queueing the pin of any row left with one
+         entry;
       4. eliminate whatever rows remain with _eliminate, over the unpinned
          representatives they hold, in column order.
-    Returns (solved, contradicted, rep).  rep maps every merged column to
-    its representative.  solved is {column: (rest, rhs)} for every
+    Returns (solved, contradicted, rep).  rep maps each column the
+    union-find merged into another to its representative; any other column
+    a belongs to the class of the larger of a and image[a] (of a itself
+    past the image).  solved is {column: (rest, rhs)} for every
     representative that is not free: the column equals
     rhs - sum(rest[k] * k) over free columns k.  The free columns are the
     representatives neither pinned nor pivots.  contradicted lists, in
     ascending order, the ids of the rows and pins that a step reduces to
     0 = nonzero: a row rewritten to empty, a second pin of one class with
-    another value, or an empty row that the elimination leaves.  Each such
-    row is dropped and the steps go on, so every inconsistent component of
-    the system (its rows joined through shared columns) that the failed
-    checks of the substitution miss holds one; solved is meaningful only
-    when neither names a row.
+    another value (the pins of a class are taken last first in step 1 as
+    in step 3, so the one named is the earlier), or an empty row that the
+    elimination leaves.  Each such row is dropped and the steps go on, so
+    every inconsistent component of the system (its rows joined through
+    shared columns) that the failed checks of the substitution miss holds
+    one; solved is meaningful only when neither names a row.
     """
+    solved = {}
+    empty = {}             # the remainder of every pinned class, one dict that nothing changes
+    contradicted = []
+    m = len(image)
+    cols = range(m)
+    if involutive:
+        held = {k for coeffs, _, _ in system for k, _ in coeffs}
+        held.update([image[a] for a in held if a < m])
+        cols = [a for a in held if a < m]
+        for k, value, i in reversed(pins):
+            if k not in held:
+                r = image[k] if k < m else k
+                if solved.setdefault(k if r < k else r, (empty, value))[1] != value:
+                    contradicted.append(i)
+        pins = [p for p in pins if p[0] in held]
     # a pair already joined from its smaller end is not joined again, and
     # two columns that are both roots need no find
     parent = {}
-    for a, b in enumerate(image):
+    for a in cols:
+        b = image[a]
         if a == b or b < a and image[b] == a:
             continue
         if a in parent or b in parent:
@@ -910,12 +908,11 @@ def _presolve(system, ids=None, image=(), pins=()):
         others.append((i, coeffs, rhs))
     rep = {k: _find(parent, k) for k in parent}
 
-    queue = [(rep.get(k, k), value, i) for k, value, i in pins]
+    queue = [(_find(parent, k), value, i) for k, value, i in pins]
     ids = []               # the id of each row below
     rows = []
     rhss = []
     column = {}            # representative -> ids of the rows holding it
-    contradicted = []
     for i, coeffs, rhs in others:
         new = dict(coeffs)
         for k in rep.keys() & new.keys():
@@ -945,14 +942,13 @@ def _presolve(system, ids=None, image=(), pins=()):
             else:
                 column[k] = [j]
 
-    solved = {}
     while queue:
         k, value, i = queue.pop()
         if k in solved:
             if solved[k][1] != value:
                 contradicted.append(i)
             continue
-        solved[k] = ({}, value)
+        solved[k] = (empty, value)
         for j in column.pop(k, ()):
             row = rows[j]
             if row is None:
@@ -1001,17 +997,16 @@ def solve(cs):
     """Presolve the system, name whatever stays free, and assemble the report.
 
     The system is presolved once, its columns in the order of cs.unknowns
-    (_presolve), from what cs hands the presolve: its duality image, its
-    pins, its substituted values and the rows left, never cs.rows.  That
-    gives the pivots, the free columns and every expression of one
-    elimination of the whole system.  If the presolve contradicts some rows
-    or pins, or a check of the substitution failed, the tags raised are
-    those one elimination of the whole system gives: _conflict over the
-    rows of the anchors those rows reach (_seed_rows), so no solve builds
-    cs.rows.
+    (_presolve), from what cs hands the presolve, never cs.rows; that gives
+    the pivots, the free columns and every expression of one elimination
+    of the whole system.  If the presolve contradicts some rows or pins, or
+    a check of the substitution failed, the tags raised are those one
+    elimination of the whole system gives: _conflict over the rows of the
+    anchors those rows reach (_seed_rows).
 
-    Values are built once per class representative: for every c-variable,
-    and for an m-variable only when its class is free or nonzero, so an
+    Values are built once per class: for each solved class that is not
+    zero, and for each free class, looked for only when the solved classes
+    leave a column out.  A value goes to the columns of its class, so an
     m-cell whose class is zero is absent from its cycle.
 
     Free c-variables are named p_<row>_<col>.  One of them gets the short
@@ -1021,8 +1016,9 @@ def solve(cs):
     named q_<anchor>_<orbit>_<irrep>, after their class's representative.
     """
     ds = cs.dataset
-    solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids,
-                                          cs.image, cs.pins + cs.substituted)
+    image, m, unknowns = cs.image, len(cs.image), cs.unknowns
+    solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids, image,
+                                          cs.pins + cs.substituted, cs.involutive)
     if contradicted or cs.contradicted:
         raise InconsistentSystem(_conflict(_seed_rows(cs, contradicted + cs.contradicted)))
 
@@ -1030,8 +1026,6 @@ def solve(cs):
     short_pair = None
     if len(ds.conormal_dense_exceptions) == 1:
         short_pair = ("c", ds.conormal_dense_exceptions[0], top)
-
-    unknowns = cs.unknowns
     names = {}             # free column -> its parameter name
 
     def name(j):
@@ -1043,26 +1037,31 @@ def solve(cs):
                 names[j] = f"q_{v[2]}_{v[1][0]}_{v[1][1]}"
         return names[j]
 
-    values = {}            # representative -> its AffineInt, None when it is zero
-
-    def value(r):
-        if r not in values:
-            if r not in solved:
-                values[r] = AffineInt.parameter(name(r))
-            else:
-                rest, rhs = solved[r]
-                values[r] = AffineInt._make(rhs, {name(k): -x for k, x in rest.items()}) \
-                    if rest or rhs else None
-        return values[r]
-
-    centries = {}
+    members = {}           # representative -> its class, for each class rep maps into
+    for k, r in rep.items():
+        members.setdefault(r, [r]).append(k)
+    left = len(unknowns) - len(rep) - len(solved)    # the columns no solved class takes
+    for r in solved:
+        if r < m and image[r] != r and r not in members:
+            left -= 1      # the smaller column of a pair
+    values = {r: AffineInt._make(rhs, {name(k): -x for k, x in rest.items()})
+              for r, (rest, rhs) in solved.items() if rest or rhs}
+    if left:
+        for j in range(len(unknowns)):
+            if j not in rep and j not in solved and (j >= m or image[j] <= j):
+                values[j] = AffineInt.parameter(name(j))
+    cells = {}             # column -> its class's value, where that is not zero
+    for r, x in values.items():
+        for j in members.get(r) or ((r, image[r]) if r < m else (r,)):
+            cells[j] = x
+    centries = {(a, b): ZERO for kind, a, b in unknowns[m:] if kind == "c"}
     mults = {src: {} for src in ds.local_systems()}
-    for j, v in enumerate(unknowns):
-        x = value(rep.get(j, j))
-        if v[0] == "c":
-            centries[(v[1], v[2])] = ZERO if x is None else x
-        elif x is not None:
-            mults[v[1]][v[2]] = x
+    for j in sorted(cells):
+        kind, a, b = unknowns[j]
+        if kind == "c":
+            centries[a, b] = cells[j]
+        else:
+            mults[a][b] = cells[j]
     params = sorted(names.values(), key=lambda n: (n != "c", n.startswith("q_"), n))
     return _report(ds, centries, mults, params, list(cs.skipped), cs.equation_count)
 

@@ -14,8 +14,13 @@ representative's, or the representative itself when free), though the
 classes differ where an equality expansion row is substituted instead of
 merged; the pins, put onto the classes of a union-find over the symmetry
 rows, must be what the full system's support and leading rows give.  The
-full system is a test-only copy of build_constraints as it was when it
-emitted every row, and cs.rows, built on first read, must equal it.
+presolve as solve calls it takes the pins of the pairs no row holds
+straight into its solution when the image is an involution; it must name
+the same contradicted ids, and give every column the same expression, as
+the presolve that puts every pin through the union-find and the queue.  A
+column its rep does not map is resolved through the image (_expressions).
+The full system is a test-only copy of build_constraints as it was when
+it emitted every row, and cs.rows, built on first read, must equal it.
 
 The inputs are the bundled case, chains 6 to 30, every system of
 tests/test_solver_conflict.py, two frozen conflicting edits of chain4 and
@@ -136,23 +141,36 @@ def _union_find_classes(rows):
     return classes, pins
 
 
-def _expressions(presolved, ncols):
+def _expressions(presolved, ncols, image=()):
     """What a _presolve result assigns to each column: its representative's
-    (rest, rhs), or the representative itself when that is free."""
+    (rest, rhs), or the representative itself when that is free.  A column
+    rep does not map is in the class of the larger of it and its image (of
+    itself past the image), as _presolve's docstring says: rep maps only
+    what the union-find merged, and the pairs no row holds it leaves out."""
     solved, _, rep = presolved
-    return [solved.get(r, r) for r in (rep.get(j, j) for j in range(ncols))]
+    classes = (rep.get(j, max(j, image[j]) if j < len(image) else j) for j in range(ncols))
+    return [solved.get(r, r) for r in classes]
 
 
 def _check_against_full_rows(cs, rows):
     """The presolve of cs's structure, its substituted values and failed
     checks against the presolve of the full rows: the same contradiction
-    status and, without one, the same expression for every column."""
-    got = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins + cs.substituted)
+    status and, without one, the same expression for every column.  The
+    presolve as solve calls it, which takes the pins of the pairs no row
+    holds directly when the image is an involution, also names the same
+    contradicted ids, and gives the same expressions, as the presolve that
+    puts every pin through the union-find and the queue."""
+    structure = (cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins + cs.substituted)
+    got = _presolve(*structure, cs.involutive)
+    queued = _presolve(*structure)
     want = _presolve(rows)
+    assert got[1] == queued[1]
     assert bool(got[1] or cs.contradicted) == bool(want[1])
+    ncols = len(cs.unknowns)
+    if not got[1]:
+        assert _expressions(got, ncols, cs.image) == _expressions(queued, ncols)
     if not want[1]:
-        ncols = len(cs.unknowns)
-        assert _expressions(got, ncols) == _expressions(want, ncols)
+        assert _expressions(got, ncols, cs.image) == _expressions(want, ncols)
 
 
 def _check_classes(ds):

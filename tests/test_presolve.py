@@ -14,7 +14,10 @@ build_constraints' own, so that free classes get p_ and q_ names.
 A conflict that the presolve finds must raise the tags of one full
 elimination of the system, also when two parts over disjoint unknowns
 conflict at once, and what reaches _eliminate on a successful solve is
-pinned row by row and column by column.
+pinned row by row and column by column.  So is what reaches the
+union-find and the queue (every pin the queue takes goes through _find):
+only the columns the presolve rows hold and their images, on chains 6 to
+60 and on the bundled case.
 """
 
 from fractions import Fraction
@@ -25,8 +28,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from microloc import solver
 from microloc.affine import AffineInt, exact
+from microloc.data import loads_dataset
+from microloc.euler import euler_matrix
 from microloc.solver import ConstraintSystem, Equation, InconsistentSystem, _combined, \
-    _eliminate, _minimal_conflict, _presolve, solve
+    _eliminate, _minimal_conflict, _presolve, build_constraints, solve
+from chains import chain_doc
 from test_solver_conflict import CASES, _residual_failures, systems  # noqa: F401  (fixture)
 from test_solver_oracle import CHAIN_SIZES, _exact_value, _rref
 
@@ -323,3 +329,58 @@ def test_what_reaches_elimination(systems, monkeypatch):  # noqa: F811
     assert _eliminated(monkeypatch, systems["f4a3"]) == [(30, 21)]
     for n in CHAIN_SIZES:
         assert _eliminated(monkeypatch, systems[f"chain{n}"]) == [(0, 0)]
+
+
+# -- what reaches the union-find and the queue ----------------------------------
+
+_FIND = solver._find
+
+
+def _held(cs):
+    """The columns cs's presolve rows hold, and their images."""
+    held = {k for coeffs, _, _ in cs.presolve_rows for k, _ in coeffs}
+    return held | {cs.image[a] for a in held if a < len(cs.image)}
+
+
+def _found(monkeypatch, cs):
+    """The columns _find is called on in one solve of cs: the image pairs
+    and equality rows the union-find joins, and the column of every pin the
+    queue takes."""
+    seen = []
+
+    def find(parent, k):
+        seen.append(k)
+        return _FIND(parent, k)
+
+    monkeypatch.setattr(solver, "_find", find)
+    solve(cs)
+    return seen
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 18, 24, 30, 60])
+def test_what_reaches_the_union_find_on_a_chain(n, monkeypatch):
+    # every chain anchor is settled, so the presolve rows are the n diagonal
+    # rows; their c(t, t) columns are the only ones held, and each reaches
+    # _find once, as its substituted value is queued.  No image pair is
+    # joined, and every other pin goes straight into the solution
+    ds = loads_dataset(chain_doc(n))
+    cs = build_constraints(ds, euler_matrix(ds))
+    held = _held(cs)
+    assert cs.involutive and len(held) == n
+    assert all(cs.unknowns[k][0] == "c" for k in held)
+    assert sorted(_found(monkeypatch, cs)) == sorted(held)
+
+
+def test_what_reaches_the_union_find_on_f4a3(systems, monkeypatch):  # noqa: F811
+    # F4(a3): 9 of its 12 anchors fall back, and its 63 presolve rows hold
+    # 113 columns with their images, 85 of them m-columns; 38 of its 126 pins
+    # and substituted values are queued, and _find is called 122 times, on
+    # 68 of the held columns
+    cs = systems["f4a3"]
+    held = _held(cs)
+    assert (len(cs.presolve_rows), len(held), sum(k < len(cs.image) for k in held)) == \
+        (63, 113, 85)
+    assert sum(k in held for k, _, _ in cs.pins + cs.substituted) == 38
+    found = _found(monkeypatch, cs)
+    assert set(found) <= held
+    assert (len(found), len(set(found))) == (122, 68)

@@ -10,15 +10,16 @@ the duality image is not an involution.  Whatever falls back, the
 presolve of the structure, the substituted values and the failed checks
 must assign every column the expression the presolve of the full rows
 assigns it, and a conflict must raise the tags of one elimination of the
-full rows.  The edited datasets go through the library without
-validate_dataset.
+full rows.  Two pins of different values on a pair that no presolve row
+holds must be named as the queue names them, the earlier one.  The
+edited datasets go through the library without validate_dataset.
 """
 
 import copy
 
 from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
-from microloc.solver import build_constraints
+from microloc.solver import _presolve, build_constraints
 from chains import SIGN, chain_doc, middle_corruption, orbit_id, with_kl_value
 from test_mclasses import _check_against_full_rows, _check_classes, _check_outcome, \
     _leading_joined_to_support
@@ -71,6 +72,33 @@ def test_anchor_whose_c_entry_no_row_fixes_falls_back():
     settled = _settled(cs)
     assert "A2" not in settled and "A3" not in settled and settled
     _check_outcome(cs)
+
+
+def test_two_pins_on_a_class_no_row_holds():
+    # chain3 with fourier fixing every sheaf: m[(A0,(1)), A0], leading 1 at
+    # row 0, is tied to m[(A0,(1)), A2], support 0 at row 3.  No presolve
+    # row holds either, so both pins go straight into the presolve's
+    # solution, the later one first as the queue would take them, and the
+    # earlier one is the one named
+    doc = chain_doc(3)
+    doc["duality"]["fourier"] = [[[a, "(1)"], [a, "(1)"]] for a in _chain(3)] + \
+        [[[orbit_id(2), SIGN], [orbit_id(2), SIGN]]]
+    cs = _check_classes(loads_dataset(doc))
+    assert cs.involutive and cs.image[0] == 2
+    held = {k for coeffs, _, _ in cs.presolve_rows for k, _ in coeffs}
+    assert [p for p in cs.pins + cs.substituted if p[0] in (0, 2)] == [(0, 1, 0), (2, 0, 3)]
+    assert not held & {0, 2}
+    structure = (cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins + cs.substituted)
+    assert _presolve(*structure, True)[1] == _presolve(*structure)[1] == [0]
+    assert cs.contradicted == [12]
+    # the tags of one elimination of the full rows
+    assert _check_outcome(cs) == [
+        ("leading", ("A0", "(1)")), ("expansion", ("A0", "(1)"), "A0"),
+        ("expansion", ("A1", "(1)"), "A0"), ("support", ("A1", "(1)"), "A2"),
+        ("expansion", ("A2", "(1)"), "A0"), ("leading", ("A2", "(1)")),
+        ("expansion", ("A2", "(1^2)"), "A0"), ("leading", ("A2", "(1^2)")),
+        ("symmetry", ("A1", "(1)"), "A0"), ("symmetry", ("A2", "(1)"), "A0"),
+        ("symmetry", ("A2", "(1^2)"), "A0")]
 
 
 def test_image_that_is_not_an_involution():
