@@ -14,8 +14,10 @@ and KLRecord are frozen records, namedtuple subclasses, so equal values
 compare and hash equal and a field cannot be assigned.  Dataset, KLTable
 and DualityData are plain classes that build lookup tables when they are
 constructed; they compare by their fields, as dataclasses would, and have
-no hash.  Loading the bundled case reads its file through this module's
-loader; nothing here imports importlib.resources except
+no hash.  KLTable indexes its records by source in one pass, the last
+record of a key winning; every reader of the KL data (euler, validation)
+reads that index.  Loading the bundled case reads its file through this
+module's loader; nothing here imports importlib.resources except
 bundled_dataset_path.
 """
 
@@ -78,23 +80,29 @@ class KLRecord(namedtuple("KLRecord",
 
 
 class KLTable(Record):
+    # by_source: source -> (per-irrep map by (orbit, irrep), orbit-sum map by orbit)
     _fields = ("records",)
+    _NO_ROW = ({}, {})
 
     def __init__(self, records):
         self.records = records
-        self._per = {}
-        self._sum = {}
-        for r in self.records:
+        self.by_source = index = {}
+        for r in records:
+            row = index.get(r.source) or index.setdefault(r.source, ({}, {}))
             if r.target_irrep is None:
-                self._sum[(r.target_orbit, r.source)] = r
+                row[1][r.target_orbit] = r
             else:
-                self._per[(r.target_orbit, r.target_irrep, r.source)] = r
+                row[0][(r.target_orbit, r.target_irrep)] = r
+
+    def row(self, source):
+        """The source's (per-irrep map, orbit-sum map); empty maps if none."""
+        return self.by_source.get(source, self._NO_ROW)
 
     def per_irrep_record(self, target_ls, source):
-        return self._per.get((target_ls[0], target_ls[1], source))
+        return self.row(source)[0].get((target_ls[0], target_ls[1]))
 
     def sum_record(self, target_orbit, source):
-        return self._sum.get((target_orbit, source))
+        return self.row(source)[1].get(target_orbit)
 
 
 class DualityData(Record):
@@ -282,6 +290,18 @@ def loads_dataset(doc):
 
     records = []
     for raw in _list(_need(doc, "kl", "document"), "kl"):
+        # exact JSON types pass one test; any other record meets its fault below
+        tgt, src = (raw.get("target"), raw.get("source")) if type(raw) is dict else (0, 0)
+        if type(tgt) is list and type(src) is list and len(tgt) == len(src) == 2:
+            (torb, tirr), (sorb, sirr), value = tgt, src, raw.get("value")
+            prov, note = raw.get("provenance"), raw.get("note", "")
+            if (type(torb) is str and type(sorb) is str and type(sirr) is str
+                    and type(value) is int and type(note) is str
+                    and torb in labels and sirr in labels.get(sorb, ()) and value >= 0
+                    and (tirr is None or type(tirr) is str and tirr in labels[torb])
+                    and prov in ("transcribed", "reconstructed")):
+                records.append(KLRecord._make((torb, tirr, (sorb, sirr), value, prov, note)))
+                continue
         tgt = _need(raw, "target", "kl record")
         if not (isinstance(tgt, (list, tuple)) and len(tgt) == 2):
             raise SchemaError(f"kl target must be [orbit, irrep-or-null], got {tgt!r}")
@@ -303,13 +323,11 @@ def loads_dataset(doc):
     for raw in _list(_need(doc, "catalog", "document"), "catalog"):
         where = "catalog entry"
         catalog.append(Representation(
-            id=_str(_need(raw, "id", where), "catalog id"),
-            param=check_ls(_ls(_need(raw, "param", where), "catalog"), "catalog"),
-            az_partner=_str(_need(raw, "az", where), "catalog az"),
-            iwahori_spherical=_bool(_need(raw, "iwahori_spherical", where),
-                                    "catalog iwahori_spherical"),
-            unitary=_bool(_need(raw, "unitary", where), "catalog unitary"),
-        ))
+            _str(_need(raw, "id", where), "catalog id"),
+            check_ls(_ls(_need(raw, "param", where), "catalog"), "catalog"),
+            _str(_need(raw, "az", where), "catalog az"),
+            _bool(_need(raw, "iwahori_spherical", where), "catalog iwahori_spherical"),
+            _bool(_need(raw, "unitary", where), "catalog unitary")))
 
     special = [check_orbit(x, "special_piece")
                for x in _list(_need(doc, "special_piece", "document"), "special_piece")]
@@ -451,6 +469,7 @@ def validate_dataset(ds):
     for torb, tirr, source in _repeats(keys):
         out.append(Violation("kl-duplicate", f"kl record ({torb},{tirr}) <- {source} repeated",
                              (torb, tirr) + source))
+    up = ds.poset._up
     for torb, _, source in keys:
         src_orb = source[0]
         if torb == src_orb:
@@ -459,26 +478,27 @@ def validate_dataset(ds):
                 f"kl record with target orbit equal to source orbit {src_orb}; "
                 "same-orbit values are fixed by normalization and must not be stored",
                 (src_orb,)))
-        elif not ds.poset.leq(torb, src_orb):
+        elif src_orb not in up[torb]:
             out.append(Violation(
                 "kl-support",
                 f"kl record at target {torb} outside the closure "
                 f"of source orbit {src_orb}", (torb, src_orb)))
     # stored per-irrep values must fit under any stored orbit-level sum,
-    # and a complete per-irrep set must reproduce the sum exactly
-    for (torb, source), sum_rec in ds.kl._sum.items():
-        group = ds.orbit(torb).group
-        vals = [ds.kl.per_irrep_record((torb, lab), source) for lab in group.labels()]
-        for lab, v in zip(group.labels(), vals):
-            if v is not None and group.irrep_dim(lab) * v.value > sum_rec.value:
+    # and a complete per-irrep set must reproduce the sum exactly; sums in
+    # the order their keys first occur, values read from the index
+    for torb, source in dict.fromkeys((t, s) for t, i, s in keys if i is None):
+        per, sums = ds.kl.by_source[source]
+        sum_rec, irreps = sums[torb], ds.orbit(torb).group.irreps
+        vals = [per.get((torb, lab)) for lab, _ in irreps]
+        for (lab, d), v in zip(irreps, vals):
+            if v is not None and d * v.value > sum_rec.value:
                 out.append(Violation(
                     "kl-exceeds-sum",
                     f"per-irrep value {v.value} at ({torb},{lab}) <- {source} "
                     f"exceeds the stored orbit sum {sum_rec.value}",
                     (torb, lab) + source))
         if all(v is not None for v in vals):
-            total = sum(group.irrep_dim(lab) * v.value
-                        for lab, v in zip(group.labels(), vals))
+            total = sum(d * v.value for (_, d), v in zip(irreps, vals))
             if total != sum_rec.value:
                 out.append(Violation(
                     "kl-sum-mismatch",

@@ -20,9 +20,9 @@ and composition_terms take these terms from one walk of the interval.
 Every known value here is a plain int.  Signs (-1)^k are taken from the
 parity of k, never as a power, so they stay ints for any integer dim,
 negative ones included.  euler_matrix works out what a source's cells share
-(its sign, its same-orbit value, its closure) once per source and reads
-each target's irreps off its group directly; local_euler is the one-cell
-view of the same code.
+(its sign, same-orbit value, closure and row of the KL index) once per
+source, then reads each pinned value from the row with one dict lookup
+(_pinned, as kl_value does); local_euler is the one-cell view of it.
 """
 
 
@@ -60,19 +60,19 @@ def kl_value(ds, target_ls, source):
         return 1 if target_ls[1] == source[1] else 0
     if not ds.poset.leq(t_orb, s_orb):
         return 0
-    return _pinned_value(ds, target_ls, source)
+    return _pinned(ds.kl.row(source), (t_orb, target_ls[1]), ds.orbit(t_orb).group.irreps)
 
 
-def _pinned_value(ds, target_ls, source):
-    """kl_value for a target orbit strictly below the source's: the records only."""
-    rec = ds.kl.per_irrep_record(target_ls, source)
+def _pinned(row, ls, irreps):
+    """kl_value for ls's orbit, with these irreps, strictly below the
+    source's, read from the source's row of the KL index (KLTable.row)."""
+    rec = row[0].get(ls)
     if rec is not None:
         return rec.value
-    srec = ds.kl.sum_record(target_ls[0], source)
+    srec = row[1].get(ls[0])
     if srec is not None:
         if srec.value == 0:
             return 0
-        irreps = ds.orbit(target_ls[0]).group.irreps
         if len(irreps) == 1:
             d = irreps[0][1]
             if srec.value % d == 0:
@@ -87,7 +87,7 @@ def _sign(dim):
 
 def _source_facts(ds, source):
     """What every cell of one source shares: its sign, its same-orbit value
-    sign * dim(L), and the orbits in its closure."""
+    sign * dim(L), its closure (the poset's own row) and its KL index row."""
     s_orb, s_irr = source
     orbit = ds.orbit(s_orb)
     for lab, d in orbit.group.irreps:
@@ -96,12 +96,12 @@ def _source_facts(ds, source):
     else:
         raise KeyError(f"unknown irrep {s_irr!r} on orbit {s_orb}")
     sign = _sign(orbit.dim)
-    return sign, sign * d, ds.poset.down_set(s_orb)
+    return sign, sign * d, ds.poset._down[s_orb], ds.kl.row(tuple(source))
 
 
 def _cell(ds, source, facts, t, irreps):
     """chi_loc of IC(source) along orbit t with these irreps, given _source_facts."""
-    sign, same_orbit, closure = facts
+    sign, same_orbit, closure, row = facts
     if t == source[0]:
         return same_orbit
     if t not in closure:
@@ -109,9 +109,9 @@ def _cell(ds, source, facts, t, irreps):
     # try per-irrep first, fall back to a pinned orbit-level sum
     total = 0
     for lab, d in irreps:
-        v = _pinned_value(ds, (t, lab), source)
+        v = _pinned(row, (t, lab), irreps)
         if v is UNKNOWN:
-            srec = ds.kl.sum_record(t, source)
+            srec = row[1].get(t)
             return UNKNOWN if srec is None else sign * srec.value
         total += d * v
     return sign * total

@@ -1,10 +1,10 @@
 """Finite orbit posets given by cover relations.
 
 The closure order is the reflexive-transitive hull of the covers.  Reachability
-sets are precomputed once; every query after that is a set lookup.  Bad input
-(cycles, dimension drops) is tolerated at construction time so that the
-validator can report it instead of crashing.  A poset is a Record: equal by
-its ids, dimensions, covers and ambient dimension, with no hash.
+sets are precomputed once as the rows _up and _down (other modules read them
+in place, never changing them).  Bad input (cycles, dimension drops) is
+tolerated at construction so that the validator can report it.  A poset is a
+Record: equal by its ids, dimensions, covers and ambient dimension, no hash.
 """
 
 from collections import namedtuple

@@ -553,7 +553,7 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
     n = len(anchors)
     known = {}             # m-class (its larger column) -> its value
     for a, value, _ in pins:
-        known.setdefault(max(a, image[a]), value)
+        known.setdefault(a if a > image[a] else image[a], value)
     on = {}                # orbit -> (m-column at the 0th anchor, chi_loc cells) of its sources
     for s, src in enumerate(sources):
         on.setdefault(src[0], []).append((s * n, chis[s]))
@@ -569,7 +569,7 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
             pivot = None
             for b, chi in on.get(u, ()):
                 a = b + k
-                r = max(a, image[a])
+                r = a if a > image[a] else image[a]
                 if pivot is None and r in known and chi[u]:
                     pivot = a
                     c = div(_residual(known[r], nonzero, chi, chi), chi[u])

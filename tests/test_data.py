@@ -16,6 +16,7 @@ from microloc.cli import main
 from microloc.data import Dataset, DualityData, SchemaError, bundled_dataset_path, \
     load_dataset, loads_dataset, validate_dataset
 from microloc.poset import OrbitPoset
+from chains import chain_doc
 
 
 def test_bundled_shape(dataset):
@@ -444,3 +445,48 @@ def test_violation_code_flagged(dataset, mutate, code):
     fn, want = VIOLATIONS[code]
     ds = fn(dataset) if code in REBUILT else mutate(fn)
     assert [(v.detail, v.subject) for v in validate_dataset(ds) if v.code == code] == want
+
+
+def _kl(target, source, value):
+    return {"target": target, "source": source, "value": value, "provenance": "transcribed"}
+
+
+# chain6 with hat fixing A1 to A4, and KL records appended out of source
+# order: three outside the closure, one on its own orbit, one repeated key,
+# and three orbit sums that disagree with the per-irrep values
+FROZEN_ORDER_EDITS = {
+    "hat": [["A0", "A5"], ["A1", "A1"], ["A4", "A4"], ["A2", "A2"], ["A3", "A3"]],
+    "kl": [_kl(["A4", "(1)"], ["A2", "(1)"], 1), _kl(["A1", None], ["A4", "(1)"], 0),
+           _kl(["A2", "(1)"], ["A2", "(1)"], 1), _kl(["A0", None], ["A3", "(1)"], 2),
+           _kl(["A5", "(1)"], ["A0", "(1)"], 1), _kl(["A0", None], ["A4", "(1)"], 5),
+           _kl(["A3", "(1)"], ["A1", "(1)"], 1), _kl(["A0", "(1)"], ["A3", "(1)"], 1)],
+}
+FROZEN_VIOLATIONS = [
+    ("kl-duplicate", "kl record (A0,(1)) <- ('A3', '(1)') repeated", ("A0", "(1)", "A3", "(1)")),
+    ("kl-support", "kl record at target A4 outside the closure of source orbit A2", ("A4", "A2")),
+    ("kl-same-orbit", "kl record with target orbit equal to source orbit A2; same-orbit "
+     "values are fixed by normalization and must not be stored", ("A2",)),
+    ("kl-support", "kl record at target A5 outside the closure of source orbit A0", ("A5", "A0")),
+    ("kl-support", "kl record at target A3 outside the closure of source orbit A1", ("A3", "A1")),
+    ("kl-exceeds-sum", "per-irrep value 1 at (A1,(1)) <- ('A4', '(1)') exceeds the stored "
+     "orbit sum 0", ("A1", "(1)", "A4", "(1)")),
+    ("kl-sum-mismatch", "stored sum 0 at (A1 <- ('A4', '(1)')) disagrees with per-irrep "
+     "total 1", ("A1", "A4", "(1)")),
+    ("kl-sum-mismatch", "stored sum 2 at (A0 <- ('A3', '(1)')) disagrees with per-irrep "
+     "total 1", ("A0", "A3", "(1)")),
+    ("kl-sum-mismatch", "stored sum 5 at (A0 <- ('A4', '(1)')) disagrees with per-irrep "
+     "total 1", ("A0", "A4", "(1)")),
+    ("hat-not-order-reversing", "order-reversal broken at (A1,A2) and 5 more pairs",
+     ("A1", "A2")),
+]
+
+
+def test_violation_order_is_frozen():
+    # the orbit sums are checked in the order their keys first occur among
+    # the records, which is not the order of their sources; the broken hat
+    # pairs are counted in special-piece order
+    doc = chain_doc(6)
+    doc["duality"]["hat"] = FROZEN_ORDER_EDITS["hat"]
+    doc["kl"] += FROZEN_ORDER_EDITS["kl"]
+    vs = validate_dataset(loads_dataset(doc))
+    assert [(v.code, v.detail, v.subject) for v in vs] == FROZEN_VIOLATIONS
