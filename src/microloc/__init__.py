@@ -81,4 +81,10 @@ from .solver import (
     verify_fourier_symmetry,
 )
 
+# last, after the modules the battery reads: imported first, it loads data,
+# euler and solver in another order, and a fresh process's first
+# load_bundled_dataset then measured about 8% slower against its first solve
+# (CPython 3.11.7, 2-vCPU VM)
+from .checks import Check, verify_battery
+
 __version__ = "0.1.0"

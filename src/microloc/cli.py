@@ -7,7 +7,8 @@ json.dumps(doc, sort_keys=True, indent=2) and a newline; the text form is
 rendered from the document alone, so the two carry the same facts.  The
 exit code is 0 on success, 1 when violations or verification failures were
 found, 2 when the input could not be read or was invalid (bad file, bad
-schema, bad --set value).
+schema, bad --set value).  verify and report take their checks from
+checks.verify_battery; the CLI adds only dataset-valid, and renders.
 
 --set name=value specializes the solved report before printing, through
 SolveReport.substitute, which checks the value against the derived bounds;
@@ -23,14 +24,13 @@ from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .affine import AffineInt
+from .checks import Check, verify_battery
 from .data import SchemaError, load_bundled_dataset, load_dataset, validate_dataset
-from .euler import UNKNOWN, euler_matrix
+from .euler import euler_matrix
 from .packets import all_micro_packets, basic_arthur_packet, simplified_arthur_parameters, \
-    unitarity_report, verify_az_micro_compatibility, verify_weak_equals_union, \
-    weak_arthur_packet
+    unitarity_report, verify_weak_equals_union, weak_arthur_packet
 from .solver import ComputationError, InadmissibleAssignment, InconsistentSystem, \
-    build_constraints, check_halfinteger_roots, localization_check_terms, \
-    reconstruct_local_euler, solve, special_cc_localization, verify_fourier_symmetry
+    build_constraints, localization_check_terms, solve
 
 
 class CLIError(Exception):
@@ -175,10 +175,6 @@ def _assumption_notes(ds):
     ]
 
 
-def _checks_doc(checks):
-    return [{"name": n, "ok": o, "detail": d} for n, o, d in checks]
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_validate(ds, cfg):
@@ -207,82 +203,16 @@ def _cmd_packets(ds, cfg):
                "assumption_notes": _assumption_notes(ds)}
 
 
-def _verify_checks(sr):
-    """(name, ok, detail) triples for the whole battery."""
-    ds = sr.dataset
-    checks = []
-
-    bad = verify_fourier_symmetry(sr)
-    n = len(ds.local_systems()) * len(ds.orbits)
-    checks.append(("fourier-symmetry", not bad,
-                   f"{n} identities" if not bad else f"{len(bad)} mismatches: {bad[:3]}"))
-
-    negative = []
-    for src, cc in sr.cc_table.items():
-        for o, v in cc.mult.items():
-            if v.is_constant() and v.constant < 0:
-                negative.append((src, o))
-    feasible = all(b.feasible for b in sr.bounds or [])
-    checks.append(("multiplicities-admissible", not negative and feasible,
-                   "bounds feasible, no negative constants" if not negative and feasible
-                   else f"negative at {negative[:3]}" if negative else "bounds infeasible"))
-
-    try:
-        wu = verify_weak_equals_union(sr)
-        checks.append(("weak-equals-union", wu.equal,
-                       f"{len(wu.weak.members)} members over anchors {', '.join(wu.anchors)}"
-                       if wu.equal else
-                       f"weak {list(wu.weak.members)} vs union {list(wu.union_members)}"
-                       + (f", indeterminate {list(wu.union_indeterminate)}"
-                          if wu.union_indeterminate else "")))
-    except (ComputationError, KeyError, ValueError) as e:
-        checks.append(("weak-equals-union", False, str(e)))
-
-    try:
-        compat = verify_az_micro_compatibility(sr)
-        bad = [r for r in compat if not r.ok]
-        checks.append(("az-compatibility", not bad,
-                       f"{len(compat)} anchors" if not bad
-                       else "mismatch at " + ", ".join(r.anchor for r in bad)))
-    except ComputationError as e:
-        checks.append(("az-compatibility", False, str(e)))
-
-    try:
-        basic = basic_arthur_packet(sr)
-        checks.append(("basic-packet", True,
-                       f"{len(basic.members)} members at anchor {basic.anchor}"))
-    except ComputationError as e:
-        checks.append(("basic-packet", False, str(e)))
-
-    try:
-        loc = special_cc_localization(sr)
-        at = ", ".join(f"{o}: {loc.mult[o]}" for o in ds.conormal_dense_exceptions)
-        checks.append(("localization", True, f"pinned {at}"))
-    except ComputationError as e:
-        checks.append(("localization", False, str(e)))
-
-    known = euler_matrix(ds).known_items()
-    rec = reconstruct_local_euler(sr).entries
-    agree = [rec[cell] == v for cell, v in known if rec.get(cell, UNKNOWN) is not UNKNOWN]
-    mism = agree.count(False)
-    checks.append(("euler-roundtrip", mism == 0,
-                   f"{len(agree)} cells agree" if mism == 0 else f"{mism} cells disagree"))
-
-    ok_b = check_halfinteger_roots(ds.b_function)
-    checks.append(("b-function", ok_b,
-                   "no roots in Z+1/2" if ok_b else "half-integer root present"))
-    return checks
-
-
 def _cmd_verify(ds, cfg):
     violations = validate_dataset(ds)
-    checks = [("dataset-valid", not violations,
-               "no violations" if not violations
-               else "; ".join(str(v) for v in violations))]
+    checks = [Check("dataset-valid", not violations,
+                    "no violations" if not violations
+                    else "; ".join(str(v) for v in violations))]
     if not violations:
-        checks.extend(_verify_checks(_solution(ds, cfg)))
-    ok = all(c[1] for c in checks)
-    return (0 if ok else 1), {"dataset": ds.name, "ok": ok, "checks": _checks_doc(checks)}
+        checks += verify_battery(_solution(ds, cfg))
+    ok = all(c.ok for c in checks)
+    return (0 if ok else 1), {"dataset": ds.name, "ok": ok,
+                              "checks": [c._asdict() for c in checks]}
 
 
 def _cmd_report(ds, cfg):
@@ -294,7 +224,7 @@ def _cmd_report(ds, cfg):
         arthur = simplified_arthur_parameters(ds)
         loc_terms = localization_check_terms(ds)
     unit = unitarity_report(ds.catalog, packets)
-    checks = _verify_checks(sr)
+    checks = verify_battery(sr)
     doc = {
         "dataset": ds.name,
         "ambient_dim": ds.ambient_dim,
@@ -308,10 +238,10 @@ def _cmd_report(ds, cfg):
         "arthur_parameters": arthur,
         "unitarity": unit,
         "b_function": [str(r) for r in ds.b_function],
-        "checks": _checks_doc(checks),
+        "checks": [c._asdict() for c in checks],
         "assumption_notes": _assumption_notes(ds),
     }
-    return (0 if all(c[1] for c in checks) else 1), doc
+    return (0 if all(c.ok for c in checks) else 1), doc
 
 
 # ---------------------------------------------------------------- machine

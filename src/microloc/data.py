@@ -98,12 +98,6 @@ class KLTable(Record):
         """The source's (per-irrep map, orbit-sum map); empty maps if none."""
         return self.by_source.get(source, self._NO_ROW)
 
-    def per_irrep_record(self, target_ls, source):
-        return self.row(source)[0].get((target_ls[0], target_ls[1]))
-
-    def sum_record(self, target_orbit, source):
-        return self.row(source)[1].get(target_orbit)
-
 
 class DualityData(Record):
     _fields = ("hat_pairs", "fourier_pairs")

@@ -63,3 +63,15 @@ def middle_corruption(n):
     """P(A(n/2-1) <- A(n/2)) raised from 1 to 2."""
     mid = n // 2
     return (orbit_id(mid - 1), "(1)"), (orbit_id(mid), "(1)"), 2
+
+
+def zero_exception_doc():
+    """chain_doc(3) with A1 a conormal-dense exception whose coefficient is 0.
+
+    P(A0 <- A2) = P(A1 <- A2) = 0 on the (1) sheaves.  The dataset is valid,
+    and the localization cycle pins A1 at 0, so the cycle holds no A1 entry.
+    """
+    doc = chain_doc(3)
+    doc["conormal_dense_exceptions"] = ["A1"]
+    doc = with_kl_value(doc, ("A0", "(1)"), ("A2", "(1)"), 0)
+    return with_kl_value(doc, ("A1", "(1)"), ("A2", "(1)"), 0)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from microloc.cli import main
-from chains import chain_doc
+from chains import chain_doc, zero_exception_doc
 from test_cli_snapshots import broken_doc, corrupt_doc
 
 
@@ -265,6 +265,17 @@ def test_unbounded_packets_fail_verify_without_a_traceback(capsys, bundled_doc, 
     for command in ("report", "packets"):
         assert main([command, "--dataset", str(p)]) == 1
         assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_an_exception_pinned_at_zero_passes_verify_and_report(capsys, tmp_path):
+    # the localization cycle holds no entry for an exception pinned at 0
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(zero_exception_doc()))
+    for command in ("verify", "report"):
+        assert main([command, "--dataset", str(p)]) == 0, command
+        out, err = capsys.readouterr()
+        assert "localization               ok  pinned A1: 0\n" in out
+        assert err == ""
 
 
 def test_output_does_not_follow_the_hash_seed(bundled_doc, tmp_path):

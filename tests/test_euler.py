@@ -163,7 +163,7 @@ def test_matrix_agrees_with_local_euler_cell_by_cell(case, bundled_doc):
         assert len(em.unknown_cells()) > 75
         assert em.value(("S10", "(1)"), "S9") is UNKNOWN
         summed = [(src, t) for (src, t), v in em.known_items()
-                  if t != src[0] and ds.kl.sum_record(t, src) is not None
+                  if t != src[0] and ds.kl.row(src)[1].get(t) is not None
                   and len(ds.orbit(t).group.irreps) > 1]
         assert summed
 
