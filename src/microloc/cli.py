@@ -129,6 +129,7 @@ def _bounds_doc(sr):
 
 def _solve_doc(sr):
     ds = sr.dataset
+    entries = sr.cmatrix.entries
     return {
         "dataset": ds.name,
         "orbit_count": len(ds.orbits),
@@ -141,8 +142,8 @@ def _solve_doc(sr):
         "bounds": _bounds_doc(sr),
         "bound_note": sr.bound_note,
         "residual": [list(p) for p in sr.residual_unknowns],
-        "cmatrix": [{"row": a, "col": b, "value": _jvalue(v)}
-                    for (a, b), v in sorted(sr.cmatrix.entries.items())],
+        "cmatrix": [{"row": a, "col": b, "value": _jvalue(entries[a, b])}
+                    for a, b in sorted(entries)],
         "cycles": _cc_doc(sr)["cycles"],
     }
 
@@ -254,7 +255,9 @@ def _machine_json(doc):
     list and escapes strings with the C function json itself uses.  It
     takes what the documents hold: dicts with str keys, lists and tuples,
     str, int, True, False and None.  Anything else, a float included,
-    raises TypeError.
+    raises TypeError.  The documents are mostly lists of records of one
+    key set, so the key order and the encoded key heads are made once per
+    record shape (see _write_json).
     """
     parts = []
     _write_json(doc, "\n", parts.append)
@@ -267,7 +270,11 @@ def _write_json(v, nl, put):
     A module-level function rather than a closure over put: a recursive
     closure is a reference cycle, which would keep the whole output alive
     until the next collection.  str and int children, most of a document,
-    are written inline without a call.
+    are written inline without a call.  A dict is written by _write_record
+    from its shape, its sorted keys with their heads; a list item that is
+    a dict with the same keys as the list's previous dict item reuses that
+    item's shape, so the keys are sorted and checked once per run of equal
+    key sets.
     """
     if isinstance(v, str):
         put(encode_basestring_ascii(v))
@@ -285,11 +292,17 @@ def _write_json(v, nl, put):
             return
         inner = nl + "  "
         sep = "[" + inner
+        keys = shape = None
         for x in v:
             if type(x) is str:
                 put(sep + encode_basestring_ascii(x))
             elif type(x) is int:
                 put(sep + int.__repr__(x))
+            elif type(x) is dict and x:
+                if x.keys() != keys:
+                    keys, shape = x.keys(), _shape(x, inner)
+                put(sep)
+                _write_record(x, shape, inner, put)
             else:
                 put(sep)
                 _write_json(x, inner, put)
@@ -299,24 +312,37 @@ def _write_json(v, nl, put):
         if not v:
             put("{}")
             return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(v):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            x = v[k]
-            head = sep + encode_basestring_ascii(k) + ": "
-            if type(x) is str:
-                put(head + encode_basestring_ascii(x))
-            elif type(x) is int:
-                put(head + int.__repr__(x))
-            else:
-                put(head)
-                _write_json(x, inner, put)
-            sep = "," + inner
-        put(nl + "}")
+        _write_record(v, _shape(v, nl), nl, put)
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _shape(d, nl):
+    """d's keys in sorted order, each with the text that goes before its value."""
+    inner = nl + "  "
+    sep = "{" + inner
+    out = []
+    for k in sorted(d):
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+        out.append((k, sep + encode_basestring_ascii(k) + ": "))
+        sep = "," + inner
+    return out
+
+
+def _write_record(d, shape, nl, put):
+    """Write the non-empty dict d, whose keys and heads are shape, at indent nl."""
+    inner = nl + "  "
+    for k, head in shape:
+        x = d[k]
+        if type(x) is str:
+            put(head + encode_basestring_ascii(x))
+        elif type(x) is int:
+            put(head + int.__repr__(x))
+        else:
+            put(head)
+            _write_json(x, inner, put)
+    put(nl + "}")
 
 
 # ---------------------------------------------------------------- text

@@ -164,6 +164,15 @@ def test_out_file_writing(tmp_path, capsys):
     assert "b-function" in target.read_text()
 
 
+def test_machine_out_file_holds_the_printed_bytes(tmp_path, capsys):
+    assert main(["report", "--format", "machine"]) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    assert main(["report", "--format", "machine", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
 def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "report.txt"
     assert main(["verify", "--out", str(target)]) == 2
