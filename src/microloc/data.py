@@ -15,10 +15,10 @@ compare and hash equal and a field cannot be assigned.  Dataset, KLTable
 and DualityData are plain classes that build lookup tables when they are
 constructed; they compare by their fields, as dataclasses would, and have
 no hash.  KLTable indexes its records by source in one pass, the last
-record of a key winning; every reader of the KL data (euler, validation)
-reads that index.  Loading the bundled case reads its file through this
-module's loader; nothing here imports importlib.resources except
-bundled_dataset_path.
+record of a key winning, and notes in the same pass the keys that repeat;
+every reader of the KL data (euler, validation) reads that index.  Loading
+the bundled case reads its file through this module's loader; nothing here
+imports importlib.resources except bundled_dataset_path.
 """
 
 import json
@@ -80,19 +80,31 @@ class KLRecord(namedtuple("KLRecord",
 
 
 class KLTable(Record):
-    # by_source: source -> (per-irrep map by (orbit, irrep), orbit-sum map by orbit)
+    """The KL records and their index, built in one pass over the records.
+
+    by_source maps a source to (per-irrep map by (orbit, irrep), orbit-sum
+    map by orbit), the last record of a key winning.  repeats lists each
+    key (target orbit, target irrep, source) that equals an earlier
+    record's, in record order, as validation reports them.  Each record's
+    fields are read by position.
+    """
     _fields = ("records",)
     _NO_ROW = ({}, {})
 
     def __init__(self, records):
         self.records = records
         self.by_source = index = {}
+        self.repeats = repeats = []
         for r in records:
-            row = index.get(r.source) or index.setdefault(r.source, ({}, {}))
-            if r.target_irrep is None:
-                row[1][r.target_orbit] = r
+            torb, tirr, source = r[0], r[1], r[2]
+            row = index.get(source) or index.setdefault(source, ({}, {}))
+            if tirr is None:
+                cells, key = row[1], torb
             else:
-                row[0][(r.target_orbit, r.target_irrep)] = r
+                cells, key = row[0], (torb, tirr)
+            if key in cells:
+                repeats.append((torb, tirr, source))
+            cells[key] = r
 
     def row(self, source):
         """The source's (per-irrep map, orbit-sum map); empty maps if none."""
@@ -294,7 +306,8 @@ def loads_dataset(doc):
                     and torb in labels and sirr in labels.get(sorb, ()) and value >= 0
                     and (tirr is None or type(tirr) is str and tirr in labels[torb])
                     and prov in ("transcribed", "reconstructed")):
-                records.append(KLRecord._make((torb, tirr, (sorb, sirr), value, prov, note)))
+                records.append(
+                    tuple.__new__(KLRecord, (torb, tirr, (sorb, sirr), value, prov, note)))
                 continue
         tgt = _need(raw, "target", "kl record")
         if not (isinstance(tgt, (list, tuple)) and len(tgt) == 2):
@@ -459,13 +472,13 @@ def validate_dataset(ds):
                 (r.id,)))
 
     # KLTable keeps the last record of a key: their order would decide the answer
-    keys = [(r.target_orbit, r.target_irrep, r.source) for r in ds.kl.records]
-    for torb, tirr, source in _repeats(keys):
+    records = ds.kl.records
+    for torb, tirr, source in ds.kl.repeats:
         out.append(Violation("kl-duplicate", f"kl record ({torb},{tirr}) <- {source} repeated",
                              (torb, tirr) + source))
     up = ds.poset._up
-    for torb, _, source in keys:
-        src_orb = source[0]
+    for r in records:
+        torb, src_orb = r[0], r[2][0]
         if torb == src_orb:
             out.append(Violation(
                 "kl-same-orbit",
@@ -480,7 +493,7 @@ def validate_dataset(ds):
     # stored per-irrep values must fit under any stored orbit-level sum,
     # and a complete per-irrep set must reproduce the sum exactly; sums in
     # the order their keys first occur, values read from the index
-    for torb, source in dict.fromkeys((t, s) for t, i, s in keys if i is None):
+    for torb, source in dict.fromkeys((r[0], r[2]) for r in records if r[1] is None):
         per, sums = ds.kl.by_source[source]
         sum_rec, irreps = sums[torb], ds.orbit(torb).group.irreps
         vals = [per.get((torb, lab)) for lab, _ in irreps]

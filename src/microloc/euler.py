@@ -19,9 +19,11 @@ and composition_terms take these terms from one walk of the interval.
 
 Every known value here is a plain int.  Signs (-1)^k are taken from the
 parity of k, never as a power, so they stay ints for any integer dim,
-negative ones included.  euler_matrix works out what a source's cells share
+negative ones included.  euler_matrix keys its cells by source row, not by
+a (source, target) pair per cell: it works out what a source's cells share
 (its sign, same-orbit value, closure and row of the KL index) once per
-source, then reads each pinned value from the row with one dict lookup
+source, starts the row at 0 on every orbit and computes only the cells in
+the closure, each pinned value read from the KL row with one dict lookup
 (_pinned, as kl_value does); local_euler is the one-cell view of it.
 """
 
@@ -124,38 +126,56 @@ def local_euler(ds, source, target):
 
 
 class EulerMatrix:
-    """chi_loc values for every (source local system, target orbit) pair."""
+    """chi_loc values for every (source local system, target orbit) pair.
 
-    def __init__(self, sources, targets, entries, failures=None):
+    rows maps each source to its row {target orbit: value}, in the order the
+    cells were written: orbit order for euler_matrix, support zeros first
+    and then the closure in visiting order for reconstruct_local_euler.
+    rows is kept, not copied.  entries is the flat {(source, target): value}
+    view of the rows, in the same order, built on each read.  failures,
+    populated by reconstruction, maps a cell to the reason its value stayed
+    UNKNOWN.
+    """
+
+    def __init__(self, sources, targets, rows, failures=None):
         self.sources = list(sources)
         self.targets = list(targets)
-        self.entries = dict(entries)
-        # populated by reconstruction: cell -> reason the value stayed UNKNOWN
+        self.rows = rows
         self.failures = dict(failures or {})
+
+    @property
+    def entries(self):
+        return {(src, t): v for src, row in self.rows.items() for t, v in row.items()}
 
     def value(self, source, target):
         try:
-            return self.entries[(tuple(source), target)]
+            return self.rows[tuple(source)][target]
         except KeyError:
             raise KeyError(f"no cell ({source}, {target})") from None
 
     def known_items(self):
-        return [(k, v) for k, v in self.entries.items() if v is not UNKNOWN]
+        return [((src, t), v) for src, row in self.rows.items() for t, v in row.items()
+                if v is not UNKNOWN]
 
     def unknown_cells(self):
-        return [k for k, v in self.entries.items() if v is UNKNOWN]
+        return [(src, t) for src, row in self.rows.items() for t, v in row.items()
+                if v is UNKNOWN]
 
 
 def euler_matrix(ds):
     """The full matrix over the dataset; cells may be UNKNOWN."""
     sources = ds.local_systems()
     targets = [(o.id, o.group.irreps) for o in ds.orbits]
-    entries = {}
+    ids = [t for t, _ in targets]
+    rows = {}
     for source in sources:
         facts = _source_facts(ds, source)
+        closure = facts[2]
+        row = rows[source] = dict.fromkeys(ids, 0)
         for t, irreps in targets:
-            entries[(source, t)] = _cell(ds, source, facts, t, irreps)
-    return EulerMatrix(sources, [t for t, _ in targets], entries)
+            if t in closure:
+                row[t] = _cell(ds, source, facts, t, irreps)
+    return EulerMatrix(sources, ids, rows)
 
 
 class MultiplicityMatrices:

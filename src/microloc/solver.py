@@ -372,12 +372,16 @@ def build_constraints(ds, em):
     n = len(anchors)
     at = {t: k for k, t in enumerate(anchors)}
 
-    ups = {t: poset.up_set(t) for t in anchors}
+    ups = poset._up
 
     mvars = [("m", src, t) for src in sources for t in anchors]
-    cpairs = sorted(
-        ((a, b) for a in anchors for b in anchors if b in ups[a]),
-        key=lambda p: _cvar_key(p, dims))
+    # the comparable pairs in _cvar_key order: rows by falling (dim, id),
+    # columns by rising (dim, id)
+    rising = sorted(anchors, key=lambda b: (dims[b], b))
+    cpairs = []
+    for a in sorted(anchors, key=lambda a: (-dims[a], a)):
+        up = ups[a]
+        cpairs += [(a, b) for b in rising if b in up]
     unknowns = mvars + [("c",) + p for p in cpairs]
     # column ids: m[src, t] is s * n + k for the s-th source and the k-th
     # anchor, and c(t, u) is ccol[t][u], after every m
@@ -393,8 +397,9 @@ def build_constraints(ds, em):
     skipped = []
     for s, src in enumerate(sources):
         s_orb = src[0]
-        closure = poset.down_set(s_orb)
-        chi = {u: em.value(src, u) for u in poset.ids if u in closure}
+        closure = poset._down[s_orb]
+        row = em.rows[src]
+        chi = {u: row[u] for u in poset.ids if u in closure}
         chis.append(chi)
         unknown = [u for u, v in chi.items() if v is UNKNOWN]
         for k, t in enumerate(anchors):
@@ -1146,6 +1151,9 @@ def reconstruct_local_euler(sr):
     """Invert the index matrix against sr.cc_table, source by source.
 
     The sources, and so the rows of the result, come in the table's order.
+    Each row holds the source's support zeros first, in stored order, then
+    its closure's cells in visiting order; the failures are keyed by cell.
+    The poset's closure and up-set rows are read in place, not copied.
     The inversion runs top-down inside each source's closure: the value at a
     target is the target's cycle multiplicity minus contributions of the
     strictly higher targets, divided by the diagonal entry.  Entries where a
@@ -1177,7 +1185,7 @@ def reconstruct_local_euler(sr):
     dims = {o.id: o.dim for o in ds.orbits}
     all_orbits = [o.id for o in ds.orbits]
     cm = {k: _plain(v) for k, v in sr.cmatrix.entries.items()}
-    ups = {o: poset.up_set(o) for o in all_orbits}
+    ups = poset._up
     order = sorted(dims, key=lambda o: (-dims[o], o))
     rank = {o: i for i, o in enumerate(order)}
     linear = all(rank[b] < rank[a] for a, b in poset.covers)
@@ -1193,19 +1201,16 @@ def reconstruct_local_euler(sr):
             above[t].append((u, c))
     for pairs in above.values():
         pairs.sort(key=place)
-    entries = {}
+    rows = {}
     failures = {}
     sources = list(sr.cc_table)
     for src, cc in sr.cc_table.items():
-        s_orb = src[0]
-        closure = poset.down_set(s_orb)
+        closure = poset._down[src[0]]
         internal = {}
         # the closure's orbits without a value: those failed and, unless the
         # order is linear, those not visited yet
         pending = set() if linear else set(closure)
-        for t in all_orbits:
-            if t not in closure:
-                entries[(src, t)] = 0
+        row = rows[src] = dict.fromkeys([t for t in all_orbits if t not in closure], 0)
         for t in order:
             if t not in closure:
                 continue
@@ -1224,18 +1229,18 @@ def reconstruct_local_euler(sr):
                     raise ComputationError(f"upstream failure at {poset.ids[stop]}")
                 val = acc / diag if isinstance(acc, AffineInt) else div(acc, diag)
             except (ComputationError, ValueError) as e:
-                entries[(src, t)] = UNKNOWN
+                row[t] = UNKNOWN
                 failures[(src, t)] = str(e)
                 pending.add(t)
                 continue
             internal[t] = val
             if isinstance(val, AffineInt):
-                entries[(src, t)] = UNKNOWN
+                row[t] = UNKNOWN
                 failures[(src, t)] = \
                     f"parameter does not cancel: {', '.join(sorted(val.coeffs))}"
             else:
-                entries[(src, t)] = val
-    return EulerMatrix(sources, all_orbits, entries, failures=failures)
+                row[t] = val
+    return EulerMatrix(sources, all_orbits, rows, failures=failures)
 
 
 def _exception_label(ds, e):

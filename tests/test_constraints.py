@@ -153,6 +153,44 @@ def test_diamond_is_stored_out_of_dimension_order(datasets):
     assert ds.poset.interval("B", "T") == ["T", "Y", "B", "X"]
 
 
+# a bottom, three orbits of dimension 1 and two of dimension 2 stored in
+# falling string order, and a top; not every middle pair is comparable
+WIDE = {
+    "schema_version": 1, "name": "wide", "ambient_dim": 3,
+    "orbits": [{"id": o, "dim": d, "group": {"name": "trivial", "irreps": [["(1)", 1]]}}
+               for o, d in [("T", 3), ("Q2", 2), ("Q1", 2), ("P3", 1), ("P2", 1), ("P1", 1),
+                            ("B", 0)]],
+    "covers": [["B", "P1"], ["B", "P2"], ["B", "P3"], ["P3", "Q2"], ["P2", "Q2"],
+               ["P2", "Q1"], ["P1", "Q1"], ["Q1", "T"], ["Q2", "T"]],
+    "duality": {"hat": [["T", "B"], ["Q2", "P3"], ["Q1", "P1"], ["P2", "P2"]],
+                "fourier": [[[a, "(1)"], [b, "(1)"]]
+                            for a, b in [("T", "B"), ("Q2", "P3"), ("Q1", "P1"), ("P2", "P2")]]},
+    "kl": [], "catalog": [], "special_piece": [], "arthur_type": [], "b_function": ["-1"],
+}
+
+
+@pytest.mark.parametrize("name", ["f4a3", "chain12", "wide"])
+def test_cpair_order_is_the_cvar_key_sort(name, datasets):
+    ds = loads_dataset(WIDE) if name == "wide" else datasets[name]
+    dims = {o.id: o.dim for o in ds.orbits}
+    ids = ds.poset.ids
+    if name == "f4a3":
+        # dimensions tie, so the ids decide
+        assert all(dims[a] == dims[b] for a, b in [("S3", "S4"), ("S5", "S6"), ("S8", "S9")])
+    elif name == "chain12":
+        assert "A10" < "A2"
+    else:
+        assert [o for o in ids if dims[o] == 1] == sorted(
+            (o for o in ids if dims[o] == 1), reverse=True)
+    em = euler_matrix(ds)
+    cs = build_constraints(ds, em)
+    assert typed(cs) == typed(per_cell_constraints(ds, em))
+    want = sorted(((a, b) for a in ids for b in ids if ds.poset.leq(a, b)),
+                  key=lambda p: (-dims[p[0]], p[0], dims[p[1]], p[1]))
+    m = len(ds.local_systems()) * len(ids)
+    assert cs.unknowns[m:] == [("c",) + p for p in want]
+
+
 def test_equation_is_an_immutable_value():
     coeffs = ((("m", ("A", "(1)"), "B"), 1), (("c", "B", "B"), -2))
     tag = ("expansion", ("A", "(1)"), "B")

@@ -106,6 +106,24 @@ def test_unreadable_files_exit_2_without_traceback(tmp_path):
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, name
 
 
+def _edited(doc, path, value):
+    """A deep copy of doc with the item at path set to value."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _fault_text(doc, path, value):
+    """The text of the SchemaError that loading doc, edited at path, raises."""
+    with pytest.raises(SchemaError) as e:
+        loads_dataset(_edited(doc, path, value))
+    return str(e.value)
+
+
 @pytest.mark.parametrize("path, value", [
     (("orbits", 0, "group", "irreps", 0), ["x"]),
     (("covers", 0), ["S0"]),
@@ -133,14 +151,8 @@ def test_unreadable_files_exit_2_without_traceback(tmp_path):
         "name-list", "duplicate-orbit-id", "irrep-dim-zero", "duplicate-irrep-label",
         "provenance-guessed", "kl-target-not-pair", "b-function-zero-denominator"])
 def test_malformed_shape_is_a_schema_error(bundled_doc, tmp_path, capsys, path, value):
-    doc = copy.deepcopy(bundled_doc)
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
     p = tmp_path / "malformed.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(_edited(bundled_doc, path, value)))
     with pytest.raises(SchemaError):
         load_dataset(str(p))
     assert main(["validate", "--dataset", str(p)]) == 2
@@ -173,15 +185,53 @@ def test_empty_b_function_is_a_violation(bundled_doc, tmp_path, capsys):
     (("duality", "fourier", 0, 1, 1), "(9)", "fourier: unknown irrep '(9)' on orbit S0"),
 ], ids=["kl-target", "kl-target-list", "kl-target-int", "kl-source", "catalog", "fourier"])
 def test_unknown_irrep_messages(bundled_doc, path, value, message):
-    doc = copy.deepcopy(bundled_doc)
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
-    with pytest.raises(SchemaError) as e:
-        loads_dataset(doc)
-    assert str(e.value) == message
+    assert _fault_text(bundled_doc, path, value) == message
+
+
+# one fault per section, each with the exact text it raises; an unhashable
+# value where an orbit id goes must meet a type test before any set lookup
+@pytest.mark.parametrize("path, value, message", [
+    (("covers", 0), [["S0"], "S1"], "cover references unknown orbit ['S0']"),
+    (("covers", 0), ["S0", {"a": 1}], "cover references unknown orbit {'a': 1}"),
+    (("orbits", 0, "id"), {"x": 1}, "orbit id must be a string, got {'x': 1}"),
+    (("orbits", 0, "dim"), True, "orbit S0: dim must be an integer, got True"),
+    (("orbits", 0, "group", "irreps", 0, 1), 0, "bad irrep entry ['(1)', 0] on orbit S0"),
+    (("orbits", 0, "group", "irreps", 0, 1), True,
+     "bad irrep entry ['(1)', True] on orbit S0"),
+    (("catalog", 0, "unitary"), 1, "catalog unitary must be true or false, got 1"),
+    (("catalog", 0, "param", 0), ["S11"],
+     "catalog: local system must be [orbit, irrep], got [['S11'], '(4)']"),
+    (("kl", 0, "target", 0), ["S9"], "kl target references unknown orbit ['S9']"),
+    (("kl", 0, "source", 0), ["S10"],
+     "kl source: local system must be [orbit, irrep], got [['S10'], '(1)']"),
+    (("kl", 0, "target", 1), {}, "kl target irrep {} unknown on S9"),
+    (("kl", 0, "value"), True, "kl value must be a nonnegative integer, got True"),
+    (("kl", 0, "value"), -1, "kl value must be a nonnegative integer, got -1"),
+    (("kl", 0, "provenance"), ["transcribed"], "unknown provenance ['transcribed']"),
+    (("kl", 0, "note"), 3, "kl record note must be a string, got 3"),
+], ids=["cover-list-id", "cover-dict-id", "orbit-dict-id", "dim-bool", "irrep-dim-zero",
+        "irrep-dim-bool", "unitary-one", "catalog-param-list-id", "kl-target-list-id",
+        "kl-source-list-id", "kl-target-irrep-dict", "kl-value-bool", "kl-value-negative",
+        "kl-provenance-list", "kl-note-int"])
+def test_loader_fault_texts(bundled_doc, path, value, message):
+    assert _fault_text(bundled_doc, path, value) == message
+
+
+def _as_tuples(x):
+    """x with every list turned into a tuple, at any depth."""
+    if isinstance(x, dict):
+        return {k: _as_tuples(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return tuple(_as_tuples(v) for v in x)
+    return x
+
+
+@pytest.mark.parametrize("doc", ["f4a3", "chain6"])
+def test_tuple_valued_document_loads_equal_to_its_list_form(bundled_doc, doc):
+    doc = bundled_doc if doc == "f4a3" else chain_doc(6)
+    ds = loads_dataset(_as_tuples(doc))
+    assert ds == loads_dataset(doc)
+    assert ds.kl.repeats == [] and validate_dataset(ds) == []
 
 
 # the top-level fields of a dataset document, optional ones included

@@ -168,6 +168,29 @@ def test_matrix_agrees_with_local_euler_cell_by_cell(case, bundled_doc):
         assert summed
 
 
+def test_rows_read_as_the_flat_cell_map(bundled_doc):
+    """entries, value, known_items and unknown_cells read the rows as the
+    flat {(source, target): value} map they once stored, in its order."""
+    ds = loads_dataset(_sparse_bundled(bundled_doc))
+    em = euler_matrix(ds)
+    flat = {(src, o.id): local_euler(ds, src, o.id)
+            for src in ds.local_systems() for o in ds.orbits}
+    assert list(em.rows) == ds.local_systems()
+    assert list(em.entries.items()) == list(flat.items())
+    assert em.known_items() == [(k, v) for k, v in flat.items() if v is not UNKNOWN]
+    assert em.unknown_cells() == [k for k, v in flat.items() if v is UNKNOWN]
+    assert all(em.value(list(src), t) is v for (src, t), v in flat.items())
+    for cell in [(("S0", "(9)"), "S1"), (("S9", "(1)"), "S12")]:
+        with pytest.raises(KeyError) as e:
+            em.value(*cell)
+        assert e.value.args == (f"no cell ({cell[0]}, {cell[1]})",)
+    # entries is a view, built on read: writing to it changes nothing
+    em.entries[(("S0", "(1)"), "S0")] = 5
+    assert em.value(("S0", "(1)"), "S0") == 1
+    with pytest.raises(AttributeError):
+        em.entries = {}
+
+
 class _CopiedMultiplicities:
     """Test-only copy of the two interval walks MultiplicityMatrices.mg and
     composition_terms each made before they shared one: the same order,

@@ -19,9 +19,10 @@ import copy
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from microloc.data import loads_dataset
+from microloc.data import loads_dataset, validate_dataset
 from microloc.euler import (InsufficientKLData, MultiplicityMatrices, UNKNOWN, euler_matrix,
                             kl_value)
+from microloc.poset import Violation
 from chains import chain_doc
 from test_euler import _outcome
 from test_mutations import mutants
@@ -194,3 +195,34 @@ def test_sum_only_records_on_a_single_irrep_of_dimension_two():
     assert kl_value(ds, ("A1", "(1)"), ("A4", "(1)")) is UNKNOWN
     em = euler_matrix(ds)
     assert (em.value(("A3", "(1)"), "A1"), em.value(("A4", "(1)"), "A1")) == (-4, 3)
+
+
+def _repeated_keys(keys):
+    """Each key equal to an earlier one, in order, by a quadratic scan."""
+    return [k for j, k in enumerate(keys) if k in keys[:j]]
+
+
+# chain4's keys below its top (Z/2, irreps (1) and (1^2)): per-irrep keys
+# and orbit-sum keys, so that a key repeats in either map of a source's row
+_KEYS = [(t, i, s) for s in [("A3", "(1)"), ("A3", "(1^2)"), ("A2", "(1)")]
+         for t in ["A0", "A1"] for i in ["(1)", None]]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(keys=st.lists(st.sampled_from(_KEYS), max_size=14),
+       values=st.lists(st.integers(0, 2), min_size=14, max_size=14))
+def test_repeats_are_the_keys_seen_before(keys, values):
+    doc = chain_doc(4)
+    doc["kl"] = [{"target": [t, i], "source": list(s), "value": v,
+                  "provenance": "reconstructed"} for (t, i, s), v in zip(keys, values)]
+    ds = loads_dataset(doc)
+    want = _repeated_keys(keys)
+    assert ds.kl.repeats == want
+    assert [v for v in validate_dataset(ds) if v.code == "kl-duplicate"] == [
+        Violation("kl-duplicate", f"kl record ({t},{i}) <- {s} repeated", (t, i) + s)
+        for t, i, s in want]
+    # the last record of a key wins
+    last = {k: r for k, r in zip(keys, ds.kl.records)}
+    for (t, i, s), r in last.items():
+        per, sums = ds.kl.row(s)
+        assert (sums[t] if i is None else per[(t, i)]) is r

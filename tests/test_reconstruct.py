@@ -172,7 +172,7 @@ def _affine_reconstruct(sr, published_cc):
     ds = sr.dataset
     dims = {o.id: o.dim for o in ds.orbits}
     all_orbits = [o.id for o in ds.orbits]
-    entries = {}
+    rows = {}
     failures = {}
     sources = []
     for cc in published_cc:
@@ -181,9 +181,10 @@ def _affine_reconstruct(sr, published_cc):
         s_orb = src[0]
         below = sorted(ds.poset.down_set(s_orb), key=lambda o: (-dims[o], o))
         internal = {}
+        row = rows[src] = {}
         for t in all_orbits:
             if not ds.poset.leq(t, s_orb):
-                entries[(src, t)] = 0
+                row[t] = 0
         for t in below:
             diag = sr.cmatrix.entry(t, t)
             try:
@@ -200,18 +201,18 @@ def _affine_reconstruct(sr, published_cc):
                     acc = acc - sr.cmatrix.entry(t, u) * ev
                 val = acc / diag.constant
             except (ComputationError, ValueError) as e:
-                entries[(src, t)] = UNKNOWN
+                row[t] = UNKNOWN
                 failures[(src, t)] = str(e)
                 internal[t] = None
                 continue
             internal[t] = val
             if val.is_constant():
-                entries[(src, t)] = val.constant
+                row[t] = val.constant
             else:
-                entries[(src, t)] = UNKNOWN
+                row[t] = UNKNOWN
                 failures[(src, t)] = \
                     f"parameter does not cancel: {', '.join(sorted(val.coeffs))}"
-    return EulerMatrix(sources, all_orbits, entries, failures=failures)
+    return EulerMatrix(sources, all_orbits, rows, failures=failures)
 
 
 # a diamond B < X, Y < T stored out of dimension order, so that the stored

@@ -42,7 +42,7 @@ def _copied_reconstruct(sr):
     all_orbits = [o.id for o in ds.orbits]
     cm = {k: _copied_plain(v) for k, v in sr.cmatrix.entries.items()}
     ups = {o: poset.up_set(o) for o in all_orbits}
-    entries = {}
+    rows = {}
     failures = {}
     sources = list(sr.cc_table)
     for src, cc in sr.cc_table.items():
@@ -50,9 +50,10 @@ def _copied_reconstruct(sr):
         closure = poset.down_set(s_orb)
         stored = [x for x in poset.ids if x in closure]
         internal = {}
+        row = rows[src] = {}
         for t in all_orbits:
             if t not in closure:
-                entries[(src, t)] = 0
+                row[t] = 0
         for t in sorted(closure, key=lambda o: (-dims[o], o)):
             diag = cm.get((t, t), 0)
             try:
@@ -73,18 +74,18 @@ def _copied_reconstruct(sr):
                 acc = _copied_plain(acc)
                 val = acc / diag if isinstance(acc, AffineInt) else div(exact(acc), diag)
             except (ComputationError, ValueError) as e:
-                entries[(src, t)] = UNKNOWN
+                row[t] = UNKNOWN
                 failures[(src, t)] = str(e)
                 internal[t] = None
                 continue
             internal[t] = val
             if isinstance(val, AffineInt):
-                entries[(src, t)] = UNKNOWN
+                row[t] = UNKNOWN
                 failures[(src, t)] = \
                     f"parameter does not cancel: {', '.join(sorted(val.coeffs))}"
             else:
-                entries[(src, t)] = val
-    return EulerMatrix(sources, all_orbits, entries, failures=failures)
+                row[t] = val
+    return EulerMatrix(sources, all_orbits, rows, failures=failures)
 
 
 def _copied_micro_packet(sr, anchor):
