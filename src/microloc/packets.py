@@ -8,7 +8,10 @@ some admissible points but not all means indeterminate, and the three cases
 are kept apart rather than collapsed.  A cycle holds its nonzero entries
 only, so an anchor absent from it is out without being classified; an
 explicit zero entry, which hand-built tables may hold, is classified, and
-is out too.
+is out too.  micro_packet reads the report's by-anchor view of its table
+(SolveReport.by_anchor, built once per table), which lists each anchor's
+entries in catalog order; a report is edited by assigning it a new table,
+not by changing its table in place.
 
 A function that needs the cycles takes the solved report alone and reads
 the catalog and the duality from sr.dataset; members come in catalog order.
@@ -93,15 +96,17 @@ def _dual_anchors(ds, orbits):
 
 
 def micro_packet(sr, anchor):
-    """All representations whose parameter's cycle meets the anchor conormal."""
-    ds = sr.dataset
-    if anchor not in ds.poset:
+    """All representations whose parameter's cycle meets the anchor conormal.
+
+    Reads the anchor's entries from sr.by_anchor, so a packet costs the
+    entries its anchor holds, not the catalog.  An unknown anchor raises
+    KeyError; so does, for any anchor and before any entry is classified,
+    a catalog parameter whose cycle the table lacks.
+    """
+    if anchor not in sr.dataset.poset:
         raise KeyError(f"unknown orbit {anchor}")
     members, maybe = [], []
-    for rep_id, param in ds._rep_params:
-        value = sr.cc_table[param].mult.get(anchor)
-        if value is None:
-            continue        # absent is ZERO, which is out
+    for rep_id, value in sr.by_anchor.get(anchor, ()):
         kind = _classify(sr, value)
         if kind == "in":
             members.append(rep_id)

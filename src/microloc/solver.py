@@ -265,6 +265,16 @@ class Bound(namedtuple("Bound", "parameter lower upper "
 
 
 class SolveReport(Record):
+    """The solved index entries, cycles, free parameters and bounds.
+
+    by_anchor reads the cycle table by anchor: orbit -> the (rep id,
+    multiplicity) of each catalog entry whose cycle holds an entry there,
+    zeros included, in catalog order.  It is built on first read and
+    rebuilt once cc_table or dataset is replaced, so a table edited in
+    place after a read is not seen: assign a new one (substitute builds a
+    new report).  A catalog parameter with no cycle fails every read.
+    """
+
     _fields = ("dataset", "cmatrix", "cc_table", "free_parameters", "residual_unknowns",
                "skipped", "bounds", "bound_note", "equation_count")
 
@@ -279,6 +289,18 @@ class SolveReport(Record):
         self.bounds = bounds           # list of Bound, or None
         self.bound_note = bound_note
         self.equation_count = equation_count
+        self._by_anchor = None         # (cc_table, dataset, view) once read
+
+    @property
+    def by_anchor(self):
+        kept = self._by_anchor
+        if kept is None or kept[0] is not self.cc_table or kept[1] is not self.dataset:
+            table, view = self.cc_table, {}
+            for rep_id, param in self.dataset._rep_params:
+                for o, v in table[param].mult.items():
+                    view.setdefault(o, []).append((rep_id, v))
+            kept = self._by_anchor = (table, self.dataset, view)
+        return kept[2]
 
     def substitute(self, assignment):
         """This report with integers put in for some free parameters.
@@ -298,24 +320,28 @@ class SolveReport(Record):
             out = v.substitute(assignment)
             return out if isinstance(out, AffineInt) else ZERO + out
 
+        centries, residual = {}, []
+        for k, v in self.cmatrix.entries.items():
+            centries[k] = v = sub(v)
+            if not v.is_constant():
+                residual.append(k)
         return _report(
-            self.dataset,
-            {k: sub(v) for k, v in self.cmatrix.entries.items()},
+            self.dataset, centries,
             {src: {o: sub(v) for o, v in cc.mult.items()} for src, cc in self.cc_table.items()},
             [p for p in self.free_parameters if p not in assignment],
-            self.skipped, self.equation_count)
+            residual, self.skipped, self.equation_count)
 
 
-def _report(ds, centries, mults, free_parameters, skipped, equation_count):
+def _report(ds, centries, mults, free_parameters, residual, skipped, equation_count):
     """The SolveReport of these index entries and multiplicities.
 
     Each cycle keeps its nonzero multiplicities, the residual unknowns are
-    the index pairs whose entry carries a parameter, sorted by _cvar_key,
-    and the bounds are derived, or bound_note says why they could not be.
+    the pairs of residual (the index pairs whose entry carries a parameter,
+    which the caller collects) sorted by _cvar_key, and the bounds are
+    derived, or bound_note says why they could not be.
     """
     dims = {o.id: o.dim for o in ds.orbits}
-    residual = sorted((pair for pair, e in centries.items() if not e.is_constant()),
-                      key=lambda p: _cvar_key(p, dims))
+    residual = sorted(residual, key=lambda p: _cvar_key(p, dims))
     cc_table = {src: CharacteristicCycle(src, {o: v for o, v in mult.items() if v})
                 for src, mult in mults.items()}
     report = SolveReport(ds, CMatrix(centries), cc_table, free_parameters, residual,
@@ -495,11 +521,12 @@ def _residual(acc, pairs, values, closure):
     The residual of the expansion identity m[s, t] - sum over u of
     c(t, u) * chi_loc(s, u): acc is m[s, t], the pairs are the nonzero
     index entries c(t, u), values holds chi_loc(s, u) and closure is the
-    source's closure.  acc, the c and the values are exact constants or
+    source's closure.  The c and the values are exact constants or
     AffineInts that carry a parameter, as _plain leaves them, and so is the
-    result.  The sum goes into one constant and one coefficient map, not
-    through an AffineInt per product; the first product of two forms that
-    both carry a parameter raises AffineInt's ValueError.
+    result; acc may also be an AffineInt that carries none.  The sum goes
+    into one constant and one coefficient map, not through an AffineInt per
+    product; the first product of two forms that both carry a parameter
+    raises AffineInt's ValueError.
     """
     if isinstance(acc, AffineInt):
         const, co = acc.constant, dict(acc.coeffs)
@@ -1061,14 +1088,17 @@ def solve(cs):
             cells[j] = x
     centries = {(a, b): ZERO for kind, a, b in unknowns[m:] if kind == "c"}
     mults = {src: {} for src in ds.local_systems()}
+    residual = []          # the c-pairs whose class value carries a parameter
     for j in sorted(cells):
         kind, a, b = unknowns[j]
         if kind == "c":
-            centries[a, b] = cells[j]
+            centries[a, b] = x = cells[j]
+            if not x.is_constant():
+                residual.append((a, b))
         else:
             mults[a][b] = cells[j]
     params = sorted(names.values(), key=lambda n: (n != "c", n.startswith("q_"), n))
-    return _report(ds, centries, mults, params, list(cs.skipped), cs.equation_count)
+    return _report(ds, centries, mults, params, residual, list(cs.skipped), cs.equation_count)
 
 
 # ---------------------------------------------------------------- stage 3
@@ -1156,7 +1186,9 @@ def reconstruct_local_euler(sr):
     The poset's closure and up-set rows are read in place, not copied.
     The inversion runs top-down inside each source's closure: the value at a
     target is the target's cycle multiplicity minus contributions of the
-    strictly higher targets, divided by the diagonal entry.  Entries where a
+    strictly higher targets, divided by the diagonal entry.  Each orbit's
+    diagonal entry is read once per call, with whether it can be inverted
+    and, if not, the error text its cells fail with.  Entries where a
     free parameter survives come back UNKNOWN and are listed in the result's
     failures mapping; this is the oracle that pins evaluation values no
     quoted source covers.  A constant value is kept exact (an int where
@@ -1176,9 +1208,9 @@ def reconstruct_local_euler(sr):
     far + nonzero entries above it) under a linear order; with nothing
     failed, as on a chain, no target looks further than its own entries.
 
-    Index entries, multiplicities and intermediate values are plain ints and
-    Fractions wherever they are constant; only a value that really carries a
-    parameter is an AffineInt.
+    Index entries and intermediate values are plain ints and Fractions
+    wherever they are constant, and so is a multiplicity once _residual has
+    taken it; only a value that really carries a parameter is an AffineInt.
     """
     ds = sr.dataset
     poset = ds.poset
@@ -1201,6 +1233,12 @@ def reconstruct_local_euler(sr):
             above[t].append((u, c))
     for pairs in above.values():
         pairs.sort(key=place)
+    # each orbit's diagonal entry, with the error text when it cannot be inverted
+    diagonal = {}
+    for t in order:
+        diag = cm.get((t, t), 0)
+        bad = isinstance(diag, AffineInt) or diag == 0
+        diagonal[t] = diag, f"diagonal entry at {t} is {diag}, cannot invert" if bad else ""
     rows = {}
     failures = {}
     sources = list(sr.cc_table)
@@ -1215,16 +1253,15 @@ def reconstruct_local_euler(sr):
             if t not in closure:
                 continue
             pending.discard(t)
-            diag = cm.get((t, t), 0)
+            diag, error = diagonal[t]
             try:
-                if isinstance(diag, AffineInt) or diag == 0:
-                    raise ComputationError(
-                        f"diagonal entry at {t} is {diag}, cannot invert")
+                if error:
+                    raise ComputationError(error)
                 stop = min(map(stored.get, pending & ups[t]), default=None) \
                     if pending else None
                 pairs = above[t] if stop is None else \
                     above[t][:bisect_left(above[t], stop, key=place)]
-                acc = _residual(_plain(cc.at(t)), pairs, internal, closure)
+                acc = _residual(cc.mult.get(t, 0), pairs, internal, closure)
                 if stop is not None:
                     raise ComputationError(f"upstream failure at {poset.ids[stop]}")
                 val = acc / diag if isinstance(acc, AffineInt) else div(acc, diag)

@@ -4,13 +4,15 @@ import copy
 
 import pytest
 
+from microloc.affine import ZERO, AffineInt
 from microloc.duality import hat
 from microloc.euler import euler_matrix
 from microloc.packets import (Packet, all_micro_packets, basic_arthur_packet,
                               micro_packet, simplified_arthur_parameters,
                               unitarity_report, verify_az_micro_compatibility,
                               verify_weak_equals_union, weak_arthur_packet)
-from microloc.solver import ComputationError, build_constraints, solve
+from microloc.solver import (CharacteristicCycle, ComputationError, SolveReport,
+                             build_constraints, solve)
 from golden import PACKETS
 
 WEAK_MEMBERS = ("X5", "X7", "X8", "X9", "X11", "X13", "X15",
@@ -36,6 +38,69 @@ def test_only_s4_has_an_indeterminate_member(dataset, solved):
 def test_micro_packet_unknown_anchor_raises(dataset, solved):
     with pytest.raises(KeyError):
         micro_packet(solved, "S99")
+
+
+def _unread(sr):
+    """A report with sr's fields whose by-anchor view was never read."""
+    return SolveReport(*(getattr(sr, f) for f in sr._fields))
+
+
+def test_an_assigned_table_rebuilds_the_view(solved):
+    sr = copy.copy(solved)
+    assert micro_packet(sr, "S7") == Packet("micro", "S7", ("X5", "X7", "X8", "X9", "X11"))
+    # at S7: X6's cycle gains an entry, X9's loses one, and X8's turns from 1 to c - 2
+    table = dict(sr.cc_table)
+    for param, value in [(("S10", "(1)"), 1), (("S7", "(1)"), None),
+                         (("S8", "(1)"), AffineInt.parameter("c") - 2)]:
+        mult = dict(table[param].mult)
+        if value is None:
+            del mult["S7"]
+        else:
+            mult["S7"] = ZERO + value
+        table[param] = CharacteristicCycle(param, mult)
+    sr.cc_table = table
+    assert micro_packet(sr, "S7") == Packet("micro", "S7", ("X5", "X6", "X7", "X11"), ("X8",))
+    assert all_micro_packets(sr) == all_micro_packets(_unread(sr))
+    assert micro_packet(solved, "S7").members == ("X5", "X7", "X8", "X9", "X11")
+
+
+def test_an_assigned_dataset_rebuilds_the_view(solved, mutate):
+    sr = copy.copy(solved)
+    before = all_micro_packets(sr)
+    sr.dataset = mutate(lambda doc: doc["catalog"].reverse())
+    after = all_micro_packets(sr)
+    assert after == all_micro_packets(_unread(sr))
+    assert {a: p.members[::-1] for a, p in before.items()} == \
+        {a: p.members for a, p in after.items()}
+
+
+def test_micro_packet_errors_keep_their_texts(solved):
+    sr = copy.copy(solved)
+    with pytest.raises(KeyError) as e:
+        micro_packet(sr, "S99")
+    assert e.value.args == ("unknown orbit S99",)
+    assert micro_packet(sr, "S0").members
+    table = dict(solved.cc_table)
+    del table[("S8", "(1)")]
+    sr.cc_table = table
+    # a catalog parameter with no cycle fails every read, and a failed
+    # read keeps no view
+    for _ in range(2):
+        with pytest.raises(KeyError) as e:
+            micro_packet(sr, "S0")
+        assert e.value.args == (("S8", "(1)"),)
+    with pytest.raises(KeyError) as e:
+        micro_packet(sr, "S99")
+    assert e.value.args == ("unknown orbit S99",)
+    # the missing cycle is named before any entry is classified: without
+    # bounds, X5's c at S4 cannot be, and X5 comes before X8
+    sr.bounds = None
+    with pytest.raises(KeyError) as e:
+        micro_packet(sr, "S4")
+    assert e.value.args == (("S8", "(1)"),)
+    sr.cc_table = solved.cc_table
+    with pytest.raises(ComputationError, match="no usable bounds"):
+        micro_packet(sr, "S4")
 
 
 def test_basic_packet(dataset, solved):

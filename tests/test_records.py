@@ -30,6 +30,7 @@ from microloc import (
     SolveReport,
     Violation,
     WeakUnionReport,
+    all_micro_packets,
     build_constraints,
     euler_matrix,
     load_bundled_dataset,
@@ -183,6 +184,15 @@ def test_stateful_classes_keep_assignment():
     sr = SolveReport(None, CM, {}, [], [], [], None)
     sr.bounds = [Bound("c", 2, None)]
     assert sr.bounds == [Bound("c", 2, None)]
+
+
+def test_the_by_anchor_view_is_no_field(solved):
+    read, unread = (SolveReport(*(getattr(solved, f) for f in solved._fields))
+                    for _ in range(2))
+    text = repr(read)
+    all_micro_packets(read)
+    assert repr(read) == repr(unread) == text
+    assert read == unread and not read != unread
 
 
 def test_list_defaults_are_fresh_per_instance():

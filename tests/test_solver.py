@@ -12,9 +12,9 @@ from microloc.data import loads_dataset, validate_dataset
 from microloc.euler import UNKNOWN, MultiplicityMatrices, euler_matrix
 from microloc.packets import _classify
 from microloc.solver import (Bound, CMatrix, CharacteristicCycle, ComputationError,
-                             InadmissibleAssignment, InconsistentSystem,
+                             ConstraintSystem, Equation, InadmissibleAssignment, InconsistentSystem,
                              MultiParameterMultiplicity,
-                             SolveReport, admissible_assignment,
+                             SolveReport, _cvar_key, admissible_assignment,
                              build_constraints, characteristic_cycle,
                              check_halfinteger_roots, localization_check_terms,
                              parameter_bounds, reconstruct_local_euler, solve,
@@ -346,6 +346,39 @@ def test_substitute_specializes_the_report(solved):
     with pytest.raises(InadmissibleAssignment) as e:
         solved.substitute({"c": 1, "zz": 3})
     assert e.value.complaints == ["unknown parameter 'zz'", "c = 1 violates c >= 2"]
+
+
+def _scanned_residual(sr):
+    """Every index pair whose entry carries a parameter, sorted by _cvar_key."""
+    dims = {o.id: o.dim for o in sr.dataset.orbits}
+    return sorted((pair for pair, e in sr.cmatrix.entries.items() if not e.is_constant()),
+                  key=lambda p: _cvar_key(p, dims))
+
+
+def test_residual_unknowns_equal_a_scan_of_every_entry(solved):
+    others = {p: i for i, p in enumerate(solved.free_parameters[1:6])}
+    reports = [solved, solved.substitute({"c": 2}), solved.substitute({"c": 3, **others}),
+               solved.substitute(others)]
+    for n in (6, 30):
+        ds = loads_dataset(chain_doc(n))
+        reports.append(solve(build_constraints(ds, euler_matrix(ds))))
+    assert [len(sr.residual_unknowns) for sr in reports] == [45, 40, 35, 40, 0, 0]
+    for sr in reports:
+        assert sr.residual_unknowns == _scanned_residual(sr)
+
+
+def test_residual_unknowns_follow_cvar_key_order_on_hand_built_input(chain):
+    # the c-pairs listed against _cvar_key order, (A, A) fixed by its row
+    ds = chain
+    cvars = [("c", "A", "B"), ("c", "A", "A"), ("c", "B", "B")]
+    sr = solve(ConstraintSystem(ds, cvars, [Equation(((cvars[1], 1),), -1, ("d", "A"))], []))
+    assert sr.residual_unknowns == _scanned_residual(sr) == [("B", "B"), ("A", "B")]
+    # a hand-built report that lists no residual unknowns gets them from substitute
+    p, c = AffineInt.parameter("p"), AffineInt.parameter("c")
+    hand = SolveReport(ds, CMatrix({("A", "B"): p + 1, ("B", "B"): c, ("A", "A"): c + p}),
+                       {}, ["c", "p"], [], [], None)
+    sr = hand.substitute({"p": 1})
+    assert sr.residual_unknowns == _scanned_residual(sr) == [("B", "B"), ("A", "A")]
 
 
 def test_multi_parameter_multiplicity_raises(dataset, solved):

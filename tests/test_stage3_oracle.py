@@ -8,7 +8,9 @@ lists, in the same order, or the same exception text.  The inputs are the
 solved reports of the bundled case and of chains 6 to 30, and edited or
 hand-built reports with explicit zero entries, Fraction and parametric
 values, zero or parametric diagonals, failures that propagate upstream,
-and a poset whose dimensions do not rise along every cover.
+and a poset whose dimensions do not rise along every cover; the packets
+are compared again after an edited table is assigned to a report they
+were already read from.
 """
 
 import functools
@@ -139,9 +141,13 @@ def _assert_walks_agree(sr):
         assert _euler_view(got[1]) == _euler_view(want[1])
     else:
         assert got == want
+    _assert_packets_agree(sr)
+    assert _outcome(verify_fourier_symmetry, sr) == _outcome(_copied_fourier_mismatches, sr)
+
+
+def _assert_packets_agree(sr):
     for o in sr.dataset.orbits:
         assert _outcome(micro_packet, sr, o.id) == _outcome(_copied_micro_packet, sr, o.id)
-    assert _outcome(verify_fourier_symmetry, sr) == _outcome(_copied_fourier_mismatches, sr)
 
 
 # ---------------------------------------------------------------- inputs
@@ -283,6 +289,22 @@ def _reports(draw):
     return sr
 
 
+@st.composite
+def _retabled(draw, sr):
+    """sr's table, as new cycles, with one to four entries set, cleared or
+    zeroed."""
+    ids = [o.id for o in sr.dataset.orbits]
+    rows = {src: dict(cc.mult) for src, cc in sr.cc_table.items()}
+    for _ in range(draw(st.integers(1, 4))):
+        mult = rows[draw(st.sampled_from(list(rows)))]
+        o, v = draw(st.sampled_from(ids)), draw(_ENTRY)
+        if v is None:
+            mult.pop(o, None)
+        else:
+            mult[o] = v
+    return {src: CharacteristicCycle(src, mult) for src, mult in rows.items()}
+
+
 # ---------------------------------------------------------------- the tests
 
 @pytest.mark.parametrize("n", [0, *CHAINS], ids=["f4a3", *(f"chain{n}" for n in CHAINS)])
@@ -295,3 +317,14 @@ def test_solved_reports_match_the_copies(n):
 @given(sr=_reports())
 def test_edited_and_hand_built_reports_match_the_copies(sr):
     _assert_walks_agree(sr)
+
+
+# micro_packet reads a view of the table built on first read; a table
+# assigned after that read must be the one read next
+@settings(max_examples=100, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_packets_read_a_table_assigned_after_a_read(data):
+    sr = data.draw(_reports())
+    _assert_packets_agree(sr)
+    sr.cc_table = data.draw(_retabled(sr))
+    _assert_packets_agree(sr)
