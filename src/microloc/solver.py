@@ -47,8 +47,8 @@ solve presolves once (_presolve), its columns in the fixed variable order
 image, the pins, the substituted values and the rows left: the expansion
 rows of the anchors that fall back and the diagonal rows.  The presolve
 derives the classes itself, each represented by its latest column, and
-propagates the pins and those of singleton rows.  Whenever the image is
-an involution, a class no row holds is a pair {a, image[a]} that takes
+propagates the pins and those of singleton rows.  The image is an
+involution, so a class no row holds is a pair {a, image[a]} that takes
 its pin directly, and only the columns the rows hold and their images
 reach the union-find and the propagation: 90 of chain90's 12,285
 columns, 113 of F4(a3)'s 311.  For a fixed column order the RREF is
@@ -74,18 +74,17 @@ handed to the columns of its class only where it is not zero.
 An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags.  Its seeds are the rows the presolve contradicts, named by
 their ids in the full system, and the rows whose check the substitution
-failed.  Only the rows of the anchors that the duality's links
-t -- hat(t) reach from the seeds are built, in the full system's order
-(_seed_rows: 38 of F4(a3)'s 429 rows with P(S9 <- S10) raised to 5, 496
-of 7,441 on chain60 with its middle KL value raised), and eliminated
-again in full (_conflict).  The rows joined to no seed are consistent
-and share no column with a seed, so the first conflicting row is the one
-an elimination of the whole system meets.  The equations combined into
-it, replayed from the elimination's log of row updates (_combined), are
-reduced by a drop-one deletion filter that decides every trial by one
-elimination step on a basis of their left null space
-(_minimal_conflict).  A successful solve never runs the full
-elimination, and no solve builds the full rows.
+failed.  Only the rows of the seeds' anchors and of their hat images
+are built, in the full system's order (_seed_rows: 38 of F4(a3)'s 429
+rows with P(S9 <- S10) raised to 5, 496 of 7,441 on chain60 with its
+middle KL value raised), and eliminated again in full (_conflict).  The
+rows joined to no seed are consistent and share no column with a seed,
+so the first conflicting row is the one an elimination of the whole
+system meets.  The equations combined into it, replayed from the
+elimination's log of row updates (_combined), are reduced by a drop-one
+deletion filter that decides every trial by one elimination step on a
+basis of their left null space (_minimal_conflict).  A successful solve
+never runs the full elimination, and no solve builds the full rows.
 
 Stage 3 takes the solved report alone: characteristic_cycle,
 parameter_bounds, reconstruct_local_euler, special_cc_localization and
@@ -95,8 +94,8 @@ solved table is sparse (on chain30, 59 of 465 index entries and 60 of 930
 cycle entries are nonzero), and the checks visit what can change their
 answer: verify_fourier_symmetry compares a cell only where one side holds
 an entry, and reconstruct_local_euler subtracts over a target's nonzero
-index entries, up to the first orbit above the target that has no value
-(see its docstring).
+index entries, up to the first orbit above the target that failed (see
+its docstring).
 
 The record types: Equation, SkippedExpansion and Bound are namedtuple
 subclasses, frozen and equal by value; a Bound's witness lists default to
@@ -176,11 +175,11 @@ class ConstraintSystem:
     What the presolve reads is kept apart from rows: the rows it takes
     (presolve_rows) and their ids in rows (presolve_ids, None for their own
     indices), the duality image (image: column a is tied to image[a], as a
-    symmetry row would tie it, wherever the two differ) and whether it is
-    an involution (involutive), the pins (pins: (column, value, row id),
-    the column's class equals value as row id says), the values forward
-    substitution fixed, as pins of the same form (substituted), and the
-    ids of the rows whose check failed (contradicted).  A system built by
+    symmetry row would tie it, wherever the two differ), the pins (pins:
+    (column, value, row id), the column's class equals value as row id
+    says), the values forward substitution fixed, as pins of the same form
+    (substituted), and the ids of the rows whose check failed
+    (contradicted).  A system built by
     hand hands every row to the presolve, with an empty image and no pins;
     one from build_constraints assembles its rows on first read
     (_all_rows), and solve never reads them.  The tests, and perfbench's
@@ -203,7 +202,6 @@ class ConstraintSystem:
         self._rows = self.presolve_rows = rows
         self.presolve_ids = None
         self.image = ()
-        self.involutive = False
         self.pins = []
         self.substituted = []
         self.contradicted = []
@@ -360,15 +358,36 @@ def _cvar_key(pair, dims):
     return (-dims[a], a, dims[b], b)
 
 
+def _require_precondition(ds, dims, partners=(), hats=()):
+    """Raise a ValueError naming the first failed check of the solver's
+    precondition by its validate_dataset code: no orbit id repeats,
+    dimension rises along every cover (so falling dimension is a linear
+    extension), and fourier and hat, as index lists where given, are
+    involutions."""
+    failed = [("duplicate-orbit", "an orbit id repeats")] if len(dims) != len(ds.orbits) else []
+    failed += [("cover-dim", f"dimension does not rise along the cover ({a}, {b})")
+               for a, b in ds.poset.covers if dims[a] >= dims[b]]
+    failed += [("fourier-not-involutive", f"fourier is no involution at {ds.local_systems()[s]}")
+               for s, f in enumerate(partners) if partners[f] != s]
+    failed += [("hat-not-involutive", f"hat is no involution at {ds.orbits[k].id}")
+               for k, h in enumerate(hats) if hats[h] != k]
+    if failed:
+        code, detail = failed[0]
+        raise ValueError(f"{detail} [{code}]: the solver needs a dataset validate_dataset accepts")
+
+
 def build_constraints(ds, em):
     """Assemble the full rule system against a (possibly partial) chi_loc matrix.
+
+    ds must pass the checks of validate_dataset that the walk relies on
+    (_require_precondition); a map that is not total raises its KeyError.
 
     The rows come rule by rule: per source, its support, leading and
     expansion rows anchor by anchor, then the symmetry rows, then the
     diagonal rows.  Most of the system is kept as structure for the
     presolve, not as rows:
       - the duality image, the column m[fourier(src), hat(t)] of each
-        m[src, t] (image), and whether it is an involution (involutive);
+        m[src, t] (image);
       - the pins, one per support and leading row, in row order, as
         (column, value, row id): 0 for a cell whose anchor lies outside
         its source's closure, the source's rank for a leading cell; the
@@ -380,9 +399,7 @@ def build_constraints(ds, em):
     The rows the presolve takes are the expansion rows of the anchors that
     fall back, each walking its anchor's interval in stored order, and the
     diagonal rows.  An anchor falls back when one of its expansions is
-    skipped or when _substitute cannot settle it, and every anchor does
-    when the image is not an involution, when dimension does not rise
-    along every cover, or when an orbit id repeats.  The support, leading
+    skipped or when _substitute cannot settle it.  The support, leading
     and symmetry rows, and the expansion rows of the settled anchors, are
     assembled on first read of rows (_all_rows), in the order above, or,
     on a conflict, for the anchors its seeds reach (_seed_rows), from what
@@ -464,15 +481,9 @@ def build_constraints(ds, em):
         image += [f * n + h for h in hats]
     i += sum(a != b for a, b in enumerate(image))
 
-    # image[image[a]] is a for every a exactly when both maps are involutions
-    involutive = all(partners[f] == s for s, f in enumerate(partners)) and \
-        all(hats[h] == k for k, h in enumerate(hats))
-    substituted, contradicted = [], []
-    if involutive and len(dims) == n and all(dims[a] < dims[b] for a, b in poset.covers):
-        substituted, contradicted = _substitute(anchors, dims, ups, sources, chis, ccol,
-                                                expansions, image, pins, fallback)
-    else:
-        fallback = set(range(n))
+    _require_precondition(ds, dims, partners, hats)
+    substituted, contradicted = _substitute(anchors, dims, ups, sources, chis, ccol,
+                                            expansions, image, pins, fallback)
 
     upper = {}             # anchor -> its up-set in stored order
 
@@ -508,7 +519,7 @@ def build_constraints(ds, em):
     cs = ConstraintSystem.__new__(ConstraintSystem)
     cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
     cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins = rows, ids, image, pins
-    cs.substituted, cs.contradicted, cs.involutive = substituted, contradicted, involutive
+    cs.substituted, cs.contradicted = substituted, contradicted
     cs.equation_count = i
     cs._rows = cs._equations = None
     cs._layout = expansion, expansions, hats, {a: x for a, x, _ in pins}, owner
@@ -657,29 +668,18 @@ def _seed_rows(cs, seeds):
     build_constraints holds only columns of one anchor t, m[src, t] and
     c(t, u), but a symmetry row, which ties m[src, t] to
     m[fourier(src), hat(t)].  So the rows joined to a seed through shared
-    columns lie in the anchors that the links t -- hat(t), taken both
-    ways, reach from the seed's anchor, and this gives the rows of those
-    anchors (_anchor_rows).  A seed is a pin or an expansion row, whose
-    m-column the layout keeps by id, or a diagonal row, one of the last n
-    rows in orbit order; the presolve takes no symmetry row.  Two anchors
-    of one orbit id share c-columns, and their hat image, so links join them.
+    columns lie in the seed's anchor and its hat image, hat being an
+    involution, and this gives the rows of those anchors (_anchor_rows).
+    A seed is a pin or an expansion row, whose m-column the layout keeps
+    by id, or a diagonal row, one of the last n rows in orbit order; the
+    presolve takes no symmetry row.
     """
     if cs.presolve_ids is None:
         return cs.rows
     hats, owner = cs._layout[2], cs._layout[4]
     n = len(cs.dataset.orbits)
-    linked = [[] for _ in hats]
-    for k, h in enumerate(hats):
-        linked[k].append(h)
-        linked[h].append(k)
-    reach, stack = set(), [owner[i] % n if i < len(owner) else i - cs.equation_count + n
-                           for i in seeds]
-    while stack:
-        k = stack.pop()
-        if k not in reach:
-            reach.add(k)
-            stack += linked[k]
-    return _anchor_rows(cs, reach)
+    seeded = {owner[i] % n if i < len(owner) else i - cs.equation_count + n for i in seeds}
+    return _anchor_rows(cs, seeded | {hats[k] for k in seeded})
 
 
 def _anchor_rows(cs, reach):
@@ -852,28 +852,27 @@ def _cancel(b, pivot, i):
     return out, exact(value - f * pvalue)
 
 
-def _presolve(system, ids=None, image=(), pins=(), involutive=False):
+def _presolve(system, ids=None, image=(), pins=()):
     """Solve the rows of a system, and name the rows that contradict it.
 
     system is a list of rows in ConstraintSystem's row form and ids the id
-    of each (default: its index).  image ties column a to column image[a],
-    as a symmetry row a - image[a] = 0 would, for every a it differs from,
-    and involutive says it is an involution.  pins lists (column, value,
+    of each (default: its index).  image, an involution, ties column a to
+    column image[a], as a symmetry row a - image[a] = 0 would, for every a
+    it differs from.  pins lists (column, value,
     id) facts: the column's class equals value, as row id says; a value
     forward substitution fixed is constant on the whole solution set, so
     it pins its column as any pin does.  A system built by hand gives every
     row, an empty image and no pins; build_constraints says what it gives.
     Four steps, none of which can change the result, since for a fixed
     column order the RREF is unique:
-      1. merge every column with its image, and the columns of every
-         equality row (two entries, opposite coefficients, rhs 0), by one
-         union-find, each class represented by its latest column: in the
-         RREF every other member of a class is a pivot, and the class's own
-         value is its representative's.  When the image is an involution,
-         a class no row holds is the pair {a, image[a]}, so the union-find
-         sees only the columns the rows hold and their images, and a pin
-         on any other column goes straight into solved, onto the larger
-         column of its pair;
+      1. merge every column the rows hold with its image, and the
+         columns of every equality row (two entries, opposite
+         coefficients, rhs 0), by one union-find, each class represented
+         by its latest column: in the RREF every other member of a class
+         is a pivot, and the class's own value is its representative's.
+         A class no row holds is the pair {a, image[a]}, so a pin on any
+         other column goes straight into solved, onto the larger column
+         of its pair;
       2. rewrite every other row onto the representatives, adding the
          coefficients that land on one and dropping those that cancel, so
          the rows keep ConstraintSystem's row form;
@@ -903,21 +902,18 @@ def _presolve(system, ids=None, image=(), pins=(), involutive=False):
     empty = {}             # the remainder of every pinned class, one dict that nothing changes
     contradicted = []
     m = len(image)
-    cols = range(m)
-    if involutive:
-        held = {k for coeffs, _, _ in system for k, _ in coeffs}
-        held.update([image[a] for a in held if a < m])
-        cols = [a for a in held if a < m]
-        for k, value, i in reversed(pins):
-            if k not in held:
-                r = image[k] if k < m else k
-                if solved.setdefault(k if r < k else r, (empty, value))[1] != value:
-                    contradicted.append(i)
-        pins = [p for p in pins if p[0] in held]
+    held = {k for coeffs, _, _ in system for k, _ in coeffs}
+    held.update([image[a] for a in held if a < m])
+    for k, value, i in reversed(pins):
+        if k not in held:
+            r = image[k] if k < m else k
+            if solved.setdefault(k if r < k else r, (empty, value))[1] != value:
+                contradicted.append(i)
+    pins = [p for p in pins if p[0] in held]
     # a pair already joined from its smaller end is not joined again, and
     # two columns that are both roots need no find
     parent = {}
-    for a in cols:
+    for a in [a for a in held if a < m]:
         b = image[a]
         if a == b or b < a and image[b] == a:
             continue
@@ -1044,13 +1040,14 @@ def solve(cs):
     Free c-variables are named p_<row>_<col>.  One of them gets the short
     name "c": the pair (E, top) where E is the dataset's single orbit whose
     conormal carries no dense orbit, matching the designation the bundled
-    case fixes.  Free m-variables (possible with sparse duality data) are
-    named q_<anchor>_<orbit>_<irrep>, after their class's representative.
+    case fixes.  Free m-variables (possible when skipped expansion rows
+    leave an m-class untied) are named q_<anchor>_<orbit>_<irrep>, after
+    their class's representative.
     """
     ds = cs.dataset
     image, m, unknowns = cs.image, len(cs.image), cs.unknowns
     solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids, image,
-                                          cs.pins + cs.substituted, cs.involutive)
+                                          cs.pins + cs.substituted)
     if contradicted or cs.contradicted:
         raise InconsistentSystem(_conflict(_seed_rows(cs, contradicted + cs.contradicted)))
 
@@ -1196,17 +1193,16 @@ def reconstruct_local_euler(sr):
     a non-integral value that disagrees with any evaluation table.
 
     Every source visits its closure in one order fixed for the call, by
-    falling dimension, then id.  The contributions come from the target's
-    nonzero index entries c(t, u) above it, in stored order (_residual), up
-    to the stored position of the first orbit above the target that has no
-    value; the target then fails with an upstream failure at that orbit.
-    An orbit lacks a value when it failed or, unless the order is a linear
-    extension of the poset (dimension rises along every cover), when it is
-    not visited yet.  The products before it are summed first, so one that
-    is not affine raises its ValueError instead.  A source costs O(n) for
-    its zero entries and its targets, and each target O(failed orbits so
-    far + nonzero entries above it) under a linear order; with nothing
-    failed, as on a chain, no target looks further than its own entries.
+    falling dimension, then id: a linear extension of the poset, as the
+    report's dataset must pass _require_precondition or raise its
+    ValueError.  The contributions come from the target's nonzero index
+    entries c(t, u) above it, in stored order (_residual), up to the stored
+    position of the first orbit above the target that failed; the target
+    then fails with an upstream failure at that orbit.  The products
+    before it are summed first, so one that is not affine raises its
+    ValueError instead.  A source costs O(n) for its zero entries and its
+    targets, and each target O(failed orbits so far + nonzero entries above
+    it); with nothing failed, as on a chain, no target looks further.
 
     Index entries and intermediate values are plain ints and Fractions
     wherever they are constant, and so is a multiplicity once _residual has
@@ -1215,12 +1211,11 @@ def reconstruct_local_euler(sr):
     ds = sr.dataset
     poset = ds.poset
     dims = {o.id: o.dim for o in ds.orbits}
+    _require_precondition(ds, dims)
     all_orbits = [o.id for o in ds.orbits]
     cm = {k: _plain(v) for k, v in sr.cmatrix.entries.items()}
     ups = poset._up
     order = sorted(dims, key=lambda o: (-dims[o], o))
-    rank = {o: i for i, o in enumerate(order)}
-    linear = all(rank[b] < rank[a] for a, b in poset.covers)
     stored = {o: i for i, o in enumerate(poset.ids)}
 
     def place(pair):
@@ -1245,14 +1240,11 @@ def reconstruct_local_euler(sr):
     for src, cc in sr.cc_table.items():
         closure = poset._down[src[0]]
         internal = {}
-        # the closure's orbits without a value: those failed and, unless the
-        # order is linear, those not visited yet
-        pending = set() if linear else set(closure)
+        pending = set()    # the closure's orbits that failed
         row = rows[src] = dict.fromkeys([t for t in all_orbits if t not in closure], 0)
         for t in order:
             if t not in closure:
                 continue
-            pending.discard(t)
             diag, error = diagonal[t]
             try:
                 if error:

@@ -366,7 +366,7 @@ def test_what_reaches_the_union_find_on_a_chain(n, monkeypatch):
     ds = loads_dataset(chain_doc(n))
     cs = build_constraints(ds, euler_matrix(ds))
     held = _held(cs)
-    assert cs.involutive and len(held) == n
+    assert len(held) == n
     assert all(cs.unknowns[k][0] == "c" for k in held)
     assert sorted(_found(monkeypatch, cs)) == sorted(held)
 

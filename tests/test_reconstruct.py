@@ -12,7 +12,6 @@ from microloc.euler import UNKNOWN, EulerMatrix
 from microloc.solver import (CMatrix, CharacteristicCycle, ComputationError,
                              SolveReport, reconstruct_local_euler)
 from chains import chain_doc
-from test_stage3_oracle import FLAT_DOC
 
 # Frozen from the package when the inversion moved off AffineInt for
 # constant values: a regression pin, not an independent derivation.
@@ -278,16 +277,3 @@ def test_inversion_matches_the_affine_reference(system):
     assert [type(v) for v in got.entries.values()] == [type(v) for v in want.entries.values()]
     assert list(got.failures.items()) == list(want.failures.items())
     assert (got.sources, got.targets) == (want.sources, want.targets)
-
-
-def test_an_orbit_above_not_yet_visited_is_an_upstream_failure():
-    # B and C have one dimension and B < C, so the top-down order (falling
-    # dimension, then id) reaches B before C: B's value waits on C
-    src = ("C", "(1)")
-    sr = _report(loads_dataset(FLAT_DOC), {("A", "A"): 1, ("B", "B"): -1, ("C", "C"): -1},
-                 {src: {"A": 1, "B": 1, "C": 1}})
-    rec = reconstruct_local_euler(sr)
-    assert list(rec.entries.items()) == [((src, "B"), UNKNOWN), ((src, "C"), -1),
-                                         ((src, "A"), UNKNOWN)]
-    assert rec.failures == {(src, "B"): "upstream failure at C",
-                            (src, "A"): "upstream failure at B"}

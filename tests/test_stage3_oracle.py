@@ -7,10 +7,9 @@ what its copy gives: the same entries, failure texts, packets and mismatch
 lists, in the same order, or the same exception text.  The inputs are the
 solved reports of the bundled case and of chains 6 to 30, and edited or
 hand-built reports with explicit zero entries, Fraction and parametric
-values, zero or parametric diagonals, failures that propagate upstream,
-and a poset whose dimensions do not rise along every cover; the packets
-are compared again after an edited table is assigned to a report they
-were already read from.
+values, zero or parametric diagonals and failures that propagate
+upstream; the packets are compared again after an edited table is
+assigned to a report they were already read from.
 """
 
 import functools
@@ -179,29 +178,8 @@ DIAMOND_DOC = {
     "special_piece": [], "arthur_type": [], "b_function": ["-1"],
 }
 
-# A < B < C with B and C of one dimension: visiting targets by falling
-# dimension, then id, reaches B before C, which lies above it
-FLAT_DOC = {
-    "schema_version": 1, "name": "flat", "ambient_dim": 1,
-    "orbits": [
-        {"id": "A", "dim": 0, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
-        {"id": "B", "dim": 1, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
-        {"id": "C", "dim": 1, "group": {"name": "trivial", "irreps": [["(1)", 1]]}},
-    ],
-    "covers": [["A", "B"], ["B", "C"]],
-    "duality": {"hat": [["A", "C"], ["B", "B"]],
-                "fourier": [[["A", "(1)"], ["C", "(1)"]], [["B", "(1)"], ["B", "(1)"]]]},
-    "kl": [],
-    "catalog": [
-        {"id": "R0", "param": ["A", "(1)"], "az": "R2", "iwahori_spherical": True, "unitary": True},
-        {"id": "R1", "param": ["B", "(1)"], "az": "R1", "iwahori_spherical": True, "unitary": True},
-        {"id": "R2", "param": ["C", "(1)"], "az": "R0", "iwahori_spherical": True, "unitary": True},
-    ],
-    "special_piece": [], "arthur_type": [], "b_function": ["-1"],
-}
-
 _HAND_BUILT = [loads_dataset(chain_doc(3)), loads_dataset(chain_doc(4)),
-               loads_dataset(DIAMOND_DOC), loads_dataset(FLAT_DOC)]
+               loads_dataset(DIAMOND_DOC)]
 CHAINS = range(6, 31)
 
 

@@ -5,14 +5,15 @@ above t by rising dimension, each c(t, u) from the first row on u whose
 m-class holds a known value, and hands the values to the presolve as pins.
 An anchor falls back to the presolve, its expansion rows built as before,
 when one of its expansions is skipped or some c(t, u) has no row to fix
-it; every anchor falls back when dimension does not rise along a cover or
-the duality image is not an involution.  Whatever falls back, the
-presolve of the structure, the substituted values and the failed checks
-must assign every column the expression the presolve of the full rows
-assigns it, and a conflict must raise the tags of one elimination of the
-full rows.  Two pins of different values on a pair that no presolve row
-holds must be named as the queue names them, the earlier one.  The
-edited datasets go through the library without validate_dataset.
+it.  Whatever falls back, the presolve of the structure, the substituted
+values and the failed checks must assign every column the expression the
+presolve of the full rows assigns it, and a conflict must raise the tags
+of one elimination of the full rows.  Two pins of different values on a
+pair that no presolve row holds must be named as the queue names them,
+the earlier one.  The edited datasets go through the library without
+validate_dataset; the walk needs dimension rising along every cover and
+a duality image that is an involution, so a dataset without them raises
+the precondition error that names its validate_dataset code.
 """
 
 import copy
@@ -21,8 +22,8 @@ from microloc.data import loads_dataset
 from microloc.euler import euler_matrix
 from microloc.solver import _presolve, build_constraints
 from chains import SIGN, chain_doc, middle_corruption, orbit_id, with_kl_value
-from test_mclasses import _check_against_full_rows, _check_classes, _check_outcome, \
-    _leading_joined_to_support
+from test_mclasses import _check_against_full_rows, _check_classes, _check_outcome
+from test_precondition import INVALID, _precondition_code
 
 
 def _settled(cs):
@@ -44,9 +45,8 @@ def test_every_chain_anchor_is_settled():
 def test_dimension_that_does_not_rise_along_a_cover():
     doc = chain_doc(6)
     doc["orbits"][3]["dim"] = 2            # the cover (A2, A3) keeps dimension 2
-    cs = _check_classes(loads_dataset(doc))
-    assert cs.substituted == [] and cs.contradicted == []
-    _check_outcome(cs)
+    ds = loads_dataset(doc)
+    assert _precondition_code(build_constraints, ds, euler_matrix(ds)) == "cover-dim"
 
 
 def test_anchor_with_a_skipped_row_falls_back():
@@ -84,12 +84,12 @@ def test_two_pins_on_a_class_no_row_holds():
     doc["duality"]["fourier"] = [[[a, "(1)"], [a, "(1)"]] for a in _chain(3)] + \
         [[[orbit_id(2), SIGN], [orbit_id(2), SIGN]]]
     cs = _check_classes(loads_dataset(doc))
-    assert cs.involutive and cs.image[0] == 2
+    assert cs.image[0] == 2
     held = {k for coeffs, _, _ in cs.presolve_rows for k, _ in coeffs}
     assert [p for p in cs.pins + cs.substituted if p[0] in (0, 2)] == [(0, 1, 0), (2, 0, 3)]
     assert not held & {0, 2}
-    structure = (cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins + cs.substituted)
-    assert _presolve(*structure, True)[1] == _presolve(*structure)[1] == [0]
+    assert _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
+                     cs.pins + cs.substituted)[1] == [0]
     assert cs.contradicted == [12]
     # the tags of one elimination of the full rows
     assert _check_outcome(cs) == [
@@ -102,9 +102,9 @@ def test_two_pins_on_a_class_no_row_holds():
 
 
 def test_image_that_is_not_an_involution():
-    cs = _check_classes(loads_dataset(_leading_joined_to_support()))
-    assert cs.substituted == [] and cs.contradicted == []
-    assert _check_outcome(cs)
+    # chain4 with the extra hat pair (A3, A3)
+    ds = loads_dataset(INVALID["hat-pair-added"][0])
+    assert _precondition_code(build_constraints, ds, euler_matrix(ds)) == "hat-not-involutive"
 
 
 def test_failed_check_on_a_settled_anchor_raises_the_full_tags():
