@@ -48,12 +48,13 @@ image, the pins, the substituted values and the rows left: the expansion
 rows of the anchors that fall back and the diagonal rows.  The presolve
 derives the classes itself, each represented by its latest column, and
 propagates the pins and those of singleton rows.  The image is an
-involution, so a class no row holds is a pair {a, image[a]} that takes
-its pin directly, and only the columns the rows hold and their images
-reach the union-find and the propagation: 90 of chain90's 12,285
-columns, 113 of F4(a3)'s 311.  For a fixed column order the RREF is
-unique, so solve may reach it any way it likes; a substituted value is
-constant on the whole solution set, a pivot with an empty remainder.
+involution, so its pairs are disjoint: a class no row holds is a pair
+{a, image[a]} that takes its pin directly, and only the columns the rows
+hold and their images reach the union-find, each pair linked there with
+no find, and the propagation: 90 of chain90's 12,285 columns, 113 of
+F4(a3)'s 311.  For a fixed column order the RREF is unique, so solve may
+reach it any way it likes; a substituted value is constant on the whole
+solution set, a pivot with an empty remainder.
 That settles every chain system with no elimination, and leaves F4(a3)
 30 rows over 21 columns of its 429 x 311.  Only what remains goes
 through deterministic exact Gaussian elimination over the rationals
@@ -75,7 +76,8 @@ An inconsistent system raises InconsistentSystem with a minimal conflicting
 subset of tags.  Its seeds are the rows the presolve contradicts, named by
 their ids in the full system, and the rows whose check the substitution
 failed.  Only the rows of the seeds' anchors and of their hat images
-are built, in the full system's order (_seed_rows: 38 of F4(a3)'s 429
+are built, in the full system's order, from the pins and the expansion
+row ids, which are inverted only then (_seed_rows: 38 of F4(a3)'s 429
 rows with P(S9 <- S10) raised to 5, 496 of 7,441 on chain60 with its
 middle KL value raised), and eliminated again in full (_conflict).  The
 rows joined to no seed are consistent and share no column with a seed,
@@ -182,8 +184,8 @@ class ConstraintSystem:
     (contradicted).  A system built by
     hand hands every row to the presolve, with an empty image and no pins;
     one from build_constraints assembles its rows on first read
-    (_all_rows), and solve never reads them.  The tests, and perfbench's
-    size counts, read rows and equations.
+    (_all_rows) from the pins and its layout, and solve never reads them.
+    The tests, and perfbench's size counts, read rows and equations.
     """
 
     def __init__(self, dataset, unknowns, equations, skipped):
@@ -362,8 +364,9 @@ def _require_precondition(ds, dims, partners=(), hats=()):
     """Raise a ValueError naming the first failed check of the solver's
     precondition by its validate_dataset code: no orbit id repeats,
     dimension rises along every cover (so falling dimension is a linear
-    extension), and fourier and hat, as index lists where given, are
-    involutions."""
+    extension), fourier and hat, as index lists where given, are
+    involutions, and, where hat is given, no orbit lies in two hat pairs
+    with different partners (each pair agrees with the map)."""
     failed = [("duplicate-orbit", "an orbit id repeats")] if len(dims) != len(ds.orbits) else []
     failed += [("cover-dim", f"dimension does not rise along the cover ({a}, {b})")
                for a, b in ds.poset.covers if dims[a] >= dims[b]]
@@ -371,6 +374,10 @@ def _require_precondition(ds, dims, partners=(), hats=()):
                for s, f in enumerate(partners) if partners[f] != s]
     failed += [("hat-not-involutive", f"hat is no involution at {ds.orbits[k].id}")
                for k, h in enumerate(hats) if hats[h] != k]
+    if hats:
+        hat_map = ds.duality.hat_map
+        failed += [("hat-conflict", f"the hat pair ({a}, {b}) disagrees with a later pair")
+                   for a, b in ds.duality.hat_pairs if hat_map[a] != b or hat_map[b] != a]
     if failed:
         code, detail = failed[0]
         raise ValueError(f"{detail} [{code}]: the solver needs a dataset validate_dataset accepts")
@@ -402,20 +409,17 @@ def build_constraints(ds, em):
     skipped or when _substitute cannot settle it.  The support, leading
     and symmetry rows, and the expansion rows of the settled anchors, are
     assembled on first read of rows (_all_rows), in the order above, or,
-    on a conflict, for the anchors its seeds reach (_seed_rows), from what
-    the system keeps of the layout: the expansion row builder and ids, the
-    anchors' hat images, the pins' values by column and the m-column of
-    each pin and expansion row by id.
+    on a conflict, for the anchors its seeds reach (_seed_rows), from the
+    pins and the layout: the expansion row builder, the expansion row ids
+    by m-column and the anchors' hat images.  The Euler rows and the
+    poset's ids, dimensions, up-set and closure rows are read in place.
     """
     poset = ds.poset
     d = ds.duality
     sources = ds.local_systems()
-    anchors = [o.id for o in ds.orbits]
-    dims = {o.id: o.dim for o in ds.orbits}
+    anchors, dims, ups, downs, rows = poset.ids, poset.dim, poset._up, poset._down, em.rows
     n = len(anchors)
     at = {t: k for k, t in enumerate(anchors)}
-
-    ups = poset._up
 
     mvars = [("m", src, t) for src in sources for t in anchors]
     # the comparable pairs in _cvar_key order: rows by falling (dim, id),
@@ -432,28 +436,24 @@ def build_constraints(ds, em):
     for j, (a, b) in enumerate(cpairs, len(mvars)):
         ccol[a][b] = j
 
-    chis = []              # each source's chi_loc cells over its closure, in stored order
     expansions = {}        # m-column -> id of its expansion row, for each row not skipped
     fallback = set()       # the indices of the anchors that fall back
     pins = []              # (column, value, row id) of each support and leading row
-    owner = []             # the m-column of each support, leading and expansion row, by id
     skipped = []
+    i = 0                  # the id of the next row
     for s, src in enumerate(sources):
         s_orb = src[0]
-        closure = poset._down[s_orb]
-        row = em.rows[src]
-        chi = {u: row[u] for u in poset.ids if u in closure}
-        chis.append(chi)
-        unknown = [u for u, v in chi.items() if v is UNKNOWN]
+        closure, row = downs[s_orb], rows[src]
+        unknown = [u for u in anchors if u in closure and row[u] is UNKNOWN]
         for k, t in enumerate(anchors):
             mv = s * n + k
             if t not in closure:
-                pins.append((mv, 0, len(owner)))
-                owner.append(mv)
+                pins.append((mv, 0, i))
+                i += 1
                 continue
             if t == s_orb:
-                pins.append((mv, ds.ls_dim(src), len(owner)))
-                owner.append(mv)
+                pins.append((mv, ds.ls_dim(src), i))
+                i += 1
             if unknown:
                 up = ups[t]
                 missing = [(u, src) for u in unknown if u in up]
@@ -461,9 +461,8 @@ def build_constraints(ds, em):
                     skipped.append(SkippedExpansion(t, src, tuple(missing)))
                     fallback.add(k)
                     continue
-            expansions[mv] = len(owner)
-            owner.append(mv)
-    i = len(owner)
+            expansions[mv] = i
+            i += 1
 
     # image[a] is the column m[src, t] is tied to: m[fourier(src), hat(t)],
     # one symmetry row for each a it differs from; the first source's
@@ -482,8 +481,8 @@ def build_constraints(ds, em):
     i += sum(a != b for a, b in enumerate(image))
 
     _require_precondition(ds, dims, partners, hats)
-    substituted, contradicted = _substitute(anchors, dims, ups, sources, chis, ccol,
-                                            expansions, image, pins, fallback)
+    substituted, contradicted = _substitute(poset, sources, rows, ccol, expansions, image,
+                                            pins, fallback)
 
     upper = {}             # anchor -> its up-set in stored order
 
@@ -493,36 +492,37 @@ def build_constraints(ds, em):
         s, k = divmod(mv, n)
         src, t = sources[s], anchors[k]
         if t not in upper:
-            upper[t] = [u for u in poset.ids if u in ups[t]]
-        chi, cols = chis[s], ccol[t]
+            upper[t] = [u for u in anchors if u in ups[t]]
+        row, closure, cols = rows[src], downs[src[0]], ccol[t]
         coeffs = [(mv, -1)]
         for u in upper[t]:
-            v = chi.get(u)
-            if v:
-                coeffs.append((cols[u], v))
+            if u in closure:
+                v = row[u]
+                if v:
+                    coeffs.append((cols[u], v))
         return tuple(coeffs), 0, ("expansion", src, t)
 
-    rows = []              # the expansion rows of the anchors that fall back, the diagonal rows
+    presolve_rows = []     # the expansion rows of the anchors that fall back, the diagonal rows
     ids = []               # the id of each in the full system
     if fallback:
         for mv, j in expansions.items():
             if mv % n in fallback:
-                rows.append(expansion(mv))
+                presolve_rows.append(expansion(mv))
                 ids.append(j)
 
     if ds.diagonal_rule:
-        for o in ds.orbits:
-            rows.append((((ccol[o.id][o.id], 1),), -1 if o.dim % 2 else 1, ("diagonal", o.id)))
+        for t in anchors:
+            presolve_rows.append((((ccol[t][t], 1),), -1 if dims[t] % 2 else 1, ("diagonal", t)))
             ids.append(i)
             i += 1
 
     cs = ConstraintSystem.__new__(ConstraintSystem)
     cs.dataset, cs.unknowns, cs.skipped = ds, unknowns, skipped
-    cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins = rows, ids, image, pins
+    cs.presolve_rows, cs.presolve_ids, cs.image, cs.pins = presolve_rows, ids, image, pins
     cs.substituted, cs.contradicted = substituted, contradicted
     cs.equation_count = i
     cs._rows = cs._equations = None
-    cs._layout = expansion, expansions, hats, {a: x for a, x, _ in pins}, owner
+    cs._layout = expansion, expansions, hats
     return cs
 
 
@@ -566,7 +566,7 @@ def _residual(acc, pairs, values, closure):
     return exact(const)
 
 
-def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins, fallback):
+def _substitute(poset, sources, rows, ccol, expansions, image, pins, fallback):
     """Fix the c-columns of each anchor not in fallback by forward substitution.
 
     For anchor t, the expansion row of source s reads
@@ -576,14 +576,16 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
     every c(t, v) with v below u is fixed.  The first source s on u with
     chi_loc(s, u) != 0 (its rank up to sign) whose m-class holds a known
     value fixes c(t, u) from its row's residual over the nonzero c(t, v)
-    found so far (_residual, chi_loc(s, .) as values and closure); every
-    other row on u then fixes its m-class from that sum, when no value is
-    known for it, or checks it.  A class is {a, image[a]}, the image being
-    an involution here; its value is known from a pin or from a row of an
-    anchor walked before.  An anchor with an orbit u on which no source's
-    class is known falls back: it is added to fallback and its values are
-    not pinned, its rows going to the presolve; the classes it fixed stay
-    known, since they follow from those rows.
+    found so far (_residual, with the source's Euler row, rows[src], as
+    values and the poset's closure row of its orbit as closure, both read
+    in place); every other row on u then fixes its m-class from that sum,
+    when no value is known for it, or checks it.  A class is
+    {a, image[a]}, the image being an involution here; its value is known
+    from a pin or from a row of an anchor walked before.  An anchor with
+    an orbit u on which no source's class is known falls back: it is
+    added to fallback and its values are not pinned, its rows going to the
+    presolve; the classes it fixed stay known, since they follow from
+    those rows.
 
     Returns (substituted, contradicted): each fixed value, c-column or
     m-column, as a pin (column, value, row id) and, in ascending order,
@@ -593,14 +595,15 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
     failed checks, and each of those lies in an inconsistent part of the
     system, as a contradicted row of _presolve does.
     """
+    anchors, ups = poset.ids, poset._up
     n = len(anchors)
     known = {}             # m-class (its larger column) -> its value
     for a, value, _ in pins:
         known.setdefault(a if a > image[a] else image[a], value)
-    on = {}                # orbit -> (m-column at the 0th anchor, chi_loc cells) of its sources
+    on = {}                # orbit -> (m-column at anchor 0, Euler row, closure) of its sources
     for s, src in enumerate(sources):
-        on.setdefault(src[0], []).append((s * n, chis[s]))
-    rank = {t: r for r, t in enumerate(sorted(anchors, key=dims.__getitem__))}
+        on.setdefault(src[0], []).append((s * n, rows[src], poset._down[src[0]]))
+    rank = {t: r for r, t in enumerate(sorted(anchors, key=poset.dim.__getitem__))}
 
     def settle(k, t):
         # (fixed, failed) of anchor t, or None when it falls back
@@ -608,23 +611,23 @@ def _substitute(anchors, dims, ups, sources, chis, ccol, expansions, image, pins
         nonzero = []       # (v, c(t, v)) for each nonzero c(t, v) fixed so far
         fixed, failed = [], []
         for u in sorted(ups[t], key=rank.__getitem__):
-            here = []      # (m-column, class, chi_loc cells) of each source on u
+            here = []      # (m-column, class, Euler row, closure) of each source on u
             pivot = None
-            for b, chi in on.get(u, ()):
+            for b, row, closure in on.get(u, ()):
                 a = b + k
                 r = a if a > image[a] else image[a]
-                if pivot is None and r in known and chi[u]:
+                if pivot is None and r in known and row[u]:
                     pivot = a
-                    c = div(_residual(known[r], nonzero, chi, chi), chi[u])
+                    c = div(_residual(known[r], nonzero, row, closure), row[u])
                     fixed.append((cols[u], c, expansions[a]))
                 else:
-                    here.append((a, r, chi))
+                    here.append((a, r, row, closure))
             if pivot is None:
                 return None
             if c:
                 nonzero.append((u, c))
-            for a, r, chi in here:
-                x = -_residual(0, nonzero, chi, chi)
+            for a, r, row, closure in here:
+                x = -_residual(0, nonzero, row, closure)
                 if r not in known:
                     known[r] = x
                     fixed.append((a, x, expansions[a]))
@@ -670,15 +673,18 @@ def _seed_rows(cs, seeds):
     m[fourier(src), hat(t)].  So the rows joined to a seed through shared
     columns lie in the seed's anchor and its hat image, hat being an
     involution, and this gives the rows of those anchors (_anchor_rows).
-    A seed is a pin or an expansion row, whose m-column the layout keeps
-    by id, or a diagonal row, one of the last n rows in orbit order; the
-    presolve takes no symmetry row.
+    A seed is a pin or an expansion row, whose m-column comes from
+    inverting cs.pins and the layout's expansion ids, here and only on a
+    conflict, or a diagonal row, one of the last n rows in orbit order;
+    the presolve takes no symmetry row.
     """
     if cs.presolve_ids is None:
         return cs.rows
-    hats, owner = cs._layout[2], cs._layout[4]
+    _, expansions, hats = cs._layout
+    owner = {i: a for a, _, i in cs.pins}
+    owner.update((i, a) for a, i in expansions.items())
     n = len(cs.dataset.orbits)
-    seeded = {owner[i] % n if i < len(owner) else i - cs.equation_count + n for i in seeds}
+    seeded = {owner[i] % n if i in owner else i - cs.equation_count + n for i in seeds}
     return _anchor_rows(cs, seeded | {hats[k] for k in seeded})
 
 
@@ -692,11 +698,12 @@ def _anchor_rows(cs, reach):
     m-columns in ascending order, each column's pin and then its expansion
     row; then the symmetry rows, in column order; then the diagonal rows,
     in orbit order.  So the columns of the anchors, taken in ascending
-    order, give the rows in that order; a column's pin value comes from
-    the layout's map by column, so only the pins of these anchors are read.
+    order, give the rows in that order; a column's pin value is read from
+    cs.pins.
     """
-    expansion, expansions, _, pins, _ = cs._layout
+    expansion, expansions, _ = cs._layout
     image, u = cs.image, cs.unknowns
+    pins = {a: x for a, x, _ in cs.pins}
     n = len(cs.dataset.orbits)
     reach = sorted(reach)
     cols = [s * n + k for s in range(len(image) // n if n else 0) for k in reach]
@@ -865,14 +872,15 @@ def _presolve(system, ids=None, image=(), pins=()):
     row, an empty image and no pins; build_constraints says what it gives.
     Four steps, none of which can change the result, since for a fixed
     column order the RREF is unique:
-      1. merge every column the rows hold with its image, and the
+      1. join every column the rows hold to its image, and merge the
          columns of every equality row (two entries, opposite
          coefficients, rhs 0), by one union-find, each class represented
          by its latest column: in the RREF every other member of a class
          is a pivot, and the class's own value is its representative's.
-         A class no row holds is the pair {a, image[a]}, so a pin on any
-         other column goes straight into solved, onto the larger column
-         of its pair;
+         The image's pairs are disjoint, so a pair links its smaller
+         column to its larger with no find, and a class no row holds is
+         the pair {a, image[a]}: a pin on any other column goes straight
+         into solved, onto the larger column of its pair;
       2. rewrite every other row onto the representatives, adding the
          coefficients that land on one and dropping those that cancel, so
          the rows keep ConstraintSystem's row form;
@@ -910,18 +918,9 @@ def _presolve(system, ids=None, image=(), pins=()):
             if solved.setdefault(k if r < k else r, (empty, value))[1] != value:
                 contradicted.append(i)
     pins = [p for p in pins if p[0] in held]
-    # a pair already joined from its smaller end is not joined again, and
-    # two columns that are both roots need no find
-    parent = {}
-    for a in [a for a in held if a < m]:
-        b = image[a]
-        if a == b or b < a and image[b] == a:
-            continue
-        if a in parent or b in parent:
-            a, b = _find(parent, a), _find(parent, b)
-            if a == b:
-                continue
-        parent[min(a, b)] = max(a, b)
+    # the image's pairs are disjoint, so each joins its smaller column to
+    # its larger with no find
+    parent = {a: image[a] for a in held if a < m and a < image[a]}
     if ids is None:
         ids = range(len(system))
     others = []
@@ -1210,13 +1209,11 @@ def reconstruct_local_euler(sr):
     """
     ds = sr.dataset
     poset = ds.poset
-    dims = {o.id: o.dim for o in ds.orbits}
+    all_orbits, dims, ups = poset.ids, poset.dim, poset._up
     _require_precondition(ds, dims)
-    all_orbits = [o.id for o in ds.orbits]
     cm = {k: _plain(v) for k, v in sr.cmatrix.entries.items()}
-    ups = poset._up
     order = sorted(dims, key=lambda o: (-dims[o], o))
-    stored = {o: i for i, o in enumerate(poset.ids)}
+    stored = {o: i for i, o in enumerate(all_orbits)}
 
     def place(pair):
         return stored[pair[0]]

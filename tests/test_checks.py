@@ -11,8 +11,11 @@ import pytest
 
 from microloc import Check, build_constraints, euler_matrix, loads_dataset, solve, \
     verify_battery
+from microloc.affine import AffineInt
 from microloc.euler import UNKNOWN
-from microloc.solver import CharacteristicCycle, reconstruct_local_euler
+from microloc.packets import basic_arthur_packet, verify_az_micro_compatibility, \
+    verify_weak_equals_union
+from microloc.solver import CharacteristicCycle, ComputationError, reconstruct_local_euler
 from chains import chain_doc, zero_exception_doc
 
 SNAPSHOTS = Path(__file__).resolve().parent / "snapshots"
@@ -76,3 +79,26 @@ def test_euler_roundtrip_compares_row_by_row(solved, case, bumps):
     (got,) = [c for c in verify_battery(sr) if c.name == "euler-roundtrip"]
     assert got == _flat_roundtrip(sr)
     assert got.ok == (not bumps)
+
+
+@pytest.mark.parametrize("two_parameters", [True, False], ids=["two-parameter", "no-bounds"])
+def test_a_packet_step_that_raises_is_recorded_as_a_failure(solved, two_parameters):
+    """Each packet step whose membership test raises gives a failed record
+    carrying the error's text: here the first catalog entry's cycle holds a
+    parametric multiplicity at every orbit, which no membership test can
+    classify, with two parameters or without bounds."""
+    sr = copy.copy(solved)
+    c = AffineInt.parameter("c")
+    x = c + AffineInt.parameter("p") if two_parameters else c + 1
+    src = sr.dataset.catalog[0].param
+    sr.cc_table = dict(sr.cc_table)
+    sr.cc_table[src] = CharacteristicCycle(src, {o.id: x for o in sr.dataset.orbits})
+    if not two_parameters:
+        sr.bounds = None
+    records = {r.name: r for r in verify_battery(sr)}
+    for name, step in [("weak-equals-union", verify_weak_equals_union),
+                       ("az-compatibility", verify_az_micro_compatibility),
+                       ("basic-packet", basic_arthur_packet)]:
+        with pytest.raises(ComputationError) as e:
+            step(sr)
+        assert not records[name].ok and records[name].detail == str(e.value), name

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from microloc.cli import main
+from microloc.cli import _bound_lines, _bounds_doc, main
+from microloc.solver import Bound, MultiParameterMultiplicity
 from chains import chain_doc, zero_exception_doc
 from test_cli_snapshots import broken_doc, corrupt_doc
 
@@ -312,3 +314,19 @@ def test_importing_the_cli_loads_no_heavy_module():
                           env=dict(os.environ, PYTHONPATH=home),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_bound_lines_of_an_upper_bound_and_a_note():
+    # the bundled case has one lower bound and no note; the text form also
+    # writes an upper bound, the witness of a tight lower bound, an
+    # infeasible pair and the note saying why bounds could not be derived
+    src = ("A1", "(1)")
+    bounds = [Bound("p", None, 3, [], [(src, "A0")]), Bound("q", 4, 1, [(src, "A1")], [])]
+    note = str(MultiParameterMultiplicity([(src, "A0", ["p", "q"])]))
+    doc = {"bounds": _bounds_doc(SimpleNamespace(bounds=bounds)), "bound_note": note}
+    assert _bound_lines(doc) == [
+        "  p <= 3",
+        "  q >= 4 and q <= 1 (infeasible)   [tight at CC(IC(A1,(1))) over A1]",
+        "  note: multi-parameter multiplicity at [(('A1', '(1)'), 'A0', ['p', 'q'])]",
+    ]
+    assert _bound_lines({"bounds": [], "bound_note": ""}) == ["  none"]

@@ -28,8 +28,8 @@ also hold every row the search over the full rows reaches.  A conflicting
 solve never builds cs.rows, and the rows built on three inputs are pinned.
 Every pin, expansion row and diagonal row of the bundled case, chain6 and
 chain9, taken as a seed alone, must reach its own row.  On f4a3-corrupt
-the conflict path must look up the m-columns of the seeds' row ids alone,
-and read the pin values of the reached anchors' columns only.
+the seeds are two expansion rows that reach one anchor, and the rows
+built hold the pins of that anchor's columns, with their values.
 """
 
 import copy
@@ -216,33 +216,17 @@ def test_every_seed_kind_reaches_its_own_row(bundled_doc, n):
 
 
 def test_conflict_path_reads_the_pins_of_the_anchors_it_reaches(bundled_doc):
-    # the seeds' anchors come from the layout's m-column of each row id, and
-    # the pins of the reached anchors' columns from its map of pin values by
-    # column: on f4a3-corrupt, the two seeds reach one anchor, S7, of 12
+    # the seeds are two expansion rows, whose m-columns the conflict path
+    # finds by inverting cs.pins and the layout's expansion ids: on
+    # f4a3-corrupt they reach one anchor, S7, of 12, and the pin rows built
+    # are the pins of S7's columns, with their values from cs.pins
     cs = _system(_f4a3_corrupt(bundled_doc))
     seeds = _seeds(cs)
     n = len(cs.dataset.orbits)
-    read, owned = [], []
-
-    class Pins(dict):
-        def __contains__(self, a):
-            read.append(a)
-            return dict.__contains__(self, a)
-
-        def __getitem__(self, a):
-            read.append(a)
-            return dict.__getitem__(self, a)
-
-    class Owner(list):
-        def __getitem__(self, i):
-            owned.append(i)
-            return list.__getitem__(self, i)
-
-    expansion, expansions, hats, pins, owner = cs._layout
-    cs._layout = expansion, expansions, hats, Pins(pins), Owner(owner)
-    cs.pins = None         # the conflict path reads no pin from the list
+    assert seeds == [139, 171] and set(seeds) <= set(cs._layout[1].values())
     rows = _seed_rows(cs, seeds)
     reached = {k % n for coeffs, _, _ in rows for k, _ in coeffs if k < len(cs.image)}
     assert [cs.dataset.orbits[k].id for k in reached] == ["S7"] and len(rows) == 38
-    assert owned == seeds == [139, 171]
-    assert read and {a % n for a in read} == reached
+    pinned = [(coeffs[0][0], rhs) for coeffs, rhs, tag in rows
+              if tag[0] in ("support", "leading")]
+    assert pinned and pinned == [(a, x) for a, x, _ in cs.pins if a % n in reached]

@@ -107,7 +107,10 @@ def test_unreadable_files_exit_2_without_traceback(tmp_path):
 
 
 def _edited(doc, path, value):
-    """A deep copy of doc with the item at path set to value."""
+    """A deep copy of doc with the item at path set to value; the empty path
+    replaces the whole document."""
+    if not path:
+        return value
     doc = copy.deepcopy(doc)
     *parents, last = path
     node = doc
@@ -209,10 +212,12 @@ def test_unknown_irrep_messages(bundled_doc, path, value, message):
     (("kl", 0, "value"), -1, "kl value must be a nonnegative integer, got -1"),
     (("kl", 0, "provenance"), ["transcribed"], "unknown provenance ['transcribed']"),
     (("kl", 0, "note"), 3, "kl record note must be a string, got 3"),
+    (("duality", "fourier", 0, 0, 0), "S99", "fourier: unknown orbit 'S99'"),
+    ((), ["orbits"], "top level must be an object"),
 ], ids=["cover-list-id", "cover-dict-id", "orbit-dict-id", "dim-bool", "irrep-dim-zero",
         "irrep-dim-bool", "unitary-one", "catalog-param-list-id", "kl-target-list-id",
         "kl-source-list-id", "kl-target-irrep-dict", "kl-value-bool", "kl-value-negative",
-        "kl-provenance-list", "kl-note-int"])
+        "kl-provenance-list", "kl-note-int", "fourier-unknown-orbit", "top-level-list"])
 def test_loader_fault_texts(bundled_doc, path, value, message):
     assert _fault_text(bundled_doc, path, value) == message
 

@@ -2,7 +2,8 @@
 
 build_constraints and reconstruct_local_euler keep no path for a dataset
 whose orbit ids repeat, along one of whose covers dimension does not rise,
-or whose fourier or hat map is not an involution.  They raise a ValueError
+or whose fourier or hat map is not an involution, nor build_constraints
+one whose hat pairs pair an orbit twice.  They raise a ValueError
 that names the failed check and the validate_dataset code reporting it; a
 map that is not total raises the KeyError that the test-only copy of the
 row builder raises.
@@ -73,12 +74,24 @@ def _fourier_pair_replaced():
     return doc
 
 
+def _hat_pair_repeated():
+    """chain4 with hat pairs (A0, A3), (A0, A1), (A3, A2): the map, the last
+    pair winning, is the involution A0 -- A1, A2 -- A3, which the first
+    pair contradicts."""
+    doc = chain_doc(4)
+    doc["duality"]["hat"] = [[orbit_id(0), orbit_id(3)], [orbit_id(0), orbit_id(1)],
+                             [orbit_id(3), orbit_id(2)]]
+    return doc
+
+
 # each invalid input, and the text of the error build_constraints raises on it
 INVALID = {
     "flat": (FLAT_DOC, "dimension does not rise along the cover (B, C) [cover-dim]"),
     "hat-pair-added": (_hat_pair_added(), "hat is no involution at A0 [hat-not-involutive]"),
     "fourier-pair-replaced": (_fourier_pair_replaced(),
                               "fourier is no involution at ('A3', '(1)') [fourier-not-involutive]"),
+    "hat-pair-repeated": (_hat_pair_repeated(),
+                          "the hat pair (A0, A3) disagrees with a later pair [hat-conflict]"),
 }
 
 

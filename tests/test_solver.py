@@ -134,6 +134,21 @@ def test_bound_and_membership_of_one_entry_match_integer_scan(a, b):
     assert _classify(sr, value) == want
 
 
+def test_an_entry_whose_root_is_the_only_admissible_value_is_out():
+    # lower == upper == root: the entry vanishes at every admissible value;
+    # with the root only at one end of a wider range it is indeterminate
+    value = AffineInt(-2, {"p": 1})
+    src = ("O", "(1)")
+    sr = SolveReport(dataset=None, cmatrix=CMatrix({}),
+                     cc_table={src: CharacteristicCycle(src, {"O": value})},
+                     free_parameters=["p"], residual_unknowns=[], skipped=[],
+                     bounds=[Bound("p", 2, 2)])
+    assert _classify(sr, value) == "out"
+    for lower, upper in [(2, 3), (1, 2), (2, None)]:
+        sr.bounds = [Bound("p", lower, upper)]
+        assert _classify(sr, value) == "indeterminate"
+
+
 @pytest.mark.parametrize("n", [None, 3, 6, 9, 12, "diamond"],
                          ids=lambda n: "f4a3" if n is None else f"chain{n}" if n != "diamond" else n)
 def test_system_and_solution_values_are_ints(dataset, n):
