@@ -59,20 +59,23 @@ def _assignment(cfg):
             raise CLIError(f"--set expects name=value, got {item!r}", 2)
         if not re.fullmatch("[+-]?[0-9]+", value):
             raise CLIError(f"--set {name}: value {value!r} is not an integer", 2)
-        value = int(value)
+        try:
+            value = int(value)
+        except ValueError:     # over the interpreter's limit on int-string digits
+            raise CLIError(f"--set {name}: value of {len(value.lstrip('+-'))} digits "
+                           "is too long to read", 2) from None
         if out.get(name, value) != value:
             raise CLIError(f"--set {name}: given both {out[name]} and {value}", 2)
         out[name] = value
     return out
 
 
-def _solution(ds, cfg):
-    """The solved report with the --set values put in."""
+def _solution(ds, assignment):
+    """The solved report with the --set values (_assignment) put in."""
     try:
         sr = solve(build_constraints(ds, euler_matrix(ds)))
     except InconsistentSystem as e:
         raise CLIError(str(e), 1) from None
-    assignment = _assignment(cfg)
     try:
         return sr.substitute(assignment)
     except InadmissibleAssignment as e:
@@ -178,47 +181,47 @@ def _assumption_notes(ds):
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_validate(ds, cfg):
+def _cmd_validate(ds, assignment):
     violations = validate_dataset(ds)
     return (1 if violations else 0), {
         "dataset": ds.name, "ok": not violations,
         "violations": [{"code": v.code, "detail": v.detail} for v in violations]}
 
 
-def _cmd_solve(ds, cfg):
+def _cmd_solve(ds, assignment):
     _require_valid(ds)
-    return 0, _solve_doc(_solution(ds, cfg))
+    return 0, _solve_doc(_solution(ds, assignment))
 
 
-def _cmd_cc(ds, cfg):
+def _cmd_cc(ds, assignment):
     _require_valid(ds)
-    return 0, _cc_doc(_solution(ds, cfg))
+    return 0, _cc_doc(_solution(ds, assignment))
 
 
-def _cmd_packets(ds, cfg):
+def _cmd_packets(ds, assignment):
     _require_valid(ds)
-    sr = _solution(ds, cfg)
+    sr = _solution(ds, assignment)
     with _computing():
         packets = _packets(sr)
     return 0, {"dataset": ds.name, **_packets_doc(packets),
                "assumption_notes": _assumption_notes(ds)}
 
 
-def _cmd_verify(ds, cfg):
+def _cmd_verify(ds, assignment):
     violations = validate_dataset(ds)
     checks = [Check("dataset-valid", not violations,
                     "no violations" if not violations
                     else "; ".join(str(v) for v in violations))]
     if not violations:
-        checks += verify_battery(_solution(ds, cfg))
+        checks += verify_battery(_solution(ds, assignment))
     ok = all(c.ok for c in checks)
     return (0 if ok else 1), {"dataset": ds.name, "ok": ok,
                               "checks": [c._asdict() for c in checks]}
 
 
-def _cmd_report(ds, cfg):
+def _cmd_report(ds, assignment):
     _require_valid(ds)
-    sr = _solution(ds, cfg)
+    sr = _solution(ds, assignment)
     with _computing():
         packets = _packets(sr)
         wu = verify_weak_equals_union(sr)
@@ -477,7 +480,7 @@ def _report_text(doc):
     return out
 
 
-# name -> (command: (ds, cfg) -> (exit code, document), text renderer)
+# name -> (command: (ds, --set assignment) -> (exit code, document), text renderer)
 COMMANDS = {
     "validate": (_cmd_validate, _validate_text),
     "solve": (_cmd_solve, _solve_text),
@@ -491,10 +494,10 @@ COMMANDS = {
 def run(cfg):
     """Execute one parsed invocation; returns the process exit code."""
     try:
-        _assignment(cfg)       # the --set syntax, checked for every command
+        assignment = _assignment(cfg)    # checked for every command
         ds = _load(cfg)
         command, render = COMMANDS[cfg.command]
-        code, doc = command(ds, cfg)
+        code, doc = command(ds, assignment)
     except CLIError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

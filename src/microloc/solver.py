@@ -45,18 +45,19 @@ solve does.
 solve presolves once (_presolve), its columns in the fixed variable order
 (m-variables first, then c-variables by falling row dimension), from the
 image, the pins, the substituted values and the rows left: the expansion
-rows of the anchors that fall back and the diagonal rows.  The presolve
-derives the classes itself, each represented by its latest column, and
-propagates the pins and those of singleton rows.  The image is an
-involution, so its pairs are disjoint: a class no row holds is a pair
-{a, image[a]} that takes its pin directly, and only the columns the rows
-hold and their images reach the union-find, each pair linked there with
-no find, and the propagation: 90 of chain90's 12,285 columns, 113 of
+rows of the anchors that fall back and the diagonal rows.  The image is
+an involution, so its pairs are disjoint and are the only classes: the
+class of an m-column is the pair {a, image[a]}, represented by its
+larger column.  A class no row holds takes its pin directly; the rows
+are rewritten onto the representatives of the columns they hold, and
+only those columns and their images reach the propagation of the pins
+and those of singleton rows: 90 of chain90's 12,285 columns, 113 of
 F4(a3)'s 311.  For a fixed column order the RREF is unique, so solve may
 reach it any way it likes; a substituted value is constant on the whole
-solution set, a pivot with an empty remainder.
+solution set, a pivot with an empty remainder, and a row that only
+equates two columns is solved as any other row is.
 That settles every chain system with no elimination, and leaves F4(a3)
-30 rows over 21 columns of its 429 x 311.  Only what remains goes
+34 rows over 25 columns of its 429 x 311.  Only what remains goes
 through deterministic exact Gaussian elimination over the rationals
 (_eliminate), over the unpinned class representatives in column order,
 its rows in input order, with a pivot rule that depends on nothing else.
@@ -647,16 +648,6 @@ def _substitute(poset, sources, rows, ccol, expansions, image, pins, fallback):
     return substituted, sorted(contradicted)
 
 
-def _find(parent, k):
-    """The root of k in a union-find forest, compressing the path to it."""
-    r = k
-    while r in parent:
-        r = parent[r]
-    while k != r:
-        parent[k], k = r, parent[k]
-    return r
-
-
 def _all_rows(cs):
     """The full tagged system of a system from build_constraints, in its order:
     the rows of every anchor (_anchor_rows), which only the tests and
@@ -872,39 +863,37 @@ def _presolve(system, ids=None, image=(), pins=()):
     row, an empty image and no pins; build_constraints says what it gives.
     Four steps, none of which can change the result, since for a fixed
     column order the RREF is unique:
-      1. join every column the rows hold to its image, and merge the
-         columns of every equality row (two entries, opposite
-         coefficients, rhs 0), by one union-find, each class represented
-         by its latest column: in the RREF every other member of a class
-         is a pivot, and the class's own value is its representative's.
-         The image's pairs are disjoint, so a pair links its smaller
-         column to its larger with no find, and a class no row holds is
-         the pair {a, image[a]}: a pin on any other column goes straight
-         into solved, onto the larger column of its pair;
-      2. rewrite every other row onto the representatives, adding the
+      1. represent the class of every m-column a by the larger of a and
+         image[a]: in the RREF the smaller column of a pair is a pivot, and
+         its value is its pair's.  The image's pairs are disjoint, so this
+         is a plain map, rep, built only for the columns the rows hold and
+         their images; a pin on any other column goes straight into
+         solved, onto the larger column of its pair;
+      2. rewrite every row onto the representatives, adding the
          coefficients that land on one and dropping those that cancel, so
          the rows keep ConstraintSystem's row form;
-      3. queue the other pins and those of the singleton rows, and take
-         them last first: pin the class, and substitute the pin into the
-         rows of its column, queueing the pin of any row left with one
-         entry;
+      3. queue the other pins, each on its column's representative, and
+         those of the singleton rows, and take them last first: pin the
+         class, and substitute the pin into the rows of its column,
+         queueing the pin of any row left with one entry;
       4. eliminate whatever rows remain with _eliminate, over the unpinned
          representatives they hold, in column order.
-    Returns (solved, contradicted, rep).  rep maps each column the
-    union-find merged into another to its representative; any other column
-    a belongs to the class of the larger of a and image[a] (of a itself
-    past the image).  solved is {column: (rest, rhs)} for every
-    representative that is not free: the column equals
-    rhs - sum(rest[k] * k) over free columns k.  The free columns are the
-    representatives neither pinned nor pivots.  contradicted lists, in
-    ascending order, the ids of the rows and pins that a step reduces to
-    0 = nonzero: a row rewritten to empty, a second pin of one class with
-    another value (the pins of a class are taken last first in step 1 as
-    in step 3, so the one named is the earlier), or an empty row that the
-    elimination leaves.  Each such row is dropped and the steps go on, so
-    every inconsistent component of the system (its rows joined through
-    shared columns) that the failed checks of the substitution miss holds
-    one; solved is meaningful only when neither names a row.
+    An equality row (two entries, opposite coefficients, rhs 0) is a row
+    like any other: the queue or the elimination solves it.
+    Returns (solved, contradicted).  solved is keyed by class
+    representatives, the larger column of each pair of the image and every
+    other column itself: {column: (rest, rhs)} for every representative
+    that is not free, the column equals rhs - sum(rest[k] * k) over free
+    columns k.  The free columns are the representatives neither pinned
+    nor pivots.  contradicted lists, in ascending order, the ids of the
+    rows and pins that a step reduces to 0 = nonzero: a row rewritten to
+    empty, a second pin of one class with another value (the pins of a
+    class are taken last first in step 1 as in step 3, so the one named is
+    the earlier), or an empty row that the elimination leaves.  Each such
+    row is dropped and the steps go on, so every inconsistent component of
+    the system (its rows joined through shared columns) that the failed
+    checks of the substitution miss holds one; solved is meaningful only
+    when neither names a row.
     """
     solved = {}
     empty = {}             # the remainder of every pinned class, one dict that nothing changes
@@ -917,30 +906,16 @@ def _presolve(system, ids=None, image=(), pins=()):
             r = image[k] if k < m else k
             if solved.setdefault(k if r < k else r, (empty, value))[1] != value:
                 contradicted.append(i)
-    pins = [p for p in pins if p[0] in held]
-    # the image's pairs are disjoint, so each joins its smaller column to
-    # its larger with no find
-    parent = {a: image[a] for a in held if a < m and a < image[a]}
+    # the image's pairs are disjoint, so each maps its smaller column to its larger
+    rep = {a: image[a] for a in held if a < m and a < image[a]}
+    queue = [(rep.get(k, k), value, i) for k, value, i in pins if k in held]
     if ids is None:
         ids = range(len(system))
-    others = []
-    for i, (coeffs, rhs, _) in zip(ids, system):
-        if len(coeffs) == 2 and rhs == 0:
-            (a, x), (b, y) = coeffs
-            if x == -y:
-                a, b = _find(parent, a), _find(parent, b)
-                if a != b:
-                    parent[min(a, b)] = max(a, b)
-                continue
-        others.append((i, coeffs, rhs))
-    rep = {k: _find(parent, k) for k in parent}
-
-    queue = [(_find(parent, k), value, i) for k, value, i in pins]
-    ids = []               # the id of each row below
+    row_ids = []           # the id of each row below
     rows = []
     rhss = []
-    column = {}            # representative -> ids of the rows holding it
-    for i, coeffs, rhs in others:
+    column = {}            # representative -> indices of the rows holding it
+    for i, (coeffs, rhs, _) in zip(ids, system):
         new = dict(coeffs)
         for k in rep.keys() & new.keys():
             x = new.pop(k)
@@ -960,7 +935,7 @@ def _presolve(system, ids=None, image=(), pins=()):
                 contradicted.append(i)
             continue
         j = len(rows)
-        ids.append(i)
+        row_ids.append(i)
         rows.append(new)
         rhss.append(rhs)
         for k in new:
@@ -987,18 +962,18 @@ def _presolve(system, ids=None, image=(), pins=()):
             # so a row leaves here at one and is never emptied
             if len(row) == 1:
                 (r, a), = row.items()
-                queue.append((r, div(nv, a), ids[j]))
+                queue.append((r, div(nv, a), row_ids[j]))
                 rows[j] = None
 
     remaining = [(tuple(row.items()), rhs, None)
                  for row, rhs in zip(rows, rhss) if row is not None]
     pivots, erows, erhss, conflict, _ = _eliminate(remaining, sorted(column))
     if conflict is not None:
-        origin = [i for i, row in zip(ids, rows) if row is not None]
+        origin = [i for i, row in zip(row_ids, rows) if row is not None]
         contradicted += [origin[j] for j, row in enumerate(erows) if not row and erhss[j]]
     for v, i in pivots.items():
         solved[v] = ({k: x for k, x in erows[i].items() if k != v}, erhss[i])
-    return solved, sorted(contradicted), rep
+    return solved, sorted(contradicted)
 
 
 def _conflict(system):
@@ -1031,10 +1006,13 @@ def solve(cs):
     elimination of the whole system gives: _conflict over the rows of the
     anchors those rows reach (_seed_rows).
 
-    Values are built once per class: for each solved class that is not
-    zero, and for each free class, looked for only when the solved classes
-    leave a column out.  A value goes to the columns of its class, so an
-    m-cell whose class is zero is absent from its cycle.
+    The presolve keys its solution by class representative: a class is
+    the pair (r, image[r]) of an m-column r, represented by its larger
+    column, and (r,) for a c-column.  Values are built once per class: for
+    each solved class that is not zero, and for each free class, looked
+    for only when the solved classes leave a column out.  A value goes to
+    the columns of its class, so an m-cell whose class is zero is absent
+    from its cycle.
 
     Free c-variables are named p_<row>_<col>.  One of them gets the short
     name "c": the pair (E, top) where E is the dataset's single orbit whose
@@ -1045,8 +1023,8 @@ def solve(cs):
     """
     ds = cs.dataset
     image, m, unknowns = cs.image, len(cs.image), cs.unknowns
-    solved, contradicted, rep = _presolve(cs.presolve_rows, cs.presolve_ids, image,
-                                          cs.pins + cs.substituted)
+    solved, contradicted = _presolve(cs.presolve_rows, cs.presolve_ids, image,
+                                     cs.pins + cs.substituted)
     if contradicted or cs.contradicted:
         raise InconsistentSystem(_conflict(_seed_rows(cs, contradicted + cs.contradicted)))
 
@@ -1065,22 +1043,19 @@ def solve(cs):
                 names[j] = f"q_{v[2]}_{v[1][0]}_{v[1][1]}"
         return names[j]
 
-    members = {}           # representative -> its class, for each class rep maps into
-    for k, r in rep.items():
-        members.setdefault(r, [r]).append(k)
-    left = len(unknowns) - len(rep) - len(solved)    # the columns no solved class takes
+    left = len(unknowns) - len(solved)    # the columns no solved class takes
     for r in solved:
-        if r < m and image[r] != r and r not in members:
+        if r < m and image[r] != r:
             left -= 1      # the smaller column of a pair
     values = {r: AffineInt._make(rhs, {name(k): -x for k, x in rest.items()})
               for r, (rest, rhs) in solved.items() if rest or rhs}
     if left:
         for j in range(len(unknowns)):
-            if j not in rep and j not in solved and (j >= m or image[j] <= j):
+            if j not in solved and (j >= m or image[j] <= j):
                 values[j] = AffineInt.parameter(name(j))
     cells = {}             # column -> its class's value, where that is not zero
     for r, x in values.items():
-        for j in members.get(r) or ((r, image[r]) if r < m else (r,)):
+        for j in (r, image[r]) if r < m else (r,):
             cells[j] = x
     centries = {(a, b): ZERO for kind, a, b in unknowns[m:] if kind == "c"}
     mults = {src: {} for src in ds.local_systems()}

@@ -107,6 +107,13 @@ def test_malformed_set_argument_rejected(capsys):
         assert capsys.readouterr().err == ("error: --set c: value '' is not an integer\n"
                                            "error: --set expects name=value, got 'c'\n")
     assert main(["cc", "--set", "c=+2"]) == main(["cc", "--set", "c=2"]) == 0
+    # a value past the interpreter's limit on int-string digits, where it sets one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        capsys.readouterr()
+        assert main(["cc", "--set", f"c=-{'1' * (limit + 1)}"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --set c: value of {limit + 1} digits is too long to read\n"
 
 
 def test_conflicting_repeated_set_rejected(capsys):

@@ -125,7 +125,7 @@ def datasets(tmp_path_factory):
 def _document(argv):
     cfg = cli._parser().parse_args(argv)
     command, _ = cli.COMMANDS[cfg.command]
-    return command(cli._load(cfg), cfg)[1]
+    return command(cli._load(cfg), cli._assignment(cfg))[1]
 
 
 # (input, argv): every command on every input, and a specialized report
@@ -145,7 +145,7 @@ def test_documents_equal_json_dumps(source, argv, datasets):
 def test_cmatrix_records_in_sorted_order(source, datasets):
     path = datasets[source]
     cfg = cli._parser().parse_args(["solve"] + (["--dataset", path] if path else []))
-    sr = cli._solution(cli._load(cfg), cfg)
+    sr = cli._solution(cli._load(cfg), cli._assignment(cfg))
     records = cli._solve_doc(sr)["cmatrix"]
     keys = [(r["row"], r["col"]) for r in records]
     assert keys == sorted(sr.cmatrix.entries)

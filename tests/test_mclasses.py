@@ -9,14 +9,13 @@ most anchors by forward substitution, handing the values on as pins with
 the ids of the rows whose check failed, and emits only the expansion rows
 of the anchors that fall back.  Presolving that structure with the rows
 left must give the contradiction status of presolving the full system
-and, when there is none, the same expression for every column (its
-representative's, or the representative itself when free), though the
-classes differ where an equality expansion row is substituted instead of
-merged; the pins, put onto the classes of a union-find over the symmetry
-rows, must be what the full system's support and leading rows give.  The
-presolve takes the pins of the pairs no row holds straight into its
-solution, and a column its rep does not map is resolved through the image
-(_expressions).  The full system is a test-only copy of build_constraints
+and, when there is none, the same expression for every column: the
+expression of the larger of the column and its image, the presolve's
+class representative, with a free column r read as r itself
+(_expressions); the full rows go in with no image, their symmetry rows
+solved as rows.  The pins, put onto the classes of a union-find over the
+symmetry rows, must be what the full system's support and leading rows
+give.  The full system is a test-only copy of build_constraints
 as it was when it emitted every row, and cs.rows, built on first read,
 must equal it.
 
@@ -142,14 +141,14 @@ def _union_find_classes(rows):
 
 
 def _expressions(presolved, ncols, image=()):
-    """What a _presolve result assigns to each column: its representative's
-    (rest, rhs), or the representative itself when that is free.  A column
-    rep does not map is in the class of the larger of it and its image (of
-    itself past the image), as _presolve's docstring says: rep maps only
-    what the union-find merged, and the pairs no row holds it leaves out."""
-    solved, _, rep = presolved
-    classes = (rep.get(j, max(j, image[j]) if j < len(image) else j) for j in range(ncols))
-    return [solved.get(r, r) for r in classes]
+    """What a _presolve result assigns to each column: the (rest, rhs) of
+    its class's representative, the larger of the column and its image
+    (the column itself past the image), as _presolve's docstring says,
+    with a free representative r read as ({r: -1}, 0), that is r = r."""
+    solved, _ = presolved
+    m = len(image)
+    return [solved.get(r, ({r: -1}, 0))
+            for r in (max(j, image[j]) if j < m else j for j in range(ncols))]
 
 
 def _check_against_full_rows(cs, rows):

@@ -1,23 +1,25 @@
 """solve's presolved path against an independent solver: sympy's rref over QQ.
 
-solve merges equal pairs, propagates singleton pins and eliminates only the
-rows left over.  For a fixed column order the RREF is unique, so every
-c- and m-expression solve returns must be the rref's: a pivot column p
-reads x_p = b - sum over free columns f of R[p, f] * x_f, and a free column
-is its own parameter.  The free parameters must be exactly the names of
-the non-pivot columns.  The check runs on every consistent system of
-tests/test_solver_conflict.py and on hand-built systems with equality rows,
-singleton rows with non-unit and rational coefficients, chains of
-singletons and explicit zero coefficients, over unknowns shaped like
-build_constraints' own, so that free classes get p_ and q_ names.
+solve rewrites the rows onto the duality pairs, propagates singleton pins
+and eliminates only the rows left over.  For a fixed column order the RREF
+is unique, so every c- and m-expression solve returns must be the rref's:
+a pivot column p reads x_p = b - sum over free columns f of R[p, f] * x_f,
+and a free column is its own parameter.  The free parameters must be
+exactly the names of the non-pivot columns.  The check runs on every
+consistent system of tests/test_solver_conflict.py and on hand-built
+systems with equality rows, singleton rows with non-unit and rational
+coefficients, chains of singletons and explicit zero coefficients, over
+unknowns shaped like build_constraints' own, so that free classes get p_
+and q_ names.
 
 A conflict that the presolve finds must raise the tags of one full
 elimination of the system, also when two parts over disjoint unknowns
 conflict at once, and what reaches _eliminate on a successful solve is
-pinned row by row and column by column.  So is what reaches the
-union-find and the queue (every pin the queue takes goes through _find):
-only the columns the presolve rows hold and their images, on chains 6 to
-60 and on the bundled case.
+pinned row by row and column by column.  So is what the rewriting and the
+queue reach: only the columns the presolve rows hold and their images,
+on chains 6 to 60 and on the bundled case; every other pin goes straight
+into the solution, and the presolve equals a presolve of the held part
+and one of those pins alone.
 """
 
 from fractions import Fraction
@@ -324,17 +326,20 @@ def _eliminated(monkeypatch, cs):
 
 
 def test_what_reaches_elimination(systems, monkeypatch):  # noqa: F811
-    # F4(a3): 30 rows over 21 columns of 429 x 311; the chains are settled
-    # by merging and pinning alone
-    assert _eliminated(monkeypatch, systems["f4a3"]) == [(30, 21)]
+    # F4(a3): 34 rows over 25 columns of 429 x 311, up from 30 x 21 when the
+    # presolve merged the columns of its equality rows: the 4 of those rows
+    # that the pins do not settle now reach the elimination, each adding a
+    # row and its m-column, which the merge took out, and the RREF stays
+    # the same; the chains are settled by pinning alone
+    assert _eliminated(monkeypatch, systems["f4a3"]) == [(34, 25)]
     for n in CHAIN_SIZES:
         assert _eliminated(monkeypatch, systems[f"chain{n}"]) == [(0, 0)]
 
 
-# -- what reaches the union-find and the queue ----------------------------------
-
-_FIND = solver._find
-
+# -- what reaches the rewriting and the queue ------------------------------------
+#
+# The test names date from the union-find the presolve once ran over these
+# columns; what they pin still holds without it.
 
 def _held(cs):
     """The columns cs's presolve rows hold, and their images."""
@@ -342,45 +347,51 @@ def _held(cs):
     return held | {cs.image[a] for a in held if a < len(cs.image)}
 
 
-def _found(monkeypatch, cs):
-    """The columns _find is called on in one solve of cs: the image pairs
-    and equality rows the union-find joins, and the column of every pin the
-    queue takes."""
-    seen = []
+def _split(cs):
+    """The presolve of cs against two presolves, of the rows with the pins
+    on the held columns and of the other pins alone.
 
-    def find(parent, k):
-        seen.append(k)
-        return _FIND(parent, k)
-
-    monkeypatch.setattr(solver, "_find", find)
-    solve(cs)
-    return seen
+    Only the held columns may be rewritten or queued, so the first holds
+    only those, the second takes every pin straight into its solution,
+    and together they give the whole.  Returns (the first's solution, the
+    second's)."""
+    pins = cs.pins + cs.substituted
+    held = _held(cs)
+    rows = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
+                     [p for p in pins if p[0] in held])
+    rest = _presolve([], [], cs.image, [p for p in pins if p[0] not in held])
+    assert set(rows[0]) <= held
+    assert not set(rest[0]) & held
+    assert all(not remainder for remainder, _ in rest[0].values())
+    assert _presolve(cs.presolve_rows, cs.presolve_ids, cs.image, pins) == \
+        ({**rows[0], **rest[0]}, sorted(rows[1] + rest[1]))
+    return rows[0], rest[0]
 
 
 @pytest.mark.parametrize("n", [6, 9, 12, 18, 24, 30, 60])
-def test_what_reaches_the_union_find_on_a_chain(n, monkeypatch):
+def test_what_reaches_the_union_find_on_a_chain(n):
     # every chain anchor is settled, so the presolve rows are the n diagonal
-    # rows; their c(t, t) columns are the only ones held, and each reaches
-    # _find once, as its substituted value is queued.  No image pair is
-    # joined, and every other pin goes straight into the solution
+    # rows; their c(t, t) columns are the only ones held, each pinned by its
+    # substituted value through the queue.  No image pair is held, and
+    # every other pin goes straight into the solution
     ds = loads_dataset(chain_doc(n))
     cs = build_constraints(ds, euler_matrix(ds))
     held = _held(cs)
     assert len(held) == n
     assert all(cs.unknowns[k][0] == "c" for k in held)
-    assert sorted(_found(monkeypatch, cs)) == sorted(held)
+    rows, _ = _split(cs)
+    assert set(rows) == held
 
 
-def test_what_reaches_the_union_find_on_f4a3(systems, monkeypatch):  # noqa: F811
+def test_what_reaches_the_union_find_on_f4a3(systems):  # noqa: F811
     # F4(a3): 9 of its 12 anchors fall back, and its 63 presolve rows hold
-    # 113 columns with their images, 85 of them m-columns; 38 of its 126 pins
-    # and substituted values are queued, and _find is called 122 times, on
-    # 68 of the held columns
+    # 113 columns with their images, 85 of them m-columns; 38 of its 126
+    # pins and substituted values are on those and queued, the rows and the
+    # queue solve 73 classes of the held columns, and the other pins 81
     cs = systems["f4a3"]
     held = _held(cs)
     assert (len(cs.presolve_rows), len(held), sum(k < len(cs.image) for k in held)) == \
         (63, 113, 85)
     assert sum(k in held for k, _, _ in cs.pins + cs.substituted) == 38
-    found = _found(monkeypatch, cs)
-    assert set(found) <= held
-    assert (len(found), len(set(found))) == (122, 68)
+    rows, rest = _split(cs)
+    assert (len(rows), len(rest)) == (73, 81)
