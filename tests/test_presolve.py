@@ -17,9 +17,10 @@ elimination of the system, also when two parts over disjoint unknowns
 conflict at once, and what reaches _eliminate on a successful solve is
 pinned row by row and column by column.  So is what the rewriting and the
 queue reach: only the columns the presolve rows hold and their images,
-on chains 6 to 60 and on the bundled case; every other pin goes straight
-into the solution, and the presolve equals a presolve of the held part
-and one of those pins alone.
+on chains 6 to 60 and on the bundled case.  Every other pin goes straight
+into the solution, which pin values that note their comparisons see: such
+a pin is compared with its class's value, itself for the first of its
+class, and the queue compares no pin with itself.
 """
 
 from fractions import Fraction
@@ -337,9 +338,6 @@ def test_what_reaches_elimination(systems, monkeypatch):  # noqa: F811
 
 
 # -- what reaches the rewriting and the queue ------------------------------------
-#
-# The test names date from the union-find the presolve once ran over these
-# columns; what they pin still holds without it.
 
 def _held(cs):
     """The columns cs's presolve rows hold, and their images."""
@@ -347,25 +345,44 @@ def _held(cs):
     return held | {cs.image[a] for a in held if a < len(cs.image)}
 
 
-def _split(cs):
-    """The presolve of cs against two presolves, of the rows with the pins
-    on the held columns and of the other pins alone.
+class _Pin(int):
+    """A pin's value that notes its pin's id in seen at each != it takes part
+    in, and in alone when it is compared with itself."""
 
-    Only the held columns may be rewritten or queued, so the first holds
-    only those, the second takes every pin straight into its solution,
-    and together they give the whole.  Returns (the first's solution, the
-    second's)."""
+    def __new__(cls, value, i, seen, alone):
+        pin = super().__new__(cls, value)
+        pin.i, pin.seen, pin.alone = i, seen, alone
+        return pin
+
+    def __ne__(self, other):
+        self.seen.add(self.i)
+        if other is self:
+            self.alone.add(self.i)
+        elif isinstance(other, _Pin):
+            self.seen.add(other.i)
+        return int(self) != other
+
+
+def _bypassed(cs):
+    """The ids of cs's pins that the presolve takes straight into its solution.
+
+    A pin that bypasses the queue is compared with the value its class
+    holds, which is itself when it is the first of its class; the queue
+    compares only a later pin of a class, never a pin with itself.  So
+    every bypassed pin is seen, and only bypassed pins are seen alone.
+    Returns (the ids of the pins on columns outside _held(cs), the
+    presolve's solution)."""
     pins = cs.pins + cs.substituted
+    seen, alone = set(), set()
+    noted = [(k, _Pin(value, i, seen, alone), i) for k, value, i in pins]
+    solved, contradicted = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image, noted)
+    assert (solved, contradicted) == \
+        _presolve(cs.presolve_rows, cs.presolve_ids, cs.image, pins)
     held = _held(cs)
-    rows = _presolve(cs.presolve_rows, cs.presolve_ids, cs.image,
-                     [p for p in pins if p[0] in held])
-    rest = _presolve([], [], cs.image, [p for p in pins if p[0] not in held])
-    assert set(rows[0]) <= held
-    assert not set(rest[0]) & held
-    assert all(not remainder for remainder, _ in rest[0].values())
-    assert _presolve(cs.presolve_rows, cs.presolve_ids, cs.image, pins) == \
-        ({**rows[0], **rest[0]}, sorted(rows[1] + rest[1]))
-    return rows[0], rest[0]
+    outside = {i for k, _, i in pins if k not in held}
+    assert outside <= seen and alone <= outside
+    assert all(not remainder for k, (remainder, _) in solved.items() if k not in held)
+    return outside, solved
 
 
 @pytest.mark.parametrize("n", [6, 9, 12, 18, 24, 30, 60])
@@ -379,19 +396,20 @@ def test_what_reaches_the_union_find_on_a_chain(n):
     held = _held(cs)
     assert len(held) == n
     assert all(cs.unknowns[k][0] == "c" for k in held)
-    rows, _ = _split(cs)
-    assert set(rows) == held
+    outside, solved = _bypassed(cs)
+    assert len(outside) == len(cs.pins) + len(cs.substituted) - n
+    assert held <= set(solved)
 
 
 def test_what_reaches_the_union_find_on_f4a3(systems):  # noqa: F811
     # F4(a3): 9 of its 12 anchors fall back, and its 63 presolve rows hold
     # 113 columns with their images, 85 of them m-columns; 38 of its 126
-    # pins and substituted values are on those and queued, the rows and the
-    # queue solve 73 classes of the held columns, and the other pins 81
+    # pins and substituted values are on those and queued, and the other
+    # 88 go straight into the solution, which holds 154 classes
     cs = systems["f4a3"]
     held = _held(cs)
     assert (len(cs.presolve_rows), len(held), sum(k < len(cs.image) for k in held)) == \
         (63, 113, 85)
     assert sum(k in held for k, _, _ in cs.pins + cs.substituted) == 38
-    rows, rest = _split(cs)
-    assert (len(rows), len(rest)) == (73, 81)
+    outside, solved = _bypassed(cs)
+    assert (len(outside), len(solved)) == (88, 154)
